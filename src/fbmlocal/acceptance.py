@@ -27,6 +27,7 @@ from fbmlocal.sobolev import (
     TestFunction,
     a_h_constant,
     lemma22_decay_exponent,
+    lemma22_truncation_shift,
     pairing_identity_check,
     sobolev_norm,
 )
@@ -198,7 +199,12 @@ def check_pairing_identity(threads=None):
 
 
 def check_sobolev_scaling(threads=None):
-    """Dilation law k^(2s-1) to 1e-6; half-line decay exponents to 0.05."""
+    """Dilation law k^(2s-1) to 1e-6; half-line decay exponents to 0.05.
+
+    The detail also reports, per protocol, the worst relative move of a
+    dual norm over the k schedule when T doubles; above 1% the fit is
+    truncation-sensitive.  That figure is reported, not gated.
+    """
     phi = TestFunction.from_samples([-1.0, -0.3, 0.4, 1.1], [0.8, -0.5])
     worst = 0.0
     for s in (-0.25, 0.0, 0.25):
@@ -206,14 +212,19 @@ def check_sobolev_scaling(threads=None):
         for k in (2.0, 4.0, 8.0):
             got = sobolev_norm(phi.dilated(k), s) ** 2
             worst = max(worst, abs(got / (k ** (2.0 * s - 1.0) * base) - 1.0))
-    # refined protocols: first pair is truncation-limited, second is
-    # spacing-limited; see the repo notes for the refinement study
-    fit1 = lemma22_decay_exponent(2.0, 0.25, truncation_t=128.0, n=256)
-    fit2 = lemma22_decay_exponent(1.5, -0.25, truncation_t=64.0, n=512)
-    g1 = fit1.slope - (0.5 + 0.25 - 2.0)
-    g2 = fit2.slope - (0.5 - 0.25 - 1.5)
-    ok = worst <= 1e-6 and abs(g1) <= 0.05 and abs(g2) <= 0.05
-    return ok, f"dilation worst rel {worst:.2e} (tol 1e-6); decay gaps {g1:+.4f}, {g2:+.4f} (tol 0.05)"
+    # refined protocols (alpha, s, T, n): the first is truncation-limited,
+    # the second spacing-limited
+    ks = (2.0, 4.0, 8.0, 16.0, 32.0)
+    gaps, shifts = [], []
+    for alpha, s, t, n in ((2.0, 0.25, 128.0, 256), (1.5, -0.25, 64.0, 512)):
+        fit = lemma22_decay_exponent(alpha, s, ks, truncation_t=t, n=n)
+        gaps.append(fit.slope - fit.theory_slope)
+        shifts.append(max(lemma22_truncation_shift(alpha, s, k, t, n) for k in ks))
+    ok = worst <= 1e-6 and all(abs(g) <= 0.05 for g in gaps)
+    return ok, (
+        f"dilation worst rel {worst:.2e} (tol 1e-6); decay gaps {gaps[0]:+.4f}, {gaps[1]:+.4f} (tol 0.05); "
+        f"2T shift worst {shifts[0]:.2%}, {shifts[1]:.2%} (not gated; >1% is truncation-sensitive)"
+    )
 
 
 def check_adjacent_divergence(threads=None):

@@ -179,7 +179,8 @@ class ScanTable:
 
 @dataclass(frozen=True)
 class ExponentFit:
-    """Least-squares log-log fit of a scan column against eps.
+    """Least-squares log-log fit of a scan column against eps (or of the
+    lemma-2.2 dual norms against k).
 
     correction_order records the expected relative size of the next
     asymptotic term (the eps^delta bookkeeping); eps_lo/eps_hi bound the
@@ -195,6 +196,27 @@ class ExponentFit:
     eps_lo: float
     eps_hi: float
     n_used: int
+
+    @classmethod
+    def least_squares(cls, x, y, theory: float = math.nan, correction_order: float = math.nan) -> "ExponentFit":
+        """Least-squares line through (log x, log y) for positive x and y."""
+        x = np.asarray(x, dtype=float)
+        lx, ly = np.log(x), np.log(y)
+        slope, intercept = np.polyfit(lx, ly, 1)
+        resid = ly - (slope * lx + intercept)
+        ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+        r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+        return cls(
+            slope=float(slope),
+            intercept=float(intercept),
+            r2=r2,
+            theory_slope=float(theory),
+            theory_gap=abs(float(slope) - float(theory)),
+            correction_order=float(correction_order),
+            eps_lo=float(x.min()),
+            eps_hi=float(x.max()),
+            n_used=x.size,
+        )
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -356,27 +378,10 @@ def fit_exponent(
     if len(kept) < 3:
         raise ValueError("fewer than 3 usable rows after dropping flagged ones")
 
-    sub = ScanTable(rows=tuple(kept), meta=table.meta)
-    x = np.log(sub.column("eps"))
-    y = sub.column(column)
+    y = ScanTable(rows=tuple(kept), meta=table.meta).column(column)
     if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
         raise ValueError(f"column {column!r} must be finite and positive for a power-law fit")
-    y = np.log(y)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return ExponentFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r2=r2,
-        theory_slope=float(theory),
-        theory_gap=abs(float(slope) - float(theory)),
-        correction_order=float(correction_order),
-        eps_lo=float(min(r.eps for r in kept)),
-        eps_hi=float(max(r.eps for r in kept)),
-        n_used=len(kept),
-    )
+    return ExponentFit.least_squares([r.eps for r in kept], y, theory, correction_order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ from scipy.integrate import quad
 
 from fbmlocal.sobolev import (
     TestFunction,
+    _hat_gram_row,
+    _hat_pairings,
     a_h_constant,
     check_smoothness,
     fbm_pairing_spectral,
@@ -180,3 +182,42 @@ def test_pairing_identity_examples():
 def test_lemma22_dual_norm_decreasing_in_k():
     vals = [lemma22_dual_norm(2.0, 0.25, k, truncation_t=16.0, n=64) for k in (2.0, 4.0, 8.0)]
     assert vals[0] > vals[1] > vals[2] > 0.0
+
+
+def _hats(pts):
+    return [TestFunction.hat(center=p, halfwidth=pts[1] - pts[0]) for p in pts[1:-1]]
+
+
+@pytest.mark.parametrize("s", [-0.25, 0.25])
+def test_lemma22_gram_row_matches_spectral_quadrature(s):
+    # the exact time-domain row against the independent spectral oracle
+    pts = np.linspace(-8.0, 0.0, 18)
+    hats = _hats(pts)
+    want = [sobolev_inner(hats[0], hat, s) for hat in hats]
+    np.testing.assert_allclose(_hat_gram_row(pts, s), want, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_lemma22_pairing_vector_matches_quadrature(alpha):
+    k = 3.0
+    pts = np.linspace(-8.0, 0.0, 18)
+    want = [
+        quad(lambda x: hat(x) * (k - x) ** (-alpha), *hat.support(), epsabs=0.0, epsrel=1e-13)[0]
+        for hat in _hats(pts)
+    ]
+    np.testing.assert_allclose(_hat_pairings(alpha, k, pts), want, rtol=1e-10, atol=0.0)
+
+
+def test_lemma22_gate_values():
+    # the two protocols of the sobolev-scaling check, at the ends of its k schedule
+    assert lemma22_dual_norm(2.0, 0.25, 2.0, 128.0, 256) == pytest.approx(0.22744319800215002, rel=1e-6)
+    assert lemma22_dual_norm(1.5, -0.25, 32.0, 64.0, 512) == pytest.approx(0.00846172415384053, rel=1e-6)
+
+
+def test_lemma22_dual_norm_guards():
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        lemma22_dual_norm(2.0, 0.25, 1.5)
+    with pytest.raises(ValueError, match="alpha > 1/2 \\+ s"):
+        lemma22_dual_norm(0.75, 0.25, 2.0)
+    with pytest.raises(ValueError, match="alpha = 1"):
+        lemma22_dual_norm(1.0, -0.25, 2.0)
