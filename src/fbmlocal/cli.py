@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from fbmlocal.kernels import IncrementBasis, TimeGrid, cross_gram, fbm_cov, gram
+from fbmlocal.kernels import cross_gram, fbm_cov, gram
 from fbmlocal.geometry import canonical_correlations, cos_angle, mutual_information_gy
 from fbmlocal.sobolev import a_h_constant, r_h_constant
 from fbmlocal.experiments import (
@@ -21,6 +21,7 @@ from fbmlocal.experiments import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNCATION,
     ScanConfig,
+    _window_basis,
     adjacency_divergence,
     complement_window_scan,
     fit_exponent,
@@ -147,10 +148,6 @@ def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
     return params
 
 
-def _window(center: float, eps: float, grid_n: int) -> IncrementBasis:
-    return IncrementBasis.from_grid(TimeGrid(center - eps, center + eps, grid_n))
-
-
 def _fmt(x) -> str:
     if x is None:
         return "inf"
@@ -251,8 +248,8 @@ def _cmd_cov(args, config):
 def _window_spectrum(params):
     h = params["H"]
     eps = _single_eps(params)
-    a = _window(params["t1"], eps, params["n"])
-    b = _window(params["t2"], eps, params["n"])
+    a = _window_basis(params["t1"], eps, params["n"])
+    b = _window_basis(params["t2"], eps, params["n"])
     return canonical_correlations(gram(a, h), gram(b, h), cross_gram(a, b, h), rtol=params["rtol"])
 
 

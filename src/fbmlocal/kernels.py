@@ -25,6 +25,7 @@ __all__ = [
     "increment_cov",
     "disjoint_kernel",
     "gram",
+    "increment_autocov",
     "cross_gram",
     "levy_fbm_cov",
     "levy_increment_gram",
@@ -180,6 +181,20 @@ def gram(basis: IncrementBasis, h: float) -> np.ndarray:
     h = check_hurst(h)
     g = _pair_cov_matrix(basis.s, basis.t, basis.s, basis.t, h)
     return 0.5 * (g + g.T)
+
+
+def increment_autocov(k, h: float, dt: float = 1.0) -> np.ndarray:
+    """Autocovariance gamma(k) of unit-lag increments at spacing dt.
+
+    On a uniform grid the increment Gram is Toeplitz, and
+    increment_autocov(arange(n), h, dt) is its first column.
+    """
+    check_hurst(h)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    k = np.abs(np.asarray(k, dtype=float))
+    tw = 2.0 * h
+    return 0.5 * dt**tw * ((k + 1.0) ** tw + np.abs(k - 1.0) ** tw - 2.0 * k**tw)
 
 
 def cross_gram(basis_a: IncrementBasis, basis_b: IncrementBasis, h: float) -> np.ndarray:

@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from fbmlocal.kernels import TimeGrid, IncrementBasis, check_hurst, gram
+from fbmlocal.geometry import mutual_information_det
+from fbmlocal.kernels import TimeGrid, IncrementBasis, check_hurst, gram, increment_autocov
 
 __all__ = [
     "SamplePaths",
-    "increment_autocov",
     "sample_fbm_increments",
     "lag1_increment_correlation",
     "empirical_mi_check",
@@ -34,16 +34,6 @@ __all__ = [
 BLOCK_PATHS = 64
 
 _MAX_EMBED_DOUBLINGS = 8
-
-
-def increment_autocov(k, h: float, dt: float = 1.0) -> np.ndarray:
-    """Autocovariance gamma(k) of unit-lag increments at spacing dt."""
-    check_hurst(h)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    k = np.abs(np.asarray(k, dtype=float))
-    tw = 2.0 * h
-    return 0.5 * dt**tw * ((k + 1.0) ** tw + np.abs(k - 1.0) ** tw - 2.0 * k**tw)
 
 
 @dataclass(frozen=True)
@@ -189,20 +179,12 @@ def empirical_mi_check(paths: SamplePaths, split: int, h: float | None = None):
         h = paths.h
     x = paths.data
     s = x.T @ x / paths.m
-    emp = _det_mi(s, split)
+    emp = mutual_information_det(s[:split, :split], s[split:, split:], s[:split, split:])
 
     basis = IncrementBasis.from_grid(TimeGrid(0.0, paths.n * paths.dt, paths.n + 1))
-    ana = _det_mi(gram(basis, h), split)
+    g = gram(basis, h)
+    ana = mutual_information_det(g[:split, :split], g[split:, split:], g[:split, split:])
     return float(emp), float(ana), float(abs(emp - ana))
-
-
-def _det_mi(cov: np.ndarray, split: int) -> float:
-    sa, la = np.linalg.slogdet(cov[:split, :split])
-    sb, lb = np.linalg.slogdet(cov[split:, split:])
-    sj, lj = np.linalg.slogdet(cov)
-    if min(sa, sb, sj) <= 0:
-        raise np.linalg.LinAlgError("covariance block not positive definite")
-    return 0.5 * (la + lb - lj)
 
 
 def write_samples(paths: SamplePaths, data_path, sidecar_path=None) -> None:

@@ -27,6 +27,7 @@ from fbmlocal.experiments import (
     write_scan_csv,
     write_scan_json,
 )
+from fbmlocal.kernels import IncrementBasis, TimeGrid, gram
 from fbmlocal.sobolev import r_h_constant
 
 EPS4 = (0.125, 0.0625, 0.03125, 0.015625)
@@ -173,6 +174,45 @@ def test_r_h_dual_gram_h_half_is_zero():
 def test_r_h_constant_matches_dual_gram(h):
     # the dual-Gram route converges O(1/n); at n = 2048 the gap is <= 2.5e-4
     assert r_h_dual_gram(h, n=2048) == pytest.approx(r_h_constant(h), rel=1e-3)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.75, 0.8])
+def test_r_h_dual_gram_matches_dense_cholesky(h):
+    # oracle: the dense increment Gram of the same grid, Cholesky-solved
+    from scipy.linalg import cho_factor, cho_solve
+
+    n = 256
+    g = gram(IncrementBasis.from_grid(TimeGrid(0.0, 1.0, n + 1)), h)
+    w = np.full(n, 1.0 / n)
+    m2 = w @ cho_solve(cho_factor(g, lower=True), w)
+    dense = h * abs(2.0 * h - 1.0) * 2.0 ** (2.0 - 2.0 * h) * m2
+    assert r_h_dual_gram(h, n=n) == pytest.approx(dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("h", [0.25, 0.75])
+def test_r_h_dual_gram_converges_like_one_over_n(h):
+    # quadrupling n cuts the gap to the closed form ~4x (measured 3.96, 4.00)
+    gap = [abs(r_h_dual_gram(h, n=n) - r_h_constant(h)) for n in (2048, 8192)]
+    assert gap[1] <= gap[0] / 3.0
+
+
+def test_r_h_dual_gram_rejects_bad_solves(monkeypatch):
+    import scipy.linalg
+
+    from fbmlocal import experiments
+
+    # a negative-definite column solves cleanly but gives w'x < 0
+    autocov = experiments.increment_autocov
+    monkeypatch.setattr(experiments, "increment_autocov", lambda k, h, dt: -autocov(k, h, dt))
+    with pytest.raises(np.linalg.LinAlgError, match="w'x -"):
+        r_h_dual_gram(0.7, n=64)
+    monkeypatch.undo()
+
+    # a solve that misses the system trips the residual guard
+    solve = scipy.linalg.solve_toeplitz
+    monkeypatch.setattr(scipy.linalg, "solve_toeplitz", lambda c, b: 1.001 * solve(c, b))
+    with pytest.raises(np.linalg.LinAlgError, match=r"residual 0\.001"):
+        r_h_dual_gram(0.7, n=64)
 
 
 def test_adjacency_h_half_zero_and_precondition():
