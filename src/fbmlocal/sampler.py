@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +35,12 @@ __all__ = [
 BLOCK_PATHS = 64
 
 _MAX_EMBED_DOUBLINGS = 8
+
+# the ThreadPoolExecutor default, used when no thread count is passed
+_DEFAULT_WORKERS = min(32, (os.cpu_count() or 1) + 4)
+
+# rows of a circulant block transformed at once
+_FFT_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -68,24 +75,36 @@ def _embedding_spectrum(n: int, h: float, dt: float):
     return None, 0
 
 
-def _circulant_block(rng, lam, size, n, paths):
-    """paths exact samples via FFT of a complex white spectrum.
+def _circulant_block(rng, scale, out, work):
+    """Fill out (p x n) with exact samples via FFT of a complex white spectrum.
 
     Real and imaginary parts of one transform are independent samples,
-    so a block of p paths costs ceil(p/2) transforms.
+    so a block of p paths costs ceil(p/2) transforms. work is the
+    caller's (re, im, z) buffers, reused from block to block; the
+    transforms run _FFT_ROWS at a time in z.
     """
+    paths, n = out.shape
     draws = (paths + 1) // 2
-    scale = np.sqrt(lam / size)
-    z = rng.standard_normal((draws, size)) + 1j * rng.standard_normal((draws, size))
-    y = np.fft.fft(z * scale[None, :])
-    out = np.empty((2 * draws, n))
-    out[0::2] = y.real[:, :n]
-    out[1::2] = y.imag[:, :n]
-    return out[:paths]
+    re, im, z = work[0][:draws], work[1][:draws], work[2]
+    rng.standard_normal(out=re)
+    rng.standard_normal(out=im)
+    for i in range(0, draws, len(z)):
+        zc = z[: min(len(z), draws - i)]
+        np.multiply(re[i : i + len(zc)], scale, out=zc.real)
+        np.multiply(im[i : i + len(zc)], scale, out=zc.imag)
+        np.fft.fft(zc, out=zc)
+        rows = out[2 * i : 2 * (i + len(zc))]
+        rows[0::2] = zc.real[:, :n]
+        rows[1::2] = zc.imag[: len(rows) // 2, :n]
 
 
-def _dense_block(rng, factor, paths):
-    return rng.standard_normal((paths, factor.shape[0])) @ factor.T
+def _circulant_work(size: int):
+    draws = (BLOCK_PATHS + 1) // 2
+    return np.empty((draws, size)), np.empty((draws, size)), np.empty((_FFT_ROWS, size), complex)
+
+
+def _dense_block(rng, factor, out):
+    out[...] = rng.standard_normal((len(out), factor.shape[0])) @ factor.T
 
 
 def sample_fbm_increments(
@@ -118,9 +137,10 @@ def sample_fbm_increments(
             raise RuntimeError("circulant embedding not PSD at the doubling cap")
     if lam is not None:
         ran = "circulant"
+        scale = np.sqrt(lam / size)
 
-        def one(rng, paths):
-            return _circulant_block(rng, lam, size, n, paths)
+        def fill(rng, out, work):
+            _circulant_block(rng, scale, out, work)
 
     else:
         ran = "dense"
@@ -130,15 +150,24 @@ def sample_fbm_increments(
             raise RuntimeError("increment covariance not PSD; both methods failed")
         factor = u * np.sqrt(np.maximum(w, 0.0))
 
-        def one(rng, paths):
-            return _dense_block(rng, factor, paths)
+        def fill(rng, out, work):
+            _dense_block(rng, factor, out)
 
-    blocks = [min(BLOCK_PATHS, m - i) for i in range(0, m, BLOCK_PATHS)]
+    starts = range(0, m, BLOCK_PATHS)
     streams = [np.random.Generator(np.random.Philox(s))
-               for s in np.random.SeedSequence(seed).spawn(len(blocks))]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(one, streams, blocks))
-    data = np.concatenate(parts, axis=0)
+               for s in np.random.SeedSequence(seed).spawn(len(starts))]
+    data = np.empty((m, n))
+    # worker k fills blocks k, k + workers, ... with its own buffers, all
+    # made here, so memory in use does not depend on thread scheduling
+    workers = min(_DEFAULT_WORKERS if threads is None else threads, len(starts))
+    works = [_circulant_work(size) if lam is not None else None for _ in range(workers)]
+
+    def run(k):
+        for b in range(k, len(starts), workers):
+            fill(streams[b], data[starts[b] : starts[b] + BLOCK_PATHS], works[k])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(workers)))
     return SamplePaths(m=m, n=n, dt=float(dt), h=h, seed=int(seed), method=ran, data=data)
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fbmlocal.sampler import (
+    BLOCK_PATHS,
     SamplePaths,
+    _embedding_spectrum,
     _toeplitz_cov,
     empirical_mi_check,
     increment_autocov,
@@ -49,6 +51,27 @@ def test_thread_count_does_not_change_samples():
     a = sample_fbm_increments(64, 1.0, 0.7, 200, seed=5, threads=None)
     b = sample_fbm_increments(64, 1.0, 0.7, 200, seed=5, threads=4)
     assert np.array_equal(a.data, b.data)
+
+
+def test_buffered_blocks_match_whole_block_transform():
+    # each block is filled in place from reused buffers, a few rows per FFT;
+    # the stream must equal one transform of the whole block (odd last block
+    # of 3 paths, threads fewer than blocks)
+    n, m, h, seed = 37, 131, 0.3, 42
+    lam, size = _embedding_spectrum(n, h, 0.5)
+    scale = np.sqrt(lam / size)
+    parts = []
+    for i, s in enumerate(np.random.SeedSequence(seed).spawn(3)):
+        rng = np.random.Generator(np.random.Philox(s))
+        paths = min(BLOCK_PATHS, m - i * BLOCK_PATHS)
+        draws = (paths + 1) // 2
+        z = rng.standard_normal((draws, size)) + 1j * rng.standard_normal((draws, size))
+        y = np.fft.fft(z * scale)[:, :n]
+        parts.append(np.stack([y.real, y.imag], axis=1).reshape(2 * draws, n)[:paths])
+    want = np.concatenate(parts)
+    for threads in (None, 1, 2):
+        got = sample_fbm_increments(n, 0.5, h, m, seed=seed, threads=threads).data
+        assert np.array_equal(got, want)
 
 
 def test_dense_matches_circulant_covariance():
