@@ -54,10 +54,6 @@ class CheckResult:
     seconds: float
 
 
-def _fmt_pairs(pairs):
-    return "  ".join(pairs)
-
-
 def check_window_angle_rate(threads=None):
     """cos slope vs 2-2H within 0.05 at unit window separation."""
     parts, ok = [], True
@@ -68,7 +64,7 @@ def check_window_angle_rate(threads=None):
         took = time.time() - t0
         ok &= abs(gap) <= 0.05 and took < 10.0
         parts.append(f"H={h}:{gap:+.4f}({took:.1f}s)")
-    return ok, "slope-theory " + _fmt_pairs(parts) + " tol 0.05, <10s each"
+    return ok, "slope-theory " + "  ".join(parts) + " tol 0.05, <10s each"
 
 
 def check_window_mi_rate(threads=None):
@@ -79,7 +75,7 @@ def check_window_mi_rate(threads=None):
         gap = rep.fit_mi.slope - (4.0 - 4.0 * h)
         ok &= abs(gap) <= 0.10
         parts.append(f"H={h}:{gap:+.4f}")
-    return ok, "slope-theory " + _fmt_pairs(parts) + " tol 0.10"
+    return ok, "slope-theory " + "  ".join(parts) + " tol 0.10"
 
 
 def check_leading_constant(threads=None):
@@ -96,7 +92,7 @@ def check_leading_constant(threads=None):
             f"(gap {rep.r_h_rel_gap:.1%}, dual-gram route {rep.r_h_dual_gram:.4f}); "
             f"MI/(cos^2/2)-1 = {rep.mi_cos_ratio - 1.0:+.4f}"
         )
-    return ok, _fmt_pairs(parts) + " | tol 5% each clause"
+    return ok, "  ".join(parts) + " | tol 5% each clause"
 
 
 def check_past_window_rates(threads=None):
@@ -109,7 +105,7 @@ def check_past_window_rates(threads=None):
         ok &= abs(gc) <= 0.05 and abs(gm) <= 0.10
         ok &= rep.truncation_sensitivity < 0.02
         parts.append(f"H={h}: cos{gc:+.4f} mi{gm:+.4f} sens {rep.truncation_sensitivity:.1e}")
-    return ok, _fmt_pairs(parts) + " | tol 0.05/0.10, sens<0.02"
+    return ok, "  ".join(parts) + " | tol 0.05/0.10, sens<0.02"
 
 
 def check_brownian_exactness(threads=None):
@@ -247,7 +243,7 @@ def check_past_future_angle(threads=None):
         ok &= max(rep.value, rep.value_2n, rep.value_2t) < 1.0
         ok &= rep.drift_n < 0.01 and rep.drift_t < 0.01
         parts.append(f"H={h}: value {rep.value:.4f} drift_n {rep.drift_n:.2%} drift_T {rep.drift_t:.2%} margin {rep.margin:.3f}")
-    return ok, _fmt_pairs(parts) + " | drift tol 1%"
+    return ok, "  ".join(parts) + " | drift tol 1%"
 
 
 def check_levy2d_rate(threads=None):
@@ -258,7 +254,7 @@ def check_levy2d_rate(threads=None):
         gap = rep.fit_cos.slope - (2.0 - 2.0 * h)
         ok &= abs(gap) <= 0.15
         parts.append(f"H={h}:{gap:+.4f}")
-    return ok, "slope-theory " + _fmt_pairs(parts) + " tol 0.15 (9x9 lattice)"
+    return ok, "slope-theory " + "  ".join(parts) + " tol 0.15 (9x9 lattice)"
 
 
 def check_invariance_suite(threads=None):
@@ -305,7 +301,7 @@ def check_sampler_consistency(threads=None):
     gap = abs(float(np.mean(emps)) - ana)
     ok &= gap <= 3.0 * spread
     parts.append(f"MI gap {gap:.2e} vs 3x spread {3 * spread:.2e} (8 seeds)")
-    return ok, _fmt_pairs(parts)
+    return ok, "  ".join(parts)
 
 
 CHECKS = {

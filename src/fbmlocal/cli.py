@@ -3,14 +3,14 @@
 Output is CSV (default) or JSON, always embedding the full parameter
 set ('#'-prefixed header lines / a top-level "config" object), so a
 result file identifies its own run. Exit codes: 0 success, 1 parameter
-validation, 2 numerical-quality flags under --strict.
+validation or a failing acceptance check, 2 numerical-quality flags
+under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from fbmlocal.kernels import cross_gram, fbm_cov, gram
@@ -21,6 +21,8 @@ from fbmlocal.experiments import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNCATION,
     ScanConfig,
+    _fmt_csv,
+    _json_val,
     _window_basis,
     adjacency_divergence,
     complement_window_scan,
@@ -37,22 +39,6 @@ from fbmlocal import sampler
 from fbmlocal.acceptance import run_checks
 
 __all__ = ["main"]
-
-_COMMANDS = (
-    "cov",
-    "angle",
-    "mi",
-    "scan",
-    "thm21",
-    "thm22",
-    "adjacency",
-    "pastfuture",
-    "complement",
-    "levy2d",
-    "constants",
-    "sample",
-    "check-all",
-)
 
 # check-all --only accepts these family names next to literal check names
 _ONLY_ALIASES = {
@@ -114,23 +100,37 @@ def load_config(path: str) -> dict:
     return out
 
 
-_CASTS = {
-    "H": float,
-    "t1": float,
-    "t2": float,
-    "eps": parse_eps,
-    "n": int,
-    "T": float,
-    "seed": int,
-    "rtol": float,
-    "format": str,
-    "out": str,
-    "strict": lambda v: str(v).lower() in ("1", "true", "yes", "on"),
-    "threads": int,
-    "only": str,
-    "dt": float,
-    "m": int,
-    "json": str,
+def csv_or_json(text: str) -> str:
+    """The --format value; argparse names this function in its error."""
+    if text not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, not {text!r}")
+    return text
+
+
+def _truthy(text) -> bool:
+    return str(text).lower() in ("1", "true", "yes", "on")
+
+
+# every flag: the cast shared by argparse and the config file, and its help;
+# _truthy marks a switch
+_FLAGS = {
+    "H": (float, "Hurst index in (0, 1)"),
+    "t1": (float, None),
+    "t2": (float, None),
+    "eps": (parse_eps, "comma list '0.125,0.0625' or geometric 'start:stop:factor'"),
+    "n": (int, "grid size (points per window / lattice per axis)"),
+    "T": (float, "truncation horizon"),
+    "seed": (int, None),
+    "rtol": (float, "pivoted-Cholesky relative tolerance"),
+    "m": (int, "number of paths"),
+    "dt": (float, "grid spacing (default T/n, else 1)"),
+    "threads": (int, None),
+    "format": (csv_or_json, "csv (default) or json"),
+    "out": (str, "output file (default: stdout)"),
+    "strict": (_truthy, "exit 2 when numerical-quality flags are raised"),
+    "only": (str, "run only checks matching a name or family"),
+    "json": (str, "write a machine-readable report here"),
+    "config": (str, "key=value file, overridden by explicit flags"),
 }
 
 
@@ -138,11 +138,11 @@ def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
     """CLI flag > config-file entry > built-in default."""
     params = {}
     for key, default in defaults.items():
-        cli_val = getattr(args, key.replace("-", "_"), None)
+        cli_val = getattr(args, key)
         if cli_val is not None:
             params[key] = cli_val
         elif key in config:
-            params[key] = _CASTS[key](config[key])
+            params[key] = _FLAGS[key][0](config[key])
         else:
             params[key] = default
     return params
@@ -159,25 +159,29 @@ def _fmt(x) -> str:
 _RUN_ONLY = frozenset(("format", "out", "strict", "threads", "only", "json", "config"))
 
 
-def _emit(params: dict, payload: dict, rows_csv: str | None, summary: str, out, fmt: str) -> None:
-    """Serialize the run: full text to stdout, or to --out with a summary line."""
+def _emit(params: dict, payload: dict, csv, summary: str) -> None:
+    """Serialize the run: full text to stdout, or to --out with a summary line.
+
+    `csv` is finished CSV text, a {column: values} table written under the
+    run's '#' header, or None to write the payload as that table's one row.
+    """
     cfg = {k: _cfg_val(v) for k, v in params.items() if k not in _RUN_ONLY}
-    if fmt == "json":
+    if params["format"] == "json":
         doc = dict(payload)
         doc["config"] = {**doc.get("config", {}), **cfg}
         doc["summary"] = summary
-        text = json.dumps(_scrub(doc), indent=2) + "\n"
-    elif rows_csv is not None:
-        text = rows_csv
+        text = json.dumps(_json_val(doc), indent=2) + "\n"
+    elif isinstance(csv, str):
+        text = csv
     else:
+        columns = csv or {k: (v,) for k, v in payload.items()}
         lines = [f"# {k} = {v}" for k, v in cfg.items()]
         lines.append(f"# summary = {summary}")
-        cols = list(payload)
-        lines.append(",".join(cols))
-        lines.append(",".join(_csv_scalar(payload[k]) for k in cols))
+        lines.append(",".join(columns))
+        lines.extend(",".join(map(_fmt_csv, row)) for row in zip(*columns.values()))
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", newline="") as fh:
+    if params["out"]:
+        with open(params["out"], "w", newline="") as fh:
             fh.write(text)
         print(summary)
     else:
@@ -188,35 +192,6 @@ def _cfg_val(v):
     if isinstance(v, tuple):
         return ",".join(repr(float(x)) for x in v)
     return v
-
-
-def _scrub(obj):
-    """nan -> null and +/-inf -> strings, recursively; json.dumps would
-    otherwise emit bare NaN, which is not valid JSON."""
-    if isinstance(obj, dict):
-        return {k: _scrub(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_scrub(v) for v in obj]
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-    return obj
-
-
-def _csv_scalar(v) -> str:
-    if v is None:
-        return "inf"
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf"
-        return repr(v)
-    return str(v)
 
 
 def _single_eps(params: dict) -> float:
@@ -236,13 +211,13 @@ def _scan_flags(table) -> list:
 
 
 # -- command handlers -------------------------------------------------------
-# each returns (params, payload_dict, rows_csv_or_None, summary, quality_flags)
+# each takes the resolved params and returns (payload, csv, summary,
+# quality_flags); a handler that prints its own output returns payload None
 
 
-def _cmd_cov(args, config):
-    params = _resolve(args, config, {"H": 0.5, "t1": 0.0, "t2": 1.0, "format": "csv", "out": None})
+def _cmd_cov(params):
     v = fbm_cov(params["t1"], params["t2"], params["H"])
-    return params, {"cov": v}, None, f"cov({params['t1']:g}, {params['t2']:g}) = {_fmt(v)}", []
+    return {"cov": v}, None, f"cov({params['t1']:g}, {params['t2']:g}) = {_fmt(v)}", []
 
 
 def _window_spectrum(params):
@@ -253,20 +228,7 @@ def _window_spectrum(params):
     return canonical_correlations(gram(a, h), gram(b, h), cross_gram(a, b, h), rtol=params["rtol"])
 
 
-_WINDOW_DEFAULTS = {
-    "H": 0.5,
-    "t1": 0.0,
-    "t2": 1.0,
-    "eps": (0.125,),
-    "n": 32,
-    "rtol": 1e-10,
-    "format": "csv",
-    "out": None,
-}
-
-
-def _cmd_angle(args, config):
-    params = _resolve(args, config, dict(_WINDOW_DEFAULTS))
+def _cmd_angle(params):
     spec = _window_spectrum(params)
     v = cos_angle(spec)
     flags = ["ill-conditioned whitening"] if spec.ill_conditioned else []
@@ -277,38 +239,23 @@ def _cmd_angle(args, config):
         "cond": spec.cond,
         "ill_conditioned": spec.ill_conditioned,
     }
-    return params, payload, None, f"cos_angle = {_fmt(v)} (ranks {spec.rank_a}/{spec.rank_b})", flags
+    return payload, None, f"cos_angle = {_fmt(v)} (ranks {spec.rank_a}/{spec.rank_b})", flags
 
 
-def _cmd_mi(args, config):
-    params = _resolve(args, config, dict(_WINDOW_DEFAULTS))
+def _cmd_mi(params):
     spec = _window_spectrum(params)
     mi = mutual_information_gy(spec)
     flags = ["ill-conditioned whitening"] if spec.ill_conditioned else []
     payload = {
-        "mi": mi.value if mi.value is not None else None,
+        "mi": mi.value,
         "hs_lower": mi.lower,
         "hs_upper": mi.upper,
         "ill_conditioned": spec.ill_conditioned,
     }
-    return params, payload, None, f"mi = {_fmt(mi.value)} nats (bounds {_fmt(mi.lower)} .. {_fmt(mi.upper)})", flags
+    return payload, None, f"mi = {_fmt(mi.value)} nats (bounds {_fmt(mi.lower)} .. {_fmt(mi.upper)})", flags
 
 
-_SCAN_DEFAULTS = {
-    "H": 0.5,
-    "t1": 0.0,
-    "t2": 1.0,
-    "eps": DEFAULT_EPS,
-    "n": DEFAULT_GRID_N,
-    "rtol": 1e-10,
-    "threads": None,
-    "format": "csv",
-    "out": None,
-}
-
-
-def _cmd_scan(args, config):
-    params = _resolve(args, config, dict(_SCAN_DEFAULTS))
+def _cmd_scan(params):
     cfg = ScanConfig(
         h=params["H"], t1=params["t1"], t2=params["t2"], eps=params["eps"],
         grid_n=params["n"], rtol=params["rtol"],
@@ -324,11 +271,10 @@ def _cmd_scan(args, config):
         extra = {}
     payload = scan_to_dict(table)
     payload.update(extra)
-    return params, payload, scan_csv_text(table, {**extra, "summary": summary}), summary, _scan_flags(table)
+    return payload, scan_csv_text(table, {**extra, "summary": summary}), summary, _scan_flags(table)
 
 
-def _cmd_thm21(args, config):
-    params = _resolve(args, config, dict(_SCAN_DEFAULTS))
+def _cmd_thm21(params):
     rep = theorem21_check(
         params["H"], params["t1"], params["t2"], params["eps"], params["n"],
         params["rtol"], params["threads"],
@@ -350,15 +296,10 @@ def _cmd_thm21(args, config):
         "mi_cos_ratio": rep.mi_cos_ratio,
         "summary": summary,
     }
-    return params, rep.as_dict(), scan_csv_text(rep.table, extra), summary, flags
+    return rep.as_dict(), scan_csv_text(rep.table, extra), summary, flags
 
 
-def _cmd_thm22(args, config):
-    defaults = {
-        "H": 0.5, "t1": 1.0, "T": DEFAULT_TRUNCATION, "eps": DEFAULT_EPS,
-        "n": DEFAULT_GRID_N, "rtol": 1e-10, "threads": None, "format": "csv", "out": None,
-    }
-    params = _resolve(args, config, defaults)
+def _cmd_thm22(params):
     rep = theorem22_check(
         params["H"], params["t1"], params["T"], params["eps"], params["n"],
         params["rtol"], None, params["threads"],
@@ -377,43 +318,29 @@ def _cmd_thm22(args, config):
         "truncation_sensitivity": rep.truncation_sensitivity,
         "summary": summary,
     }
-    return params, rep.as_dict(), scan_csv_text(rep.table, extra), summary, flags
+    return rep.as_dict(), scan_csv_text(rep.table, extra), summary, flags
 
 
-def _cmd_adjacency(args, config):
-    defaults = {"H": 0.5, "eps": (1.0,), "rtol": 1e-10, "format": "csv", "out": None}
-    params = _resolve(args, config, defaults)
+def _cmd_adjacency(params):
     rep = adjacency_divergence(params["H"], _single_eps(params), rtol=params["rtol"])
     summary = (
         f"MI strictly increasing: {rep.strictly_increasing}, min growth/doubling "
         f"{rep.min_doubling_growth:.2%}, eps-invariance gap {rep.eps_invariance_gap:.2e}"
     )
-    lines = [f"# {k} = {_cfg_val(v)}" for k, v in params.items() if k not in _RUN_ONLY]
-    lines.append(f"# summary = {summary}")
-    lines.append("n,mi,mi_alt_eps")
-    for n, a, b in zip(rep.n_schedule, rep.mi, rep.mi_alt_eps):
-        lines.append(f"{n},{_csv_scalar(a)},{_csv_scalar(b)}")
-    return params, rep.as_dict(), "\n".join(lines) + "\n", summary, []
+    columns = {"n": rep.n_schedule, "mi": rep.mi, "mi_alt_eps": rep.mi_alt_eps}
+    return rep.as_dict(), columns, summary, []
 
 
-def _cmd_pastfuture(args, config):
-    defaults = {"H": 0.5, "T": 16.0, "n": 128, "rtol": 1e-10, "format": "csv", "out": None}
-    params = _resolve(args, config, defaults)
+def _cmd_pastfuture(params):
     rep = past_future_report(params["H"], params["T"], params["n"], None, params["rtol"])
     summary = (
         f"cos = {rep.value:.6f} (2n: {rep.value_2n:.6f}, 2T: {rep.value_2t:.6f}), "
         f"drift n {rep.drift_n:.2%} T {rep.drift_t:.2%}, margin {rep.margin:.4f}"
     )
-    return params, rep.as_dict(), None, summary, []
+    return rep.as_dict(), None, summary, []
 
 
-def _cmd_complement(args, config):
-    defaults = {
-        "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": tuple(e for e in DEFAULT_EPS if e <= 0.125),
-        "T": DEFAULT_TRUNCATION, "n": DEFAULT_GRID_N, "rtol": 1e-10,
-        "threads": None, "format": "csv", "out": None,
-    }
-    params = _resolve(args, config, defaults)
+def _cmd_complement(params):
     t_mid = 0.5 * (params["t1"] + params["t2"])
     rep = complement_window_scan(
         params["H"], params["t1"], t_mid, params["t2"], params["eps"],
@@ -427,35 +354,26 @@ def _cmd_complement(args, config):
     if rep.truncation_dominated:
         flags.append("truncation-dominated (2T shifts the slope by > 0.02)")
     extra = {"fit_hs_slope": rep.fit_hs.slope, "summary": summary}
-    return params, rep.as_dict(), scan_csv_text(rep.table, extra), summary, flags
+    return rep.as_dict(), scan_csv_text(rep.table, extra), summary, flags
 
 
-def _cmd_levy2d(args, config):
-    defaults = {"H": 0.5, "eps": DEFAULT_EPS, "n": 9, "rtol": 1e-10, "threads": None, "format": "csv", "out": None}
-    params = _resolve(args, config, defaults)
+def _cmd_levy2d(params):
     rep = levy2d_scan(params["H"], eps=params["eps"], grid_per_axis=params["n"],
                       rtol=params["rtol"], threads=params["threads"])
     theory = 2.0 - 2.0 * params["H"]
     summary = f"cos slope {rep.fit_cos.slope:.4f} vs {theory:.4f} (gap {rep.fit_cos.slope - theory:+.4f})"
     extra = {"fit_cos_slope": rep.fit_cos.slope, "summary": summary}
-    return params, rep.as_dict(), scan_csv_text(rep.table, extra), summary, _scan_flags(rep.table)
+    return rep.as_dict(), scan_csv_text(rep.table, extra), summary, _scan_flags(rep.table)
 
 
-def _cmd_constants(args, config):
-    params = _resolve(args, config, {"H": 0.5, "format": "csv", "out": None})
+def _cmd_constants(params):
     h = params["H"]
     a = a_h_constant(h)
     r = r_h_constant(h)
-    payload = {"a_H": a, "r_H": r}
-    return params, payload, None, f"a_H = {a:g}, r_H = {r:g}", []
+    return {"a_H": a, "r_H": r}, None, f"a_H = {a:g}, r_H = {r:g}", []
 
 
-def _cmd_sample(args, config):
-    defaults = {
-        "H": 0.5, "n": 1024, "m": 1, "dt": None, "T": None, "seed": 0,
-        "threads": None, "format": "csv", "out": None,
-    }
-    params = _resolve(args, config, defaults)
+def _cmd_sample(params):
     if params["out"] is None:
         raise ValueError("sample requires --out PATH for the binary dump")
     dt = params["dt"]
@@ -465,24 +383,18 @@ def _cmd_sample(args, config):
         params["n"], dt, params["H"], params["m"], params["seed"], threads=params["threads"],
     )
     sampler.write_samples(paths, params["out"])
-    summary = (
+    print(
         f"wrote {paths.m} x {paths.n} increments (dt={dt:g}, method={paths.method}) "
         f"to {params['out']} (+ .json sidecar)"
     )
-    print(summary)
-    return None, None, None, None, []
+    return None, None, None, []
 
 
-def _cmd_check_all(args, config):
-    defaults = {"only": None, "threads": None, "json": None, "strict": None, "format": "csv", "out": None}
-    params = _resolve(args, config, defaults)
+def _cmd_check_all(params):
     only = params["only"]
-    if only in _ONLY_ALIASES:
-        results = []
-        for token in _ONLY_ALIASES[only]:
-            results.extend(run_checks(only=token, threads=params["threads"]))
-    else:
-        results = run_checks(only=only, threads=params["threads"])
+    results = []
+    for token in _ONLY_ALIASES.get(only, (only,)):
+        results.extend(run_checks(only=token, threads=params["threads"]))
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:26s} [{r.seconds:6.1f}s]  {r.detail}")
     npass = sum(r.passed for r in results)
@@ -499,67 +411,80 @@ def _cmd_check_all(args, config):
         with open(params["json"], "w", newline="") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    return None, None, None, None, [] if npass == len(results) else ["acceptance failures"]
+    if npass < len(results):
+        raise ValueError(f"{len(results) - npass} of {len(results)} acceptance checks failed")
+    return None, None, None, []
 
 
-_HANDLERS = {
-    "cov": _cmd_cov,
-    "angle": _cmd_angle,
-    "mi": _cmd_mi,
-    "scan": _cmd_scan,
-    "thm21": _cmd_thm21,
-    "thm22": _cmd_thm22,
-    "adjacency": _cmd_adjacency,
-    "pastfuture": _cmd_pastfuture,
-    "complement": _cmd_complement,
-    "levy2d": _cmd_levy2d,
-    "constants": _cmd_constants,
-    "sample": _cmd_sample,
-    "check-all": _cmd_check_all,
+# each command: help, then its defaults, which name every flag it reads
+# (and nothing else: --config aside, a flag not named here is rejected)
+_OUTPUT = {"format": "csv", "out": None}
+_WINDOW = {"H": 0.5, "t1": 0.0, "t2": 1.0, "eps": (0.125,), "n": 32, "rtol": 1e-10, "strict": False, **_OUTPUT}
+_SCAN = {
+    "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N, "rtol": 1e-10,
+    "threads": None, "strict": False, **_OUTPUT,
+}
+_COMMANDS = {
+    "cov": (
+        "process covariance at two times",
+        {"H": 0.5, "t1": 0.0, "t2": 1.0, **_OUTPUT},
+        _cmd_cov,
+    ),
+    "angle": ("cos angle between two windows at a single eps", _WINDOW, _cmd_angle),
+    "mi": ("mutual information between two windows at a single eps", _WINDOW, _cmd_mi),
+    "scan": ("angle/MI table over an eps schedule between two windows", _SCAN, _cmd_scan),
+    "thm21": ("two-window rate report: slopes and the leading constant", _SCAN, _cmd_thm21),
+    "thm22": (
+        "past-vs-window rate report with truncation sensitivity",
+        {
+            "H": 0.5, "t1": 1.0, "T": DEFAULT_TRUNCATION, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N,
+            "rtol": 1e-10, "threads": None, "strict": False, **_OUTPUT,
+        },
+        _cmd_thm22,
+    ),
+    "adjacency": (
+        "adjacent-interval MI growth under grid refinement",
+        {"H": 0.5, "eps": (1.0,), "rtol": 1e-10, **_OUTPUT},
+        _cmd_adjacency,
+    ),
+    "pastfuture": (
+        "past-future angle with doubling studies",
+        {"H": 0.5, "T": 16.0, "n": 128, "rtol": 1e-10, **_OUTPUT},
+        _cmd_pastfuture,
+    ),
+    "complement": (
+        "window against the two-sided complement",
+        {
+            "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": tuple(e for e in DEFAULT_EPS if e <= 0.125),
+            "T": DEFAULT_TRUNCATION, "n": DEFAULT_GRID_N, "rtol": 1e-10,
+            "threads": None, "strict": False, **_OUTPUT,
+        },
+        _cmd_complement,
+    ),
+    "levy2d": (
+        "planar ball-to-ball angle rate",
+        {"H": 0.5, "eps": DEFAULT_EPS, "n": 9, "rtol": 1e-10, "threads": None, "strict": False, **_OUTPUT},
+        _cmd_levy2d,
+    ),
+    "constants": ("a_H and r_H for a given H", {"H": 0.5, **_OUTPUT}, _cmd_constants),
+    "sample": (
+        "draw increment paths and export them",
+        {"H": 0.5, "n": 1024, "m": 1, "dt": None, "T": None, "seed": 0, "threads": None, "out": None},
+        _cmd_sample,
+    ),
+    "check-all": ("run the acceptance suite", {"only": None, "threads": None, "json": None}, _cmd_check_all),
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fbmlocal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    descriptions = {
-        "cov": "process covariance at two times",
-        "angle": "cos angle between two windows at a single eps",
-        "mi": "mutual information between two windows at a single eps",
-        "scan": "angle/MI table over an eps schedule between two windows",
-        "thm21": "two-window rate report: slopes and the leading constant",
-        "thm22": "past-vs-window rate report with truncation sensitivity",
-        "adjacency": "adjacent-interval MI growth under grid refinement",
-        "pastfuture": "past-future angle with doubling studies",
-        "complement": "window against the two-sided complement",
-        "levy2d": "planar ball-to-ball angle rate",
-        "constants": "a_H and r_H for a given H",
-        "sample": "draw increment paths and export them",
-        "check-all": "run the acceptance suite",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
-        p.add_argument("--H", type=float, default=None, help="Hurst index in (0, 1)")
-        p.add_argument("--t1", type=float, default=None)
-        p.add_argument("--t2", type=float, default=None)
-        p.add_argument("--eps", type=parse_eps, default=None,
-                       help="comma list '0.125,0.0625' or geometric 'start:stop:factor'")
-        p.add_argument("--n", type=int, default=None, help="grid size (points per window / lattice per axis)")
-        p.add_argument("--T", type=float, default=None, help="truncation horizon")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rtol", type=float, default=None, help="pivoted-Cholesky relative tolerance")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--strict", action="store_const", const=True, default=None,
-                       help="exit 2 when numerical-quality flags are raised")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--config", default=None, help="key=value file, overridden by explicit flags")
-        if name == "sample":
-            p.add_argument("--dt", type=float, default=None, help="grid spacing (default T/n, else 1)")
-            p.add_argument("--m", type=int, default=None, help="number of paths")
-        if name == "check-all":
-            p.add_argument("--only", default=None, help="run only checks matching a name or family")
-            p.add_argument("--json", default=None, help="write a machine-readable report here")
+    for name, (text, defaults, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, description=text)
+        for key in (*defaults, "config"):
+            cast, flag_help = _FLAGS[key]
+            kind = {"action": "store_true"} if cast is _truthy else {"type": cast}
+            p.add_argument(f"--{key}", default=None, help=flag_help, **kind)
     return parser
 
 
@@ -569,30 +494,19 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"fbmlocal: error: {exc}", file=sys.stderr)
-            return 1
+    _, defaults, handler = _COMMANDS[args.command]
     try:
-        params, payload, rows_csv, summary, flags = _HANDLERS[args.command](args, config)
-    except ValueError as exc:
+        config = load_config(args.config) if args.config else {}
+        params = _resolve(args, config, defaults)
+        payload, csv, summary, flags = handler(params)
+    except (OSError, ValueError) as exc:
         print(f"fbmlocal: error: {exc}", file=sys.stderr)
         return 1
-    strict = args.strict if args.strict is not None else _CASTS["strict"](config.get("strict", "0"))
-    if args.command in ("sample", "check-all"):
-        if flags and (strict or args.command == "check-all"):
-            return 2 if args.command == "sample" else 1
-        return 0
-    _emit(params, payload, rows_csv, summary, params["out"], params["format"])
-    if flags:
-        for f in flags:
-            print(f"fbmlocal: quality flag: {f}", file=sys.stderr)
-        if strict:
-            return 2
-    return 0
+    if payload is not None:
+        _emit(params, payload, csv, summary)
+    for f in flags:
+        print(f"fbmlocal: quality flag: {f}", file=sys.stderr)
+    return 2 if flags and params.get("strict") else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ grids (polynomially finer toward the singular endpoint) and mandatory
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -72,8 +71,6 @@ __all__ = [
     "levy2d_scan",
     "scan_csv_text",
     "scan_to_dict",
-    "write_scan_csv",
-    "write_scan_json",
 ]
 
 DEFAULT_EPS = tuple(2.0**-k for k in range(3, 9))
@@ -102,7 +99,6 @@ class ScanConfig:
     t2: float
     eps: tuple
     grid_n: int = DEFAULT_GRID_N
-    truncation_t: float = DEFAULT_TRUNCATION
     rtol: float = 1e-10
 
     def __post_init__(self):
@@ -121,8 +117,6 @@ class ScanConfig:
             raise ValueError("max eps must keep the windows disjoint: eps < |t1-t2|/2")
         if self.grid_n < 4:
             raise ValueError("grid_n must be at least 4")
-        if self.truncation_t <= 0.0:
-            raise ValueError("truncation_t must be positive")
 
 
 @dataclass(frozen=True)
@@ -1006,42 +1000,23 @@ def scan_csv_text(table: ScanTable, extra_meta: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_scan_csv(table: ScanTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(scan_csv_text(table))
-
-
 def _json_val(x):
+    """JSON-ready copy: None and +inf -> "inf", -inf -> "-inf", nan -> null,
+    numpy scalars to Python ones, recursively; json.dumps would otherwise
+    emit bare NaN/Infinity, which is not valid JSON."""
+    if isinstance(x, dict):
+        return {k: _json_val(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_val(v) for v in x]
+    if isinstance(x, np.generic):
+        x = x.item()
     if x is None:
         return "inf"
-    if isinstance(x, float) and math.isnan(x):
-        return None
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
+    if isinstance(x, float) and not math.isfinite(x):
+        return None if math.isnan(x) else ("inf" if x > 0 else "-inf")
     return x
 
 
 def scan_to_dict(table: ScanTable) -> dict:
-    rows = []
-    for row in table.rows:
-        rows.append(
-            {
-                "eps": row.eps,
-                "cos_angle": _json_val(row.cos),
-                "mi": _json_val(row.mi),
-                "hs_lower": _json_val(row.hs_lower),
-                "hs_upper": _json_val(row.hs_upper),
-                "rank_a": row.rank_a,
-                "rank_b": row.rank_b,
-                "cond": row.cond,
-                "ill_conditioned": bool(row.ill_conditioned),
-                "skipped": bool(row.skipped),
-            }
-        )
-    return {"config": dict(table.meta), "rows": rows}
-
-
-def write_scan_json(table: ScanTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(scan_to_dict(table), fh, indent=2)
-        fh.write("\n")
+    rows = [dict(zip(_SCAN_COLUMNS, _row_values(row))) for row in table.rows]
+    return _json_val({"config": dict(table.meta), "rows": rows})

@@ -1,10 +1,13 @@
 """Command-line front end: parsing, routing, exit codes, serialization."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import fbmlocal
 from fbmlocal.cli import _ONLY_ALIASES, load_config, main, parse_eps
 from fbmlocal.acceptance import CHECKS
 from fbmlocal.sampler import load_samples
@@ -40,6 +43,17 @@ def test_mi_brownian_spec_example(capsys):
     data = [l for l in out.strip().split("\n") if not l.startswith("#")]
     mi = float(data[1].split(",")[0])
     assert abs(mi) < 1e-10
+
+
+def test_mi_infinite_serializes_as_inf(capsys):
+    # both 3-point grids hold the increment (0, 0.125), so sigma = 1
+    argv = ["mi", "--H", "0.7", "--t1", "0", "--t2", "0.125", "--eps", "0.125", "--n", "3"]
+    assert main(argv) == 0
+    row = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+    assert row[0] == "inf" and row[2] == "inf"
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mi"] == "inf" and doc["hs_upper"] == "inf"
 
 
 def test_cov_command(capsys):
@@ -111,6 +125,11 @@ def test_config_file_precedence(tmp_path, capsys):
     assert "# H = 0.3" in out  # from file
     assert "# t2 = 1.0" in out  # flag wins over file
     assert main(["cov", "--config", str(tmp_path / "missing.cfg")]) == 1
+    cfg.write_text("H = abc\n")  # a file value goes through the flag's cast
+    assert main(["cov", "--config", str(cfg)]) == 1
+    cfg.write_text("format = xml\n")
+    assert main(["cov", "--config", str(cfg)]) == 1
+    capsys.readouterr()
 
 
 def test_strict_escalates_quality_flags(capsys):
@@ -184,6 +203,14 @@ def test_check_all_unknown_name(capsys):
     capsys.readouterr()
 
 
+def test_check_all_failing_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(CHECKS, "brownian-exactness", lambda threads=None: (False, "forced red"))
+    assert main(["check-all", "--only", "brownian-exactness"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL")
+    assert "1 of 1 acceptance checks failed" in captured.err
+
+
 def test_only_aliases_cover_known_checks():
     for names in _ONLY_ALIASES.values():
         for name in names:
@@ -196,3 +223,35 @@ def test_no_command_and_unknown_command(capsys):
         main(["frobnicate"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cov", "--seed", "1"],
+    ["constants", "--eps", "0.1"],
+    ["sample", "--strict"],
+    ["check-all", "--format", "json"],
+], ids=["cov-seed", "constants-eps", "sample-strict", "check-all-format"])
+def test_flag_a_command_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _load_bench_workloads()
+
+
+@pytest.mark.parametrize("name", list(_WORKLOADS.README_CLI))
+def test_readme_commands_match_golden(name, tmp_path):
+    # the benchmark's own judgement: exit code, numbers against the golden
+    # artifact, and for sample the sidecar and the data size
+    out = _WORKLOADS._run_cli(name, fbmlocal, _WORKLOADS.load_golden(), 1, tmp_path)
+    assert out["ok"], out["output"]

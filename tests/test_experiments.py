@@ -13,6 +13,7 @@ from fbmlocal.experiments import (
     ScanTable,
     adjacency_divergence,
     adjacency_mi_table,
+    complement_window_scan,
     fit_exponent,
     graded_points,
     grading_depth,
@@ -24,8 +25,6 @@ from fbmlocal.experiments import (
     scan_csv_text,
     scan_to_dict,
     theorem21_check,
-    write_scan_csv,
-    write_scan_json,
 )
 from fbmlocal.kernels import IncrementBasis, TimeGrid, gram
 from fbmlocal.sobolev import r_h_constant
@@ -248,7 +247,25 @@ def test_levy2d_brownian_small_but_fitted():
         assert r.cos < 0.2
 
 
-def test_csv_round_trip(tmp_path):
+@pytest.mark.parametrize("h", [0.25, 0.75])
+def test_complement_window_hs_rate(h):
+    eps = (0.125, 0.0625, 0.03125, 0.015625, 0.0078125)
+    rep = complement_window_scan(h, eps=eps, grid_n=16)
+    assert rep.fit_hs.slope == pytest.approx(1.0 - h, abs=0.01)
+    assert rep.truncation_sensitivity < 1e-4
+    assert not rep.truncation_dominated
+
+
+def test_complement_window_guards():
+    with pytest.raises(ValueError, match="t1 < t < t2"):
+        complement_window_scan(0.7, t1=0.0, t=1.5, t2=1.0)
+    with pytest.raises(ValueError, match="strictly inside"):
+        complement_window_scan(0.7, t=0.1, eps=(0.125,))
+    with pytest.raises(ValueError, match="truncation_t"):
+        complement_window_scan(0.7, t1=0.0, t=1.0, t2=2.0, truncation_t=2.0)
+
+
+def test_csv_round_trip():
     table = local_independence_scan(ScanConfig(h=0.75, t1=0.0, t2=1.0, eps=EPS4, grid_n=8))
     text = scan_csv_text(table)
     assert text.startswith("#")
@@ -256,9 +273,6 @@ def test_csv_round_trip(tmp_path):
     lines = [l for l in text.strip().split("\n") if not l.startswith("#")]
     assert lines[0].split(",")[:3] == ["eps", "cos_angle", "mi"]
     assert len(lines) == 1 + len(table.rows)
-    path = tmp_path / "scan.csv"
-    write_scan_csv(table, path)
-    assert path.read_text() == text
     # values survive a parse
     got = [float(l.split(",")[1]) for l in lines[1:]]
     assert got == [r.cos for r in table.rows]
@@ -280,15 +294,12 @@ def test_csv_inf_and_nan_literals(tmp_path):
     assert data[1].split(",")[8:] == ["1", "1"]
 
 
-def test_json_document(tmp_path):
+def test_json_document():
     table = local_independence_scan(ScanConfig(h=0.75, t1=0.0, t2=1.0, eps=EPS4, grid_n=8))
     doc = scan_to_dict(table)
     assert doc["config"]["H"] == 0.75
     assert len(doc["rows"]) == len(table.rows)
-    path = tmp_path / "scan.json"
-    write_scan_json(table, path)
-    loaded = json.loads(path.read_text())
-    assert loaded == json.loads(json.dumps(doc))
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
     # infinite MI serializes as the string "inf"
     rows = (
         ScanRow(eps=0.5, cos=1.0, mi=None, hs_lower=1.0, hs_upper=None, rank_a=3, rank_b=3,
