@@ -376,9 +376,11 @@ def _cmd_constants(params):
 def _cmd_sample(params):
     if params["out"] is None:
         raise ValueError("sample requires --out PATH for the binary dump")
-    dt = params["dt"]
+    dt, horizon = params["dt"], params["T"]
+    if dt is not None and horizon is not None:
+        raise ValueError("sample takes --dt or --T, not both")
     if dt is None:
-        dt = params["T"] / params["n"] if params["T"] is not None else 1.0
+        dt = horizon / params["n"] if horizon is not None else 1.0
     paths = sampler.sample_fbm_increments(
         params["n"], dt, params["H"], params["m"], params["seed"], threads=params["threads"],
     )

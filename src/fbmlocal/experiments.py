@@ -969,7 +969,7 @@ def _fmt_csv(value) -> str:
     if math.isnan(x):
         return "nan"
     if math.isinf(x):
-        return "inf"
+        return "inf" if x > 0 else "-inf"
     return repr(x)
 
 

@@ -4,7 +4,14 @@ Circulant embedding of the increment autocovariance gives exact finite
 dimensional distributions at FFT cost; a dense symmetric-factor route
 covers any non-PSD embedding (does not occur for this kernel family,
 but the fallback keeps sampling total). Streams are counter-based and
-split per path block, so parallel generation is deterministic.
+split per block of BLOCK_PATHS paths, so the seed alone fixes the
+output, whatever the thread count.
+
+The circulant route works on chunks of consecutive blocks: each block
+draws its normals from its own stream into its rows of the chunk's
+buffers, and the whole chunk is transformed in as few FFT calls as
+_FFT_ELEMENTS allows. Every buffer is made before the thread pool
+starts, so peak memory does not depend on thread scheduling.
 """
 
 from __future__ import annotations
@@ -39,8 +46,9 @@ _MAX_EMBED_DOUBLINGS = 8
 # the ThreadPoolExecutor default, used when no thread count is passed
 _DEFAULT_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 
-# rows of a circulant block transformed at once
-_FFT_ROWS = 4
+# complex elements (rows x embedding size) of one FFT call; a circulant
+# chunk holds as many whole blocks as fill one call, and at least one
+_FFT_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,19 +83,30 @@ def _embedding_spectrum(n: int, h: float, dt: float):
     return None, 0
 
 
-def _circulant_block(rng, scale, out, work):
+def _chunk_blocks(size: int) -> int:
+    """Blocks per circulant chunk at embedding size."""
+    return max(1, _FFT_ELEMENTS // size // (BLOCK_PATHS // 2))
+
+
+def _circulant_chunk(rngs, scale, out, work):
     """Fill out (p x n) with exact samples via FFT of a complex white spectrum.
 
     Real and imaginary parts of one transform are independent samples,
-    so a block of p paths costs ceil(p/2) transforms. work is the
-    caller's (re, im, z) buffers, reused from block to block; the
-    transforms run _FFT_ROWS at a time in z.
+    so p paths cost ceil(p/2) transforms. rngs holds one stream per
+    block of out; each block draws its real then its imaginary normals
+    into its own rows of the re and im buffers, so the rows stay
+    contiguous (only the last block may be short). work is the worker's
+    (re, im, z) buffers from _circulant_work, reused from chunk to
+    chunk; the transforms run len(z) rows at a time in z, and the real
+    and imaginary parts of row i become paths 2i and 2i + 1.
     """
     paths, n = out.shape
     draws = (paths + 1) // 2
-    re, im, z = work[0][:draws], work[1][:draws], work[2]
-    rng.standard_normal(out=re)
-    rng.standard_normal(out=im)
+    re, im, z = work
+    for b, rng in enumerate(rngs):
+        own = slice(b * (BLOCK_PATHS // 2), min((b + 1) * (BLOCK_PATHS // 2), draws))
+        rng.standard_normal(out=re[own])
+        rng.standard_normal(out=im[own])
     for i in range(0, draws, len(z)):
         zc = z[: min(len(z), draws - i)]
         np.multiply(re[i : i + len(zc)], scale, out=zc.real)
@@ -98,9 +117,11 @@ def _circulant_block(rng, scale, out, work):
         rows[1::2] = zc.imag[: len(rows) // 2, :n]
 
 
-def _circulant_work(size: int):
-    draws = (BLOCK_PATHS + 1) // 2
-    return np.empty((draws, size)), np.empty((draws, size)), np.empty((_FFT_ROWS, size), complex)
+def _circulant_work(size: int, m: int):
+    """One worker's (re, im, z) buffers, for a chunk or all m paths if fewer."""
+    draws = min(_chunk_blocks(size) * BLOCK_PATHS, m + 1) // 2
+    rows = min(draws, max(1, _FFT_ELEMENTS // size))
+    return np.empty((draws, size)), np.empty((draws, size)), np.empty((rows, size), complex)
 
 
 def _dense_block(rng, factor, out):
@@ -136,35 +157,36 @@ def sample_fbm_increments(
         if lam is None and method == "circulant":
             raise RuntimeError("circulant embedding not PSD at the doubling cap")
     if lam is not None:
-        ran = "circulant"
+        ran, per = "circulant", _chunk_blocks(size)
         scale = np.sqrt(lam / size)
 
-        def fill(rng, out, work):
-            _circulant_block(rng, scale, out, work)
+        def fill(rngs, out, work):
+            _circulant_chunk(rngs, scale, out, work)
 
     else:
-        ran = "dense"
+        ran, per = "dense", 1
         cov = _toeplitz_cov(n, h, dt)
         w, u = np.linalg.eigh(cov)
         if w.min() < -1e-10 * w.max():
             raise RuntimeError("increment covariance not PSD; both methods failed")
         factor = u * np.sqrt(np.maximum(w, 0.0))
 
-        def fill(rng, out, work):
-            _dense_block(rng, factor, out)
+        def fill(rngs, out, work):
+            _dense_block(rngs[0], factor, out)
 
-    starts = range(0, m, BLOCK_PATHS)
     streams = [np.random.Generator(np.random.Philox(s))
-               for s in np.random.SeedSequence(seed).spawn(len(starts))]
+               for s in np.random.SeedSequence(seed).spawn(-(-m // BLOCK_PATHS))]
+    chunk = per * BLOCK_PATHS
+    chunks = -(-m // chunk)
     data = np.empty((m, n))
-    # worker k fills blocks k, k + workers, ... with its own buffers, all
+    # worker k fills chunks k, k + workers, ... with its own buffers, all
     # made here, so memory in use does not depend on thread scheduling
-    workers = min(_DEFAULT_WORKERS if threads is None else threads, len(starts))
-    works = [_circulant_work(size) if lam is not None else None for _ in range(workers)]
+    workers = min(_DEFAULT_WORKERS if threads is None else threads, chunks)
+    works = [_circulant_work(size, m) if lam is not None else None for _ in range(workers)]
 
     def run(k):
-        for b in range(k, len(starts), workers):
-            fill(streams[b], data[starts[b] : starts[b] + BLOCK_PATHS], works[k])
+        for c in range(k, chunks, workers):
+            fill(streams[c * per : (c + 1) * per], data[c * chunk : (c + 1) * chunk], works[k])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, range(workers)))

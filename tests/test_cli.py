@@ -174,6 +174,14 @@ def test_sample_dt_from_horizon(tmp_path, capsys):
     assert load_samples(target).dt == pytest.approx(0.25)
 
 
+def test_sample_rejects_dt_with_horizon(tmp_path, capsys):
+    target = tmp_path / "paths.bin"
+    assert main(["sample", "--n", "32", "--T", "8", "--dt", "0.5", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err == "fbmlocal: error: sample takes --dt or --T, not both\n"
+    assert not target.exists()
+
+
 def test_check_all_single(capsys, tmp_path):
     report = tmp_path / "report.json"
     code = main(["check-all", "--only", "brownian", "--json", str(report)])

@@ -8,6 +8,8 @@ import pytest
 
 from fbmlocal.experiments import (
     ExponentFit,
+    _fmt_csv,
+    _json_val,
     ScanConfig,
     ScanRow,
     ScanTable,
@@ -308,6 +310,19 @@ def test_json_document():
     d = scan_to_dict(ScanTable(rows=rows, meta={}))
     assert d["rows"][0]["mi"] == "inf"
     assert d["rows"][0]["hs_upper"] == "inf"
+
+
+@pytest.mark.parametrize("value, cell, json_value", [
+    (math.inf, "inf", "inf"),
+    (-math.inf, "-inf", "-inf"),
+    (math.nan, "nan", None),
+    (None, "inf", "inf"),
+    (np.float64(-math.inf), "-inf", "-inf"),
+], ids=["+inf", "-inf", "nan", "None", "np-inf"])
+def test_serializers_agree_on_non_finite(value, cell, json_value):
+    assert _fmt_csv(value) == cell
+    assert _json_val(value) == json_value
+    json.dumps(_json_val(value), allow_nan=False)
 
 
 def test_exponent_fit_dataclass():

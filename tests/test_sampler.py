@@ -6,9 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from fbmlocal import sampler
 from fbmlocal.sampler import (
     BLOCK_PATHS,
     SamplePaths,
+    _FFT_ELEMENTS,
+    _chunk_blocks,
+    _circulant_work,
     _embedding_spectrum,
     _toeplitz_cov,
     empirical_mi_check,
@@ -54,24 +58,57 @@ def test_thread_count_does_not_change_samples():
 
 
 def test_buffered_blocks_match_whole_block_transform():
-    # each block is filled in place from reused buffers, a few rows per FFT;
-    # the stream must equal one transform of the whole block (odd last block
-    # of 3 paths, threads fewer than blocks)
-    n, m, h, seed = 37, 131, 0.3, 42
-    lam, size = _embedding_spectrum(n, h, 0.5)
-    scale = np.sqrt(lam / size)
-    parts = []
-    for i, s in enumerate(np.random.SeedSequence(seed).spawn(3)):
-        rng = np.random.Generator(np.random.Philox(s))
-        paths = min(BLOCK_PATHS, m - i * BLOCK_PATHS)
-        draws = (paths + 1) // 2
-        z = rng.standard_normal((draws, size)) + 1j * rng.standard_normal((draws, size))
-        y = np.fft.fft(z * scale)[:, :n]
-        parts.append(np.stack([y.real, y.imag], axis=1).reshape(2 * draws, n)[:paths])
-    want = np.concatenate(parts)
-    for threads in (None, 1, 2):
-        got = sample_fbm_increments(n, 0.5, h, m, seed=seed, threads=threads).data
-        assert np.array_equal(got, want)
+    # chunks of blocks are filled in place from reused buffers, a few rows
+    # per FFT; each block's stream must equal one transform of the whole
+    # block. Cases: an odd last block of 3 paths with threads fewer than
+    # blocks; three chunks at n = 8 (two full, a partial last one ending in
+    # an odd block of 37 paths), so every block must land in its own rows
+    chunk_paths = _chunk_blocks(32) * BLOCK_PATHS
+    assert chunk_paths > BLOCK_PATHS
+    for n, dt, h, m, seed in ((37, 0.5, 0.3, 131, 42),
+                              (8, 1.0, 0.75, 2 * chunk_paths + 5 * BLOCK_PATHS + 37, 9)):
+        lam, size = _embedding_spectrum(n, h, dt)
+        scale = np.sqrt(lam / size)
+        parts = []
+        for i, s in enumerate(np.random.SeedSequence(seed).spawn(-(-m // BLOCK_PATHS))):
+            rng = np.random.Generator(np.random.Philox(s))
+            paths = min(BLOCK_PATHS, m - i * BLOCK_PATHS)
+            draws = (paths + 1) // 2
+            z = rng.standard_normal((draws, size)) + 1j * rng.standard_normal((draws, size))
+            y = np.fft.fft(z * scale)[:, :n]
+            parts.append(np.stack([y.real, y.imag], axis=1).reshape(2 * draws, n)[:paths])
+        want = np.concatenate(parts)
+        assert size == 4 * n  # the chunk size above assumed the first embedding
+        for threads in (None, 1, 2, 3):
+            got = sample_fbm_increments(n, dt, h, m, seed=seed, threads=threads).data
+            assert np.array_equal(got, want)
+
+
+def test_worker_buffers_stay_within_budget(monkeypatch):
+    made = []
+
+    def record(size, m):
+        work = _circulant_work(size, m)
+        made.append((size, sum(a.nbytes for a in work)))
+        return work
+
+    monkeypatch.setattr(sampler, "_circulant_work", record)
+
+    def per_worker(n, m):
+        made.clear()
+        sample_fbm_increments(n, 1.0, 0.7, m, seed=0)
+        assert made and len({b for _, b in made}) == 1
+        return made[0]
+
+    # both real buffers hold at most one FFT call's rows, or one block's;
+    # the complex buffer holds one call
+    for n, m in ((8, 100_000), (4096, 256)):
+        size, nbytes = per_worker(n, m)
+        assert nbytes <= 2 * 8 * max(_FFT_ELEMENTS, BLOCK_PATHS // 2 * size) + 16 * _FFT_ELEMENTS
+    # n = 4096 allocates what one 64-path block with 4-row FFTs did
+    assert per_worker(4096, 256) == (16384, 2 * 8 * 32 * 16384 + 16 * 4 * 16384)
+    # a 2-path warm-up draws one row: a few KB
+    assert per_worker(16, 2)[1] <= 4096
 
 
 def test_dense_matches_circulant_covariance():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fbmlocal import acceptance, sobolev
 from fbmlocal.sobolev import (
     TestFunction,
     _hat_gram_row,
@@ -15,7 +16,9 @@ from fbmlocal.sobolev import (
     fbm_pairing_spectral,
     fbm_pairing_time,
     indicator_sq_norm,
+    lemma22_decay_exponent,
     lemma22_dual_norm,
+    lemma22_truncation_shift,
     pairing_identity_check,
     r_h_constant,
     r_h_spectral,
@@ -212,6 +215,29 @@ def test_lemma22_gate_values():
     # the two protocols of the sobolev-scaling check, at the ends of its k schedule
     assert lemma22_dual_norm(2.0, 0.25, 2.0, 128.0, 256) == pytest.approx(0.22744319800215002, rel=1e-6)
     assert lemma22_dual_norm(1.5, -0.25, 32.0, 64.0, 512) == pytest.approx(0.00846172415384053, rel=1e-6)
+
+
+def test_sobolev_scaling_builds_each_dual_norm_once(monkeypatch):
+    # 2 protocols x 5 k at T and at 2T; the base norms serve both the fit
+    # and the shift, which must equal the public helpers' numbers
+    calls = []
+
+    def fake(alpha, s, k, truncation_t=64.0, n=128):
+        calls.append((alpha, s, k, truncation_t, n))
+        return k ** (0.5 + s - alpha) * (1.0 + math.sqrt(k) / truncation_t)
+
+    monkeypatch.setattr(sobolev, "lemma22_dual_norm", fake)
+    monkeypatch.setattr(acceptance, "lemma22_dual_norm", fake)
+    _, detail = acceptance.check_sobolev_scaling()
+    assert len(calls) == len(set(calls)) == 20
+    ks = (2.0, 4.0, 8.0, 16.0, 32.0)
+    gaps, shifts = [], []
+    for alpha, s, t, n in ((2.0, 0.25, 128.0, 256), (1.5, -0.25, 64.0, 512)):
+        fit = lemma22_decay_exponent(alpha, s, ks, truncation_t=t, n=n)
+        gaps.append(fit.slope - fit.theory_slope)
+        shifts.append(max(lemma22_truncation_shift(alpha, s, k, t, n) for k in ks))
+    assert f"decay gaps {gaps[0]:+.4f}, {gaps[1]:+.4f} " in detail
+    assert f"2T shift worst {shifts[0]:.2%}, {shifts[1]:.2%} " in detail
 
 
 def test_lemma22_dual_norm_guards():
