@@ -54,12 +54,12 @@ class CheckResult:
     seconds: float
 
 
-def check_window_angle_rate(threads=None):
+def check_window_angle_rate():
     """cos slope vs 2-2H within 0.05 at unit window separation."""
     parts, ok = [], True
     for h in (0.2, 0.25, 0.7, 0.75, 0.8):
         t0 = time.time()
-        rep = theorem21_check(h, threads=threads)
+        rep = theorem21_check(h)
         gap = rep.fit_cos.slope - (2.0 - 2.0 * h)
         took = time.time() - t0
         ok &= abs(gap) <= 0.05 and took < 10.0
@@ -67,23 +67,23 @@ def check_window_angle_rate(threads=None):
     return ok, "slope-theory " + "  ".join(parts) + " tol 0.05, <10s each"
 
 
-def check_window_mi_rate(threads=None):
+def check_window_mi_rate():
     """MI slope vs 4-4H within 0.10 on the same scans."""
     parts, ok = [], True
     for h in (0.2, 0.25, 0.7, 0.75, 0.8):
-        rep = theorem21_check(h, threads=threads)
+        rep = theorem21_check(h)
         gap = rep.fit_mi.slope - (4.0 - 4.0 * h)
         ok &= abs(gap) <= 0.10
         parts.append(f"H={h}:{gap:+.4f}")
     return ok, "slope-theory " + "  ".join(parts) + " tol 0.10"
 
 
-def check_leading_constant(threads=None):
+def check_leading_constant():
     """Extrapolated prefactor vs the exact r_H (5%), and MI vs cos^2/2 at
     the smallest stable eps (5%)."""
     parts, ok = [], True
     for h in (0.25, 0.75):
-        rep = theorem21_check(h, threads=threads)
+        rep = theorem21_check(h)
         const_ok = rep.r_h_rel_gap <= 0.05 and not rep.constant_inconclusive
         ratio_ok = abs(rep.mi_cos_ratio - 1.0) <= 0.05
         ok &= const_ok and ratio_ok
@@ -95,11 +95,11 @@ def check_leading_constant(threads=None):
     return ok, "  ".join(parts) + " | tol 5% each clause"
 
 
-def check_past_window_rates(threads=None):
+def check_past_window_rates():
     """cos slope vs 1-H (0.05) and MI slope vs 2-2H (0.10), 2T-stable."""
     parts, ok = [], True
     for h in (0.25, 0.75):
-        rep = theorem22_check(h, threads=threads)
+        rep = theorem22_check(h)
         gc = rep.fit_cos.slope - (1.0 - h)
         gm = rep.fit_mi.slope - (2.0 - 2.0 * h)
         ok &= abs(gc) <= 0.05 and abs(gm) <= 0.10
@@ -108,10 +108,10 @@ def check_past_window_rates(threads=None):
     return ok, "  ".join(parts) + " | tol 0.05/0.10, sens<0.02"
 
 
-def check_brownian_exactness(threads=None):
+def check_brownian_exactness():
     """H=1/2 disjoint intervals: cos and MI vanish to 1e-10."""
     cfg = ScanConfig(h=0.5, t1=0.0, t2=1.0, eps=DEFAULT_EPS)
-    table = local_independence_scan(cfg, threads=threads)
+    table = local_independence_scan(cfg)
     worst_cos = max(r.cos for r in table.rows)
     worst_mi = max(r.mi for r in table.rows)
     rng = np.random.default_rng(414213)
@@ -128,7 +128,7 @@ def check_brownian_exactness(threads=None):
     return ok, f"worst cos {worst_cos:.2e}, worst MI {worst_mi:.2e} over scan + 25 random configs, tol 1e-10"
 
 
-def check_mi_route_equivalence(threads=None):
+def check_mi_route_equivalence():
     """Spectrum route vs determinant route on 100 random instances."""
     rng = np.random.default_rng(271828)
     worst = 0.0
@@ -145,10 +145,10 @@ def check_mi_route_equivalence(threads=None):
     return worst <= 1e-8, f"worst relative gap {worst:.2e} over 100 instances, tol 1e-8"
 
 
-def check_mi_bound_sandwich(threads=None):
+def check_mi_bound_sandwich():
     """HS lower <= MI <= HS upper on scan rows and random spectra."""
     cfg = ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=DEFAULT_EPS)
-    table = local_independence_scan(cfg, threads=threads)
+    table = local_independence_scan(cfg)
     ok = True
     for r in table.rows:
         ok &= r.hs_lower <= r.mi <= r.hs_upper
@@ -183,7 +183,7 @@ def _pairing_suite():
     return pairs
 
 
-def check_pairing_identity(threads=None):
+def check_pairing_identity():
     """Time-domain vs frequency-domain pairing on the fixed 10-pair suite."""
     worst = 0.0
     for h in (0.25, 0.4, 0.6, 0.75):
@@ -194,7 +194,7 @@ def check_pairing_identity(threads=None):
     return ok, f"worst relative discrepancy {worst:.2e} (tol 1e-3); a_H(1/2)==1: {exact_one}"
 
 
-def check_sobolev_scaling(threads=None):
+def check_sobolev_scaling():
     """Dilation law k^(2s-1) to 1e-6; half-line decay exponents to 0.05.
 
     The detail also reports, per protocol, the worst relative move of a
@@ -210,8 +210,7 @@ def check_sobolev_scaling(threads=None):
             worst = max(worst, abs(got / (k ** (2.0 * s - 1.0) * base) - 1.0))
     # refined protocols (alpha, s, T, n): the first is truncation-limited,
     # the second spacing-limited; each base dual norm is built once and
-    # serves both the decay fit (as lemma22_decay_exponent) and the 2T
-    # shift (as lemma22_truncation_shift)
+    # serves both the decay fit and the 2T shift
     ks = (2.0, 4.0, 8.0, 16.0, 32.0)
     gaps, shifts = [], []
     for alpha, s, t, n in ((2.0, 0.25, 128.0, 256), (1.5, -0.25, 64.0, 512)):
@@ -227,7 +226,7 @@ def check_sobolev_scaling(threads=None):
     )
 
 
-def check_adjacent_divergence(threads=None):
+def check_adjacent_divergence():
     """Adjacent-interval MI grows without bound under refinement."""
     rep = adjacency_divergence(0.8)
     ok = rep.strictly_increasing
@@ -239,7 +238,7 @@ def check_adjacent_divergence(threads=None):
     )
 
 
-def check_past_future_angle(threads=None):
+def check_past_future_angle():
     """Past-future cos stays below 1, <1% drift under doubling n and T."""
     parts, ok = [], True
     for h in (0.2, 0.8):
@@ -250,26 +249,26 @@ def check_past_future_angle(threads=None):
     return ok, "  ".join(parts) + " | drift tol 1%"
 
 
-def check_levy2d_rate(threads=None):
+def check_levy2d_rate():
     """Planar ball-to-ball cos slope vs 2-2H within 0.15."""
     parts, ok = [], True
     for h in (0.25, 0.75):
-        rep = levy2d_scan(h, threads=threads)
+        rep = levy2d_scan(h)
         gap = rep.fit_cos.slope - (2.0 - 2.0 * h)
         ok &= abs(gap) <= 0.15
         parts.append(f"H={h}:{gap:+.4f}")
     return ok, "slope-theory " + "  ".join(parts) + " tol 0.15 (9x9 lattice)"
 
 
-def check_invariance_suite(threads=None):
+def check_invariance_suite():
     """Stationarity, self-similarity, and MI swap symmetry to 1e-10."""
     base = ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=DEFAULT_EPS)
     shift = ScanConfig(h=0.7, t1=math.pi, t2=math.pi + 1.0, eps=DEFAULT_EPS)
     lam = 3.0
     scaled = ScanConfig(h=0.7, t1=0.0, t2=lam, eps=tuple(lam * e for e in DEFAULT_EPS))
-    rows_b = local_independence_scan(base, threads=threads).rows
-    rows_sh = local_independence_scan(shift, threads=threads).rows
-    rows_sc = local_independence_scan(scaled, threads=threads).rows
+    rows_b = local_independence_scan(base).rows
+    rows_sh = local_independence_scan(shift).rows
+    rows_sc = local_independence_scan(scaled).rows
     worst = 0.0
     for rb, rs, rc in zip(rows_b, rows_sh, rows_sc):
         worst = max(worst, abs(rb.cos - rs.cos), abs(rb.mi - rs.mi))
@@ -285,12 +284,12 @@ def check_invariance_suite(threads=None):
     return ok, f"worst row change {worst:.2e} (shift pi, scale 3), worst swap gap {worst_swap:.2e}, tol 1e-10"
 
 
-def check_sampler_consistency(threads=None):
+def check_sampler_consistency():
     """Lag-1 correlation within 3 SE; plug-in MI within bootstrap spread."""
     parts, ok = [], True
     for h in (0.25, 0.75):
         target = 2.0 ** (2.0 * h - 1.0) - 1.0
-        p = sampler.sample_fbm_increments(4096, 1.0, h, 256, seed=11, threads=threads)
+        p = sampler.sample_fbm_increments(4096, 1.0, h, 256, seed=11)
         est, se = sampler.lag1_increment_correlation(p)
         z = abs(est - target) / se
         ok &= z <= 3.0
@@ -298,7 +297,7 @@ def check_sampler_consistency(threads=None):
     emps = []
     ana = None
     for seed in range(20, 28):
-        p = sampler.sample_fbm_increments(8, 1.0, 0.75, 100_000, seed=seed, threads=threads)
+        p = sampler.sample_fbm_increments(8, 1.0, 0.75, 100_000, seed=seed)
         emp, ana, _ = sampler.empirical_mi_check(p, split=4)
         emps.append(emp)
     spread = float(np.std(emps, ddof=1))
@@ -326,7 +325,7 @@ CHECKS = {
 }
 
 
-def run_checks(only: str | None = None, threads: int | None = None) -> list:
+def run_checks(only: str | None = None) -> list:
     names = [n for n in CHECKS if only is None or only in n]
     if not names:
         raise ValueError(f"no check matches {only!r}; have {', '.join(CHECKS)}")
@@ -334,7 +333,7 @@ def run_checks(only: str | None = None, threads: int | None = None) -> list:
     for name in names:
         t0 = time.time()
         try:
-            passed, detail = CHECKS[name](threads=threads)
+            passed, detail = CHECKS[name]()
         except Exception as exc:  # a crash is a failure with its reason
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         # individual checks may hand back numpy bools; normalize here so

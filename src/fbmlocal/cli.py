@@ -155,8 +155,8 @@ def _fmt(x) -> str:
 
 
 # run-routing keys; everything else is part of the reproducible config,
-# and keeping these out keeps output byte-identical across --out/--threads
-_RUN_ONLY = frozenset(("format", "out", "strict", "threads", "only", "json", "config"))
+# and keeping these out keeps output byte-identical across --out
+_RUN_ONLY = frozenset(("format", "out", "strict", "only", "json", "config"))
 
 
 def _emit(params: dict, payload: dict, csv, summary: str) -> None:
@@ -260,7 +260,7 @@ def _cmd_scan(params):
         h=params["H"], t1=params["t1"], t2=params["t2"], eps=params["eps"],
         grid_n=params["n"], rtol=params["rtol"],
     )
-    table = local_independence_scan(cfg, threads=params["threads"])
+    table = local_independence_scan(cfg)
     theory = 2.0 - 2.0 * params["H"]
     try:
         fit = fit_exponent(table, "cos", theory=theory, correction_order=min(1.0, theory))
@@ -277,7 +277,7 @@ def _cmd_scan(params):
 def _cmd_thm21(params):
     rep = theorem21_check(
         params["H"], params["t1"], params["t2"], params["eps"], params["n"],
-        params["rtol"], params["threads"],
+        params["rtol"],
     )
     summary = (
         f"cos slope {rep.fit_cos.slope:.4f} vs {rep.fit_cos.theory_slope:.4f}, "
@@ -302,7 +302,7 @@ def _cmd_thm21(params):
 def _cmd_thm22(params):
     rep = theorem22_check(
         params["H"], params["t1"], params["T"], params["eps"], params["n"],
-        params["rtol"], None, params["threads"],
+        params["rtol"],
     )
     summary = (
         f"cos slope {rep.fit_cos.slope:.4f} vs {rep.fit_cos.theory_slope:.4f}, "
@@ -332,7 +332,7 @@ def _cmd_adjacency(params):
 
 
 def _cmd_pastfuture(params):
-    rep = past_future_report(params["H"], params["T"], params["n"], None, params["rtol"])
+    rep = past_future_report(params["H"], params["T"], params["n"], params["rtol"])
     summary = (
         f"cos = {rep.value:.6f} (2n: {rep.value_2n:.6f}, 2T: {rep.value_2t:.6f}), "
         f"drift n {rep.drift_n:.2%} T {rep.drift_t:.2%}, margin {rep.margin:.4f}"
@@ -344,7 +344,7 @@ def _cmd_complement(params):
     t_mid = 0.5 * (params["t1"] + params["t2"])
     rep = complement_window_scan(
         params["H"], params["t1"], t_mid, params["t2"], params["eps"],
-        params["T"], params["n"], params["rtol"], None, params["threads"],
+        params["T"], params["n"], params["rtol"],
     )
     summary = (
         f"hs slope {rep.fit_hs.slope:.4f} vs {rep.fit_hs.theory_slope:.4f}, "
@@ -359,7 +359,7 @@ def _cmd_complement(params):
 
 def _cmd_levy2d(params):
     rep = levy2d_scan(params["H"], eps=params["eps"], grid_per_axis=params["n"],
-                      rtol=params["rtol"], threads=params["threads"])
+                      rtol=params["rtol"])
     theory = 2.0 - 2.0 * params["H"]
     summary = f"cos slope {rep.fit_cos.slope:.4f} vs {theory:.4f} (gap {rep.fit_cos.slope - theory:+.4f})"
     extra = {"fit_cos_slope": rep.fit_cos.slope, "summary": summary}
@@ -396,7 +396,7 @@ def _cmd_check_all(params):
     only = params["only"]
     results = []
     for token in _ONLY_ALIASES.get(only, (only,)):
-        results.extend(run_checks(only=token, threads=params["threads"]))
+        results.extend(run_checks(only=token))
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:26s} [{r.seconds:6.1f}s]  {r.detail}")
     npass = sum(r.passed for r in results)
@@ -423,8 +423,8 @@ def _cmd_check_all(params):
 _OUTPUT = {"format": "csv", "out": None}
 _WINDOW = {"H": 0.5, "t1": 0.0, "t2": 1.0, "eps": (0.125,), "n": 32, "rtol": 1e-10, "strict": False, **_OUTPUT}
 _SCAN = {
-    "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N, "rtol": 1e-10,
-    "threads": None, "strict": False, **_OUTPUT,
+    "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N, "rtol": 1e-10, "strict": False,
+    **_OUTPUT,
 }
 _COMMANDS = {
     "cov": (
@@ -440,7 +440,7 @@ _COMMANDS = {
         "past-vs-window rate report with truncation sensitivity",
         {
             "H": 0.5, "t1": 1.0, "T": DEFAULT_TRUNCATION, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N,
-            "rtol": 1e-10, "threads": None, "strict": False, **_OUTPUT,
+            "rtol": 1e-10, "strict": False, **_OUTPUT,
         },
         _cmd_thm22,
     ),
@@ -459,13 +459,13 @@ _COMMANDS = {
         {
             "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": tuple(e for e in DEFAULT_EPS if e <= 0.125),
             "T": DEFAULT_TRUNCATION, "n": DEFAULT_GRID_N, "rtol": 1e-10,
-            "threads": None, "strict": False, **_OUTPUT,
+            "strict": False, **_OUTPUT,
         },
         _cmd_complement,
     ),
     "levy2d": (
         "planar ball-to-ball angle rate",
-        {"H": 0.5, "eps": DEFAULT_EPS, "n": 9, "rtol": 1e-10, "threads": None, "strict": False, **_OUTPUT},
+        {"H": 0.5, "eps": DEFAULT_EPS, "n": 9, "rtol": 1e-10, "strict": False, **_OUTPUT},
         _cmd_levy2d,
     ),
     "constants": ("a_H and r_H for a given H", {"H": 0.5, **_OUTPUT}, _cmd_constants),
@@ -474,7 +474,7 @@ _COMMANDS = {
         {"H": 0.5, "n": 1024, "m": 1, "dt": None, "T": None, "seed": 0, "threads": None, "out": None},
         _cmd_sample,
     ),
-    "check-all": ("run the acceptance suite", {"only": None, "threads": None, "json": None}, _cmd_check_all),
+    "check-all": ("run the acceptance suite", {"only": None, "json": None}, _cmd_check_all),
 }
 
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,15 +104,9 @@ class ScanConfig:
         check_hurst(self.h)
         if self.t1 == self.t2:
             raise ValueError("t1 and t2 must differ")
-        eps = tuple(float(e) for e in self.eps)
+        eps = _eps_schedule(self.eps)
         object.__setattr__(self, "eps", eps)
-        if len(eps) == 0:
-            raise ValueError("eps schedule is empty")
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("eps values must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps schedule must be strictly decreasing")
-        if max(eps) >= abs(self.t2 - self.t1) / 2.0:
+        if eps[0] >= abs(self.t2 - self.t1) / 2.0:
             raise ValueError("max eps must keep the windows disjoint: eps < |t1-t2|/2")
         if self.grid_n < 4:
             raise ValueError("grid_n must be at least 4")
@@ -172,8 +165,25 @@ class ScanTable:
         return [r for r in self.rows if not r.skipped and not r.ill_conditioned]
 
 
+class _Record:
+    """Report record serialized field by field in declaration order; a
+    ScanTable goes through scan_to_dict, a nested record through its own
+    as_dict."""
+
+    def as_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, ScanTable):
+                v = scan_to_dict(v)
+            elif isinstance(v, _Record):
+                v = v.as_dict()
+            out[f.name] = v
+        return out
+
+
 @dataclass(frozen=True)
-class ExponentFit:
+class ExponentFit(_Record):
     """Least-squares log-log fit of a scan column against eps (or of the
     lemma-2.2 dual norms against k).
 
@@ -212,9 +222,6 @@ class ExponentFit:
             eps_hi=float(x.max()),
             n_used=x.size,
         )
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +312,21 @@ def _make_row(eps, ga, gb, c, rtol, min_rank) -> ScanRow:
     )
 
 
-def _map_ordered(fn, items, threads):
-    # rows are independent; reduction is by index so results are
-    # identical whether or not a pool is used
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _eps_schedule(eps) -> tuple:
+    """The eps rule every scan shares: a nonempty, strictly decreasing
+    tuple of positive floats."""
+    eps = tuple(float(e) for e in eps)
+    if len(eps) == 0:
+        raise ValueError("eps schedule is empty")
+    if any(e <= 0.0 for e in eps):
+        raise ValueError("eps values must be positive")
+    if any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError("eps schedule must be strictly decreasing")
+    return eps
+
+
+def _eps_meta(eps: tuple) -> str:
+    return ",".join(repr(e) for e in eps)
 
 
 def _window_basis(center: float, eps: float, grid_n: int) -> IncrementBasis:
@@ -322,23 +337,20 @@ def _window_basis(center: float, eps: float, grid_n: int) -> IncrementBasis:
 # two shrinking windows (the basic local-independence scan)
 
 
-def local_independence_scan(cfg: ScanConfig, threads: int | None = None) -> ScanTable:
+def local_independence_scan(cfg: ScanConfig) -> ScanTable:
     """Angle and MI between increment windows around t1 and t2, per eps."""
     min_rank = cfg.grid_n * _MIN_RANK_FRACTION
-    eps_desc = sorted(cfg.eps, reverse=True)
-
-    def one(eps):
+    rows = []
+    for eps in cfg.eps:
         a = _window_basis(cfg.t1, eps, cfg.grid_n)
         b = _window_basis(cfg.t2, eps, cfg.grid_n)
-        return _make_row(eps, gram(a, cfg.h), gram(b, cfg.h), cross_gram(a, b, cfg.h), cfg.rtol, min_rank)
-
-    rows = _map_ordered(one, eps_desc, threads)
+        rows.append(_make_row(eps, gram(a, cfg.h), gram(b, cfg.h), cross_gram(a, b, cfg.h), cfg.rtol, min_rank))
     meta = {
         "experiment": "scan",
         "H": cfg.h,
         "t1": cfg.t1,
         "t2": cfg.t2,
-        "eps": ",".join(repr(e) for e in eps_desc),
+        "eps": _eps_meta(cfg.eps),
         "grid_n": cfg.grid_n,
         "rtol": cfg.rtol,
     }
@@ -350,7 +362,6 @@ def fit_exponent(
     column: str = "cos",
     theory: float = math.nan,
     correction_order: float = math.nan,
-    drop_largest: bool = True,
 ) -> ExponentFit:
     """Log-log slope of a scan column vs eps.
 
@@ -361,9 +372,7 @@ def fit_exponent(
     finite = [r for r in table.rows if not r.skipped and r.mi is not None]
     if len(finite) < 4:
         raise ValueError("need at least 4 finite rows to fit an exponent")
-    rows = sorted(table.rows, key=lambda r: -r.eps)
-    if drop_largest:
-        rows = rows[1:]
+    rows = sorted(table.rows, key=lambda r: -r.eps)[1:]
     kept = [r for r in rows if not r.ill_conditioned]
     for r in kept:
         if r.skipped:
@@ -421,7 +430,7 @@ def r_h_dual_gram(h: float, n: int = 2048) -> float:
 
 
 @dataclass(frozen=True)
-class Theorem21Report:
+class Theorem21Report(_Record):
     fit_cos: ExponentFit
     fit_mi: ExponentFit
     r_h_extrapolated: float
@@ -433,20 +442,6 @@ class Theorem21Report:
     constant_inconclusive: bool
     table: ScanTable
 
-    def as_dict(self) -> dict:
-        return {
-            "fit_cos": self.fit_cos.as_dict(),
-            "fit_mi": self.fit_mi.as_dict(),
-            "r_h_extrapolated": self.r_h_extrapolated,
-            "r_h_theory": self.r_h_theory,
-            "r_h_spectral": self.r_h_spectral,
-            "r_h_rel_gap": self.r_h_rel_gap,
-            "r_h_dual_gram": self.r_h_dual_gram,
-            "mi_cos_ratio": self.mi_cos_ratio,
-            "constant_inconclusive": self.constant_inconclusive,
-            "table": scan_to_dict(self.table),
-        }
-
 
 def theorem21_check(
     h: float,
@@ -455,7 +450,6 @@ def theorem21_check(
     eps: tuple = DEFAULT_EPS,
     grid_n: int = DEFAULT_GRID_N,
     rtol: float = 1e-10,
-    threads: int | None = None,
 ) -> Theorem21Report:
     """Fit both two-window decay rates and cross-check the constant r_H.
 
@@ -469,7 +463,7 @@ def theorem21_check(
     if abs(2.0 * h - 1.0) < 0.1:
         raise ValueError("constant comparison needs |2H-1| >= 0.1")
     cfg = ScanConfig(h=h, t1=t1, t2=t2, eps=eps, grid_n=grid_n, rtol=rtol)
-    table = local_independence_scan(cfg, threads=threads)
+    table = local_independence_scan(cfg)
     delta = min(1.0, 2.0 - 2.0 * h)
     fit_cos = fit_exponent(table, "cos", theory=2.0 - 2.0 * h, correction_order=delta)
     fit_mi = fit_exponent(table, "mi", theory=4.0 - 4.0 * h, correction_order=delta)
@@ -510,53 +504,47 @@ def past_window_scan(
     eps: tuple = DEFAULT_EPS,
     grid_n: int = DEFAULT_GRID_N,
     rtol: float = 1e-10,
-    grading_decades: float | None = None,
-    threads: int | None = None,
 ) -> ScanTable:
     """Angle and MI between the past (-T, 0) and a window around t > 0.
 
     The past is discretized on a geometrically graded grid, finest toward
-    0 where the cross kernel varies fastest.
+    0 where the cross kernel varies fastest, spanning grading_depth
+    decades.
     """
     check_hurst(h)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    eps = tuple(float(e) for e in eps)
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
-    if max(eps) >= t:
+    eps = _eps_schedule(eps)
+    if eps[0] >= t:
         raise ValueError("max eps must keep the window inside (0, inf): eps < t")
     if truncation_t < 16.0 * t:
         raise ValueError("truncation must satisfy T >= 16 t")
     if grid_n < 4:
         raise ValueError("grid_n must be at least 4")
-    if grading_decades is None:
-        grading_decades = grading_depth(h, grid_n - 1)
+    decades = grading_depth(h, grid_n - 1)
 
-    past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, grid_n, grading_decades, toward="b"))
+    past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, grid_n, decades, toward="b"))
     gp = gram(past, h)
     min_rank = grid_n * _MIN_RANK_FRACTION
-
-    def one(e):
+    rows = []
+    for e in eps:
         b = _window_basis(t, e, grid_n)
-        return _make_row(e, gp, gram(b, h), cross_gram(past, b, h), rtol, min_rank)
-
-    rows = _map_ordered(one, sorted(eps, reverse=True), threads)
+        rows.append(_make_row(e, gp, gram(b, h), cross_gram(past, b, h), rtol, min_rank))
     meta = {
         "experiment": "past-window",
         "H": h,
         "t": t,
         "T": truncation_t,
-        "eps": ",".join(repr(e) for e in sorted(eps, reverse=True)),
+        "eps": _eps_meta(eps),
         "grid_n": grid_n,
-        "grading_decades": grading_decades,
+        "grading_decades": decades,
         "rtol": rtol,
     }
     return ScanTable(rows=tuple(rows), meta=meta)
 
 
 @dataclass(frozen=True)
-class Theorem22Report:
+class Theorem22Report(_Record):
     fit_cos: ExponentFit
     fit_mi: ExponentFit
     fit_cos_2t: ExponentFit
@@ -566,18 +554,6 @@ class Theorem22Report:
     table: ScanTable
     table_2t: ScanTable
 
-    def as_dict(self) -> dict:
-        return {
-            "fit_cos": self.fit_cos.as_dict(),
-            "fit_mi": self.fit_mi.as_dict(),
-            "fit_cos_2t": self.fit_cos_2t.as_dict(),
-            "fit_mi_2t": self.fit_mi_2t.as_dict(),
-            "truncation_sensitivity": self.truncation_sensitivity,
-            "truncation_dominated": self.truncation_dominated,
-            "table": scan_to_dict(self.table),
-            "table_2t": scan_to_dict(self.table_2t),
-        }
-
 
 def theorem22_check(
     h: float,
@@ -586,16 +562,14 @@ def theorem22_check(
     eps: tuple = DEFAULT_EPS,
     grid_n: int = DEFAULT_GRID_N,
     rtol: float = 1e-10,
-    grading_decades: float | None = None,
-    threads: int | None = None,
 ) -> Theorem22Report:
     """Past-vs-window rates: cos slope against 1-H, MI slope against 2-2H.
 
     Reruns at 2T; the report is flagged truncation-dominated when either
     slope moves by more than 0.02.
     """
-    table = past_window_scan(h, t, truncation_t, eps, grid_n, rtol, grading_decades, threads)
-    table2 = past_window_scan(h, t, 2.0 * truncation_t, eps, grid_n, rtol, grading_decades, threads)
+    table = past_window_scan(h, t, truncation_t, eps, grid_n, rtol)
+    table2 = past_window_scan(h, t, 2.0 * truncation_t, eps, grid_n, rtol)
     # next term is O(eps^(2-H)), one full power of eps beyond the lead
     fit_cos = fit_exponent(table, "cos", theory=1.0 - h, correction_order=1.0)
     fit_mi = fit_exponent(table, "mi", theory=2.0 - 2.0 * h, correction_order=1.0)
@@ -619,7 +593,7 @@ def theorem22_check(
 
 
 @dataclass(frozen=True)
-class AdjacencyReport:
+class AdjacencyReport(_Record):
     n_schedule: tuple
     mi: tuple
     mi_alt_eps: tuple
@@ -628,9 +602,6 @@ class AdjacencyReport:
     strictly_increasing: bool
     min_doubling_growth: float
     eps_invariance_gap: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def adjacency_mi_table(
@@ -699,30 +670,28 @@ def past_future_angle(
     h: float,
     truncation_t: float = 16.0,
     n: int = 128,
-    grading_decades: float | None = None,
     rtol: float = 1e-10,
 ) -> float:
     """cos angle between increments on (-T, 0) and (0, T), graded toward 0.
 
-    With the default depth rule the grid dilates exactly when T changes,
-    so by self-similarity the value depends on T only through rounding;
-    n is the real refinement knob.
+    The grading depth does not depend on T, so the grid dilates exactly
+    when T changes and by self-similarity the value depends on T only
+    through rounding; n is the real refinement knob.
     """
     check_hurst(h)
     if truncation_t <= 0.0:
         raise ValueError("truncation_t must be positive")
     if n < 2:
         raise ValueError("n must be at least 2")
-    if grading_decades is None:
-        grading_decades = grading_depth(h, int(n))
-    past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, int(n) + 1, grading_decades, toward="b"))
-    future = IncrementBasis.from_points(graded_points(0.0, truncation_t, int(n) + 1, grading_decades, toward="a"))
+    decades = grading_depth(h, int(n))
+    past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, int(n) + 1, decades, toward="b"))
+    future = IncrementBasis.from_points(graded_points(0.0, truncation_t, int(n) + 1, decades, toward="a"))
     spec = _spectrum_quiet(gram(past, h), gram(future, h), cross_gram(past, future, h), rtol)
     return cos_angle(spec)
 
 
 @dataclass(frozen=True)
-class PastFutureReport:
+class PastFutureReport(_Record):
     value: float
     value_2n: float
     value_2t: float
@@ -730,15 +699,11 @@ class PastFutureReport:
     drift_t: float
     margin: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def past_future_report(
     h: float,
     truncation_t: float = 16.0,
     n: int = 128,
-    grading_decades: float | None = None,
     rtol: float = 1e-10,
 ) -> PastFutureReport:
     """Past-future angle with doubling studies in n and T.
@@ -748,9 +713,9 @@ def past_future_report(
     except near zero (the Brownian case), where that would divide noise
     by noise.
     """
-    v = past_future_angle(h, truncation_t, n, grading_decades, rtol)
-    v2n = past_future_angle(h, truncation_t, 2 * n, grading_decades, rtol)
-    v2t = past_future_angle(h, 2.0 * truncation_t, n, grading_decades, rtol)
+    v = past_future_angle(h, truncation_t, n, rtol)
+    v2n = past_future_angle(h, truncation_t, 2 * n, rtol)
+    v2t = past_future_angle(h, 2.0 * truncation_t, n, rtol)
     margin = 1.0 - max(v, v2n, v2t)
     scale = max(v, 1e-8)
     return PastFutureReport(
@@ -768,7 +733,7 @@ def past_future_report(
 
 
 @dataclass(frozen=True)
-class ComplementReport:
+class ComplementReport(_Record):
     fit_hs: ExponentFit
     fit_hs_2t: ExponentFit
     truncation_sensitivity: float
@@ -776,32 +741,21 @@ class ComplementReport:
     table: ScanTable
     table_2t: ScanTable
 
-    def as_dict(self) -> dict:
-        return {
-            "fit_hs": self.fit_hs.as_dict(),
-            "fit_hs_2t": self.fit_hs_2t.as_dict(),
-            "truncation_sensitivity": self.truncation_sensitivity,
-            "truncation_dominated": self.truncation_dominated,
-            "table": scan_to_dict(self.table),
-            "table_2t": scan_to_dict(self.table_2t),
-        }
 
-
-def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol, grading_decades, threads):
-    left = IncrementBasis.from_points(graded_points(t1 - truncation_t, t1, grid_n, grading_decades, toward="b"))
-    right = IncrementBasis.from_points(graded_points(t2, t2 + truncation_t, grid_n, grading_decades, toward="a"))
+def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol):
+    decades = grading_depth(h, grid_n - 1)
+    left = IncrementBasis.from_points(graded_points(t1 - truncation_t, t1, grid_n, decades, toward="b"))
+    right = IncrementBasis.from_points(graded_points(t2, t2 + truncation_t, grid_n, decades, toward="a"))
     comp = IncrementBasis(
         s=np.concatenate([left.s, right.s]),
         t=np.concatenate([left.t, right.t]),
     )
     gc = gram(comp, h)
     min_rank = grid_n * _MIN_RANK_FRACTION
-
-    def one(e):
+    rows = []
+    for e in eps:
         b = _window_basis(t, e, grid_n)
-        return _make_row(e, gc, gram(b, h), cross_gram(comp, b, h), rtol, min_rank)
-
-    rows = _map_ordered(one, sorted(eps, reverse=True), threads)
+        rows.append(_make_row(e, gc, gram(b, h), cross_gram(comp, b, h), rtol, min_rank))
     meta = {
         "experiment": "complement-window",
         "H": h,
@@ -809,9 +763,9 @@ def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol, grading_dec
         "t": t,
         "t2": t2,
         "T": truncation_t,
-        "eps": ",".join(repr(e) for e in sorted(eps, reverse=True)),
+        "eps": _eps_meta(eps),
         "grid_n": grid_n,
-        "grading_decades": grading_decades,
+        "grading_decades": decades,
         "rtol": rtol,
     }
     return ScanTable(rows=tuple(rows), meta=meta)
@@ -826,8 +780,6 @@ def complement_window_scan(
     truncation_t: float = DEFAULT_TRUNCATION,
     grid_n: int = DEFAULT_GRID_N,
     rtol: float = 1e-10,
-    grading_decades: float | None = None,
-    threads: int | None = None,
 ) -> ComplementReport:
     """Window inside (t1, t2) against the truncated two-sided complement.
 
@@ -838,18 +790,14 @@ def complement_window_scan(
     check_hurst(h)
     if not t1 < t < t2:
         raise ValueError("need t1 < t < t2")
-    eps = tuple(float(e) for e in eps)
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
-    if t - max(eps) <= t1 or t + max(eps) >= t2:
+    eps = _eps_schedule(eps)
+    if t - eps[0] <= t1 or t + eps[0] >= t2:
         raise ValueError("windows must stay strictly inside (t1, t2)")
     if truncation_t <= (t2 - t1):
         raise ValueError("truncation_t must exceed the inner interval length")
-    if grading_decades is None:
-        grading_decades = grading_depth(h, grid_n - 1)
 
-    table = _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol, grading_decades, threads)
-    table2 = _complement_table(h, t1, t, t2, eps, 2.0 * truncation_t, grid_n, rtol, grading_decades, threads)
+    table = _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol)
+    table2 = _complement_table(h, t1, t, t2, eps, 2.0 * truncation_t, grid_n, rtol)
     fit = fit_exponent(table, "hs", theory=1.0 - h, correction_order=math.nan)
     fit2 = fit_exponent(table2, "hs", theory=1.0 - h, correction_order=math.nan)
     sens = abs(fit.slope - fit2.slope)
@@ -868,12 +816,9 @@ def complement_window_scan(
 
 
 @dataclass(frozen=True)
-class Levy2dReport:
+class Levy2dReport(_Record):
     fit_cos: ExponentFit
     table: ScanTable
-
-    def as_dict(self) -> dict:
-        return {"fit_cos": self.fit_cos.as_dict(), "table": scan_to_dict(self.table)}
 
 
 def _ball_lattice(center: np.ndarray, eps: float, grid_per_axis: int) -> np.ndarray:
@@ -896,7 +841,6 @@ def levy2d_scan(
     eps: tuple = DEFAULT_EPS,
     grid_per_axis: int = 9,
     rtol: float = 1e-10,
-    threads: int | None = None,
 ) -> Levy2dReport:
     """Ball-to-ball angle decay for the isotropic two-parameter field.
 
@@ -909,13 +853,12 @@ def levy2d_scan(
     if c1.shape != (2,) or c2.shape != (2,):
         raise ValueError("centers must be 2-dimensional points")
     dist = float(np.linalg.norm(c2 - c1))
-    eps = tuple(float(e) for e in eps)
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
-    if max(eps) >= dist / 2.0:
+    eps = _eps_schedule(eps)
+    if eps[0] >= dist / 2.0:
         raise ValueError("balls must be disjoint at the largest eps")
 
-    def one(e):
+    rows = []
+    for e in eps:
         pa = _ball_lattice(c1, e, grid_per_axis)
         pb = _ball_lattice(c2, e, grid_per_axis)
         la = np.tile(c1, (pa.shape[0], 1))
@@ -924,15 +867,13 @@ def levy2d_scan(
         gb = levy_increment_gram(lb, pb, h)
         c = levy_increment_cross_gram(la, pa, lb, pb, h)
         min_rank = min(pa.shape[0], pb.shape[0]) * _MIN_RANK_FRACTION
-        return _make_row(e, ga, gb, c, rtol, min_rank)
-
-    rows = _map_ordered(one, sorted(eps, reverse=True), threads)
+        rows.append(_make_row(e, ga, gb, c, rtol, min_rank))
     meta = {
         "experiment": "levy2d",
         "H": h,
         "c1": f"({c1[0]!r},{c1[1]!r})",
         "c2": f"({c2[0]!r},{c2[1]!r})",
-        "eps": ",".join(repr(e) for e in sorted(eps, reverse=True)),
+        "eps": _eps_meta(eps),
         "grid_per_axis": grid_per_axis,
         "rtol": rtol,
     }

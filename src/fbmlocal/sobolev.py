@@ -36,10 +36,7 @@ __all__ = [
     "fbm_pairing_time",
     "fbm_pairing_spectral",
     "pairing_identity_check",
-    "riesz_fourier_constant",
     "lemma22_dual_norm",
-    "lemma22_decay_exponent",
-    "lemma22_truncation_shift",
 ]
 
 SMOOTH_GUARD = 1e-9
@@ -334,17 +331,6 @@ def r_h_spectral(h: float) -> float:
     return h * abs(2.0 * h - 1.0) * indicator_sq_norm(h - 0.5)
 
 
-def riesz_fourier_constant(n: int, alpha: float) -> float:
-    """2^(n/2 - alpha) Gamma((n - alpha)/2) / Gamma(alpha/2) for 0 < alpha < n."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
-    alpha = float(alpha)
-    if not 0.0 < alpha < n:
-        raise ValueError(f"alpha must lie in (0, {n}), got {alpha}")
-    return 2.0 ** (n / 2.0 - alpha) * math.gamma((n - alpha) / 2.0) / math.gamma(alpha / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # FBM pairing: exact time-domain route vs spectral route
 
@@ -450,41 +436,3 @@ def lemma22_dual_norm(
     w = _hat_pairings(alpha, k, pts)
     cf = cho_factor(m, lower=True)
     return float(math.sqrt(w @ cho_solve(cf, w)))
-
-
-def lemma22_decay_exponent(
-    alpha: float,
-    s: float,
-    k_schedule=(2.0, 4.0, 8.0, 16.0, 32.0),
-    truncation_t: float = 64.0,
-    n: int = 128,
-):
-    """Fit the dual-norm decay against the predicted k^(1/2 + s - alpha).
-
-    Returns an ExponentFit.  The fit is truncation-sensitive when
-    doubling T moves any value by more than 1%; lemma22_truncation_shift
-    measures that, and the sobolev-scaling check reports its worst value
-    over the schedule.
-    """
-    from fbmlocal.experiments import ExponentFit
-
-    ks = [float(k) for k in k_schedule]
-    if len(ks) < 3:
-        raise ValueError("need at least 3 k values")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k schedule must be strictly increasing")
-    vals = [lemma22_dual_norm(alpha, s, k, truncation_t, n) for k in ks]
-    return ExponentFit.least_squares(ks, vals, theory=0.5 + s - alpha)
-
-
-def lemma22_truncation_shift(
-    alpha: float,
-    s: float,
-    k: float,
-    truncation_t: float = 64.0,
-    n: int = 128,
-) -> float:
-    """Relative change of the dual norm when T doubles (grid spacing kept)."""
-    v1 = lemma22_dual_norm(alpha, s, k, truncation_t, n)
-    v2 = lemma22_dual_norm(alpha, s, k, 2.0 * truncation_t, 2 * n)
-    return abs(v2 - v1) / v1

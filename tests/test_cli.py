@@ -113,7 +113,7 @@ def test_csv_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["scan", "--H", "0.6", "--eps", "0.125,0.0625,0.03125,0.015625", "--n", "12"]
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--threads", "4"]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -212,7 +212,7 @@ def test_check_all_unknown_name(capsys):
 
 
 def test_check_all_failing_check_exits_1(capsys, monkeypatch):
-    monkeypatch.setitem(CHECKS, "brownian-exactness", lambda threads=None: (False, "forced red"))
+    monkeypatch.setitem(CHECKS, "brownian-exactness", lambda: (False, "forced red"))
     assert main(["check-all", "--only", "brownian-exactness"]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("FAIL")
@@ -233,12 +233,49 @@ def test_no_command_and_unknown_command(capsys):
     capsys.readouterr()
 
 
+_FIT_KEYS = ["slope", "intercept", "r2", "theory_slope", "theory_gap", "correction_order", "eps_lo", "eps_hi", "n_used"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["thm21", "--H", "0.75"], [
+        "fit_cos", "fit_mi", "r_h_extrapolated", "r_h_theory", "r_h_spectral", "r_h_rel_gap",
+        "r_h_dual_gram", "mi_cos_ratio", "constant_inconclusive", "table",
+    ]),
+    (["thm22", "--H", "0.75"], [
+        "fit_cos", "fit_mi", "fit_cos_2t", "fit_mi_2t", "truncation_sensitivity", "truncation_dominated",
+        "table", "table_2t",
+    ]),
+    (["adjacency", "--H", "0.8"], [
+        "n_schedule", "mi", "mi_alt_eps", "eps", "alt_eps", "strictly_increasing", "min_doubling_growth",
+        "eps_invariance_gap",
+    ]),
+    (["pastfuture", "--H", "0.8", "--T", "8", "--n", "32"], [
+        "value", "value_2n", "value_2t", "drift_n", "drift_t", "margin",
+    ]),
+    (["complement", "--H", "0.75"], [
+        "fit_hs", "fit_hs_2t", "truncation_sensitivity", "truncation_dominated", "table", "table_2t",
+    ]),
+    (["levy2d", "--H", "0.75", "--n", "5"], ["fit_cos", "table"]),
+], ids=["thm21", "thm22", "adjacency", "pastfuture", "complement", "levy2d"])
+def test_report_json_key_order(argv, keys, capsys):
+    # reports serialize their fields in declaration order, then the run's
+    # config and summary; every fit carries the ExponentFit fields in order
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == keys + ["config", "summary"]
+    for key in keys:
+        if key.startswith("fit_"):
+            assert list(doc[key]) == _FIT_KEYS
+
+
 @pytest.mark.parametrize("argv", [
     ["cov", "--seed", "1"],
     ["constants", "--eps", "0.1"],
     ["sample", "--strict"],
     ["check-all", "--format", "json"],
-], ids=["cov-seed", "constants-eps", "sample-strict", "check-all-format"])
+    ["scan", "--threads", "2"],
+    ["check-all", "--threads", "2"],
+], ids=["cov-seed", "constants-eps", "sample-strict", "check-all-format", "scan-threads", "check-all-threads"])
 def test_flag_a_command_does_not_read_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fbmlocal import experiments
 from fbmlocal.experiments import (
     ExponentFit,
     _fmt_csv,
@@ -23,6 +24,7 @@ from fbmlocal.experiments import (
     local_independence_scan,
     past_future_angle,
     past_future_report,
+    past_window_scan,
     r_h_dual_gram,
     scan_csv_text,
     scan_to_dict,
@@ -45,6 +47,30 @@ def test_scan_config_validation():
         ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=(0.1,), grid_n=3)
     with pytest.raises(ValueError):
         ScanConfig(h=1.2, t1=0.0, t2=1.0, eps=(0.1,))
+
+
+_EPS_ENTRY_POINTS = {
+    "scan": lambda eps: ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=eps),
+    "past-window": lambda eps: past_window_scan(0.7, 1.0, eps=eps),
+    "complement": lambda eps: complement_window_scan(0.7, eps=eps),
+    "levy2d": lambda eps: levy2d_scan(0.7, eps=eps),
+}
+
+
+@pytest.mark.parametrize("entry", list(_EPS_ENTRY_POINTS))
+@pytest.mark.parametrize("eps, message", [
+    ((), "eps schedule is empty"),
+    ((0.125, 0.0625, -0.03125), "eps values must be positive"),
+    ((0.0625, 0.125), "eps schedule must be strictly decreasing"),
+], ids=["empty", "non-positive", "not-decreasing"])
+def test_scans_share_the_eps_rule(entry, eps, message, monkeypatch):
+    # the schedule is rejected before any row is built
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(experiments, "_make_row", no_rows)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _EPS_ENTRY_POINTS[entry](eps)
 
 
 def test_graded_points_shape():
@@ -95,14 +121,6 @@ def test_scan_rows_sorted_and_sane():
         assert 0.0 <= r.cos <= 1.0
         assert r.hs_lower <= r.mi <= r.hs_upper
         assert r.rank_a > 0 and r.rank_b > 0
-
-
-def test_scan_thread_determinism():
-    cfg = ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=EPS4, grid_n=16)
-    serial = local_independence_scan(cfg, threads=None)
-    pooled = local_independence_scan(cfg, threads=4)
-    for a, b in zip(serial.rows, pooled.rows):
-        assert a == b
 
 
 def test_scan_stationarity_and_scaling():

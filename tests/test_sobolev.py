@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from fbmlocal import acceptance, sobolev
+from fbmlocal.experiments import ExponentFit
 from fbmlocal.sobolev import (
     TestFunction,
     _hat_gram_row,
@@ -16,13 +17,10 @@ from fbmlocal.sobolev import (
     fbm_pairing_spectral,
     fbm_pairing_time,
     indicator_sq_norm,
-    lemma22_decay_exponent,
     lemma22_dual_norm,
-    lemma22_truncation_shift,
     pairing_identity_check,
     r_h_constant,
     r_h_spectral,
-    riesz_fourier_constant,
     sobolev_inner,
     sobolev_norm,
 )
@@ -156,18 +154,6 @@ def test_r_h_spectral_values():
         assert r_h_spectral(h) > 0.0
 
 
-def test_riesz_constant():
-    assert riesz_fourier_constant(1, 0.5) == pytest.approx(1.0, rel=1e-14)
-    assert riesz_fourier_constant(2, 1.0) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        riesz_fourier_constant(1, 1.0)
-    with pytest.raises(ValueError):
-        riesz_fourier_constant(2, -0.5)
-    # diverges toward alpha -> n^- (Gamma((n-alpha)/2) pole)
-    grid = [riesz_fourier_constant(1, a) for a in (0.9, 0.95, 0.99)]
-    assert grid[0] < grid[1] < grid[2]
-
-
 def test_pairing_brownian_disjoint():
     phi = TestFunction.hat(0.0, 0.5)
     psi = TestFunction.hat(3.0, 0.5)
@@ -219,12 +205,15 @@ def test_lemma22_gate_values():
 
 def test_sobolev_scaling_builds_each_dual_norm_once(monkeypatch):
     # 2 protocols x 5 k at T and at 2T; the base norms serve both the fit
-    # and the shift, which must equal the public helpers' numbers
+    # and the shift, which must equal the ones computed from the stand-in
     calls = []
+
+    def value(alpha, s, k, truncation_t, n):
+        return k ** (0.5 + s - alpha) * (1.0 + math.sqrt(k) / truncation_t)
 
     def fake(alpha, s, k, truncation_t=64.0, n=128):
         calls.append((alpha, s, k, truncation_t, n))
-        return k ** (0.5 + s - alpha) * (1.0 + math.sqrt(k) / truncation_t)
+        return value(alpha, s, k, truncation_t, n)
 
     monkeypatch.setattr(sobolev, "lemma22_dual_norm", fake)
     monkeypatch.setattr(acceptance, "lemma22_dual_norm", fake)
@@ -233,9 +222,11 @@ def test_sobolev_scaling_builds_each_dual_norm_once(monkeypatch):
     ks = (2.0, 4.0, 8.0, 16.0, 32.0)
     gaps, shifts = [], []
     for alpha, s, t, n in ((2.0, 0.25, 128.0, 256), (1.5, -0.25, 64.0, 512)):
-        fit = lemma22_decay_exponent(alpha, s, ks, truncation_t=t, n=n)
+        base = [value(alpha, s, k, t, n) for k in ks]
+        doubled = [value(alpha, s, k, 2.0 * t, 2 * n) for k in ks]
+        fit = ExponentFit.least_squares(ks, base, theory=0.5 + s - alpha)
         gaps.append(fit.slope - fit.theory_slope)
-        shifts.append(max(lemma22_truncation_shift(alpha, s, k, t, n) for k in ks))
+        shifts.append(max(abs(v2 - v1) / v1 for v1, v2 in zip(base, doubled)))
     assert f"decay gaps {gaps[0]:+.4f}, {gaps[1]:+.4f} " in detail
     assert f"2T shift worst {shifts[0]:.2%}, {shifts[1]:.2%} " in detail
 
