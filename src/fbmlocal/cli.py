@@ -59,6 +59,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # argparse hands a subcommand's unknown flags up to the top-level
+    # parser, whose usage does not name them; reject them where they occur
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def parse_eps(text: str) -> tuple:
     """Comma list '0.125,0.0625' or geometric 'start:stop:factor'."""

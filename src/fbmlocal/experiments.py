@@ -795,6 +795,8 @@ def complement_window_scan(
         raise ValueError("windows must stay strictly inside (t1, t2)")
     if truncation_t <= (t2 - t1):
         raise ValueError("truncation_t must exceed the inner interval length")
+    if grid_n < 4:
+        raise ValueError("grid_n must be at least 4")
 
     table = _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol)
     table2 = _complement_table(h, t1, t, t2, eps, 2.0 * truncation_t, grid_n, rtol)

@@ -9,10 +9,11 @@ exp(-i x xi) f(x) dx and |s| < 1/2.  Test functions are piecewise linear
 with compact support, so their transforms are closed-form combinations
 of complex exponentials and the time-domain FBM pairing is exact.
 
-Quadrature is split at |xi| = 1: the head handles the integrable
-|xi|^(2s) singularity (by substitution when s < 0), the midrange uses
-oscillatory-weight quadrature per phase difference, and the far tail is
-bounded analytically through the O(xi^-2) decay of hat transforms.
+Quadrature is split at |xi| = 1: the head is one Gauss-Jacobi rule whose
+weight is the integrable |xi|^(2s) factor, checked against the rule with
+twice the nodes; the midrange uses oscillatory-weight quadrature per
+phase difference, and the far tail is bounded analytically through the
+O(xi^-2) decay of hat transforms.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 __all__ = [
     "SMOOTH_GUARD",
     "TailNotConvergedError",
+    "HeadNotConvergedError",
     "check_smoothness",
     "TestFunction",
     "sobolev_inner",
@@ -45,6 +48,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 class TailNotConvergedError(RuntimeError):
     """The analytic tail bound cannot be pushed below the requested level."""
+
+
+class HeadNotConvergedError(RuntimeError):
+    """The Gauss-Jacobi head rule of sobolev_inner disagrees with its doubling."""
 
 
 def check_smoothness(s: float) -> float:
@@ -191,12 +198,8 @@ def _hat_shape(xi: np.ndarray, hl: float, hr: float) -> np.ndarray:
 
 
 def _cross_spectrum(phi: TestFunction, psi: TestFunction):
-    """Real part of phihat * conj(psihat) as a callable, plus its cosine-sum
-    form sum_g W_g cos(delta_g xi) / (2 pi xi^4) grouped by phase."""
-
-    def pointwise(xi):
-        return np.real(phi.fourier(xi) * np.conj(psi.fourier(xi)))
-
+    """Cosine-sum form of Re(phihat * conj(psihat)),
+    sum_g W_g cos(delta_g xi) / (2 pi xi^4), grouped by phase."""
     wp = phi.slope_jumps()
     vq = psi.slope_jumps()
     amp = np.outer(wp, vq).ravel()
@@ -206,25 +209,52 @@ def _cross_spectrum(phi: TestFunction, psi: TestFunction):
         groups[d] = groups.get(d, 0.0) + a
     groups = {d: w for d, w in groups.items() if w != 0.0}
     abs_sum = float(np.sum(np.abs(amp)))
-    return pointwise, groups, abs_sum
+    return groups, abs_sum
+
+
+def _head_nodes(phi: TestFunction, psi: TestFunction) -> int:
+    """Node count of the head rule: the integrand's phases are the node
+    differences, so its frequency is at most the joint support span."""
+    span = max(phi.nodes[-1], psi.nodes[-1]) - min(phi.nodes[0], psi.nodes[0])
+    return 32 + math.ceil(span)
+
+
+def _head(phi: TestFunction, psi: TestFunction, s: float, m: int) -> float:
+    """Integral over [0, 1] of Re(phihat * conj(psihat)) xi^(2s).
+
+    The m-node Gauss-Jacobi rule for the weight xi^(2s) absorbs the
+    endpoint singularity, so the integrand left to the rule is entire.
+    The 2m-node rule (one transform call per function covers both node
+    sets) is its error estimate: if the two differ by more than 1e-8 of
+    the sum of |weight * integrand|, the m-node value is not trusted and
+    the call raises.  The m-node value is returned, the one the estimate
+    is for; scipy's Jacobi nodes also lose digits as m grows.
+    """
+    x_m, w_m = roots_jacobi(m, 0.0, 2.0 * s)
+    x_2m, w_2m = roots_jacobi(2 * m, 0.0, 2.0 * s)
+    # xi = (1 + x) / 2 maps the rules' [-1, 1] onto [0, 1]: xi^(2s) dxi = 2^(-1-2s) (1 + x)^(2s) dx
+    xi = 0.5 * (1.0 + np.concatenate([x_m, x_2m]))
+    f = np.real(phi.fourier(xi) * np.conj(psi.fourier(xi))) * 2.0 ** (-1.0 - 2.0 * s)
+    head = float(w_m @ f[:m])
+    terms = w_2m * f[m:]
+    gap = abs(head - float(np.sum(terms)))
+    if gap > 1e-8 * float(np.sum(np.abs(terms))):
+        raise HeadNotConvergedError(f"{m}- and {2 * m}-node head rules differ by {gap:.3e} (head {head:.6e})")
+    return head
 
 
 def sobolev_inner(phi: TestFunction, psi: TestFunction, s: float, tail_rel: float = 1e-8) -> float:
     """Homogeneous Sobolev inner product of order s, |s| < 1/2.
 
-    Head on [0,1] by adaptive quadrature (substitution xi = eta^(1/(1+2s))
-    soaks up the singularity when s < 0); midrange [1, Xi] by
-    cosine-weighted quadrature per phase group; |xi| > Xi bounded by the
-    analytic envelope and required to stay below tail_rel of the head.
+    Head on [0,1] by the Gauss-Jacobi rule for the weight xi^(2s), with
+    32 + ceil(support span) nodes checked against twice that many;
+    midrange [1, Xi] by cosine-weighted quadrature per phase group;
+    |xi| > Xi bounded by the analytic envelope and required to stay
+    below tail_rel of the head.
     """
     s = check_smoothness(s)
-    pointwise, groups, abs_sum = _cross_spectrum(phi, psi)
-
-    if s >= 0.0:
-        head, _ = quad(lambda x: pointwise(x)[0] * x**(2.0 * s), 0.0, 1.0, limit=200)
-    else:
-        beta = 1.0 / (1.0 + 2.0 * s)
-        head, _ = quad(lambda e: pointwise(e**beta)[0] / (1.0 + 2.0 * s), 0.0, 1.0, limit=200)
+    groups, abs_sum = _cross_spectrum(phi, psi)
+    head = _head(phi, psi, s, _head_nodes(phi, psi))
 
     # analytic tail envelope: |integrand| <= abs_sum * xi^(2s-4) / (2 pi)
     scale = max(abs(head), abs_sum * 1e-16)

@@ -75,6 +75,14 @@ def test_validation_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_complement_rejects_grid_below_4(n, capsys):
+    assert main(["complement", "--H", "0.75", "--n", n]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "grid_n must be at least 4" in err
+
+
 def test_scan_csv_stdout(capsys):
     code = main(["scan", "--H", "0.75", "--t1", "0", "--t2", "1",
                  "--eps", "0.125,0.0625,0.03125,0.015625,0.0078125", "--n", "16"])
@@ -280,7 +288,10 @@ def test_flag_a_command_does_not_read_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    # the usage line is the subcommand's, which lists the flags it does read
+    assert err.startswith(f"usage: fbmlocal {argv[0]} ")
 
 
 def _load_bench_workloads():

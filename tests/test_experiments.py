@@ -283,6 +283,9 @@ def test_complement_window_guards():
         complement_window_scan(0.7, t=0.1, eps=(0.125,))
     with pytest.raises(ValueError, match="truncation_t"):
         complement_window_scan(0.7, t1=0.0, t=1.0, t2=2.0, truncation_t=2.0)
+    for grid_n in (1, 3):
+        with pytest.raises(ValueError, match="grid_n must be at least 4"):
+            complement_window_scan(0.75, grid_n=grid_n)
 
 
 def test_csv_round_trip():

@@ -9,7 +9,10 @@ from scipy.integrate import quad
 from fbmlocal import acceptance, sobolev
 from fbmlocal.experiments import ExponentFit
 from fbmlocal.sobolev import (
+    HeadNotConvergedError,
     TestFunction,
+    _head,
+    _head_nodes,
     _hat_gram_row,
     _hat_pairings,
     a_h_constant,
@@ -117,6 +120,47 @@ def test_dilation_law_quick():
         base = sobolev_norm(phi, s) ** 2
         got = sobolev_norm(phi.dilated(4.0), s) ** 2
         assert got == pytest.approx(4.0 ** (2 * s - 1.0) * base, rel=1e-6)
+
+
+def _head_reference(phi, psi, s):
+    # tight adaptive quadrature; xi = eta^(1/(1+2s)) soaks up the xi^(2s) singularity
+    beta = 1.0 / (1.0 + 2.0 * s)
+
+    def integrand(eta):
+        xi = eta**beta
+        return float(np.real(phi.fourier(xi) * np.conj(psi.fourier(xi)))[0]) / (1.0 + 2.0 * s)
+
+    return quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+
+
+def _gauss_jacobi_head(phi, psi, s):
+    # the head exactly as sobolev_inner computes it; raises if the guard trips
+    return _head(phi, psi, s, _head_nodes(phi, psi))
+
+
+@pytest.mark.parametrize("span", [2.0, 20.0, 100.0])
+@pytest.mark.parametrize("s", [-0.49, -0.45, -0.25, 0.0, 0.25, 0.45])
+def test_head_rule_matches_tight_quadrature(s, span):
+    phi = TestFunction.from_samples([0.0, 0.3, 0.7, 1.0], [1.0, -0.4])
+    psi = TestFunction.hat(span - 0.5, 0.5)  # joint support [0, span]
+    assert _gauss_jacobi_head(phi, psi, s) == pytest.approx(_head_reference(phi, psi, s), rel=1e-8, abs=0.0)
+
+
+def test_head_rule_on_pairing_suite():
+    # the 40 heads behind the pairing-identity gate
+    for phi, psi in acceptance._pairing_suite():
+        for h in (0.25, 0.4, 0.6, 0.75):
+            s = 0.5 - h
+            assert _gauss_jacobi_head(phi, psi, s) == pytest.approx(_head_reference(phi, psi, s), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [-0.45, 0.0, 0.45])
+def test_head_guard_rejects_unresolved_rule(s):
+    # 3 nodes cannot resolve phases up to 20: the 3- and 6-node rules disagree
+    phi = TestFunction.from_samples([0.0, 0.3, 0.7, 1.0], [1.0, -0.4])
+    psi = TestFunction.hat(19.5, 0.5)
+    with pytest.raises(HeadNotConvergedError, match="3- and 6-node head rules differ"):
+        _head(phi, psi, s, 3)
 
 
 def test_a_h_values():
