@@ -21,7 +21,7 @@ from fbmlocal.experiments import (
     DEFAULT_GRID_N,
     DEFAULT_TRUNCATION,
     ScanConfig,
-    _fmt_csv,
+    _csv_text,
     _json_val,
     _window_basis,
     adjacency_divergence,
@@ -183,11 +183,7 @@ def _emit(params: dict, payload: dict, csv, summary: str) -> None:
         text = csv
     else:
         columns = csv or {k: (v,) for k, v in payload.items()}
-        lines = [f"# {k} = {v}" for k, v in cfg.items()]
-        lines.append(f"# summary = {summary}")
-        lines.append(",".join(columns))
-        lines.extend(",".join(map(_fmt_csv, row)) for row in zip(*columns.values()))
-        text = "\n".join(lines) + "\n"
+        text = _csv_text({**cfg, "summary": summary}, columns, zip(*columns.values()))
     if params["out"]:
         with open(params["out"], "w", newline="") as fh:
             fh.write(text)

@@ -35,8 +35,6 @@ from fbmlocal.kernels import (
     cross_gram,
     gram,
     increment_autocov,
-    levy_increment_cross_gram,
-    levy_increment_gram,
 )
 from fbmlocal.sobolev import r_h_constant, r_h_spectral
 
@@ -79,6 +77,9 @@ DEFAULT_TRUNCATION = 64.0
 # Windows use grid_n points, so grid_n - 1 increments; a row is dropped
 # when whitening keeps fewer than grid_n/2 of them.
 _MIN_RANK_FRACTION = 0.5
+
+# adjacency_divergence reruns its MI table at this fraction of eps
+_ALT_EPS_FACTOR = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +632,6 @@ def adjacency_divergence(
     eps: float = 1.0,
     n_schedule: tuple = (4, 8, 16, 32, 64, 128, 256),
     rtol: float = 1e-10,
-    alt_eps_factor: float = 0.25,
 ) -> AdjacencyReport:
     """Divergence proxy for adjacent intervals.
 
@@ -645,7 +645,7 @@ def adjacency_divergence(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n schedule must be strictly increasing")
     mi = adjacency_mi_table(h, eps, ns, rtol)
-    alt = alt_eps_factor * eps
+    alt = _ALT_EPS_FACTOR * eps
     mi_alt = adjacency_mi_table(h, alt, ns, rtol)
     increasing = all(b > a for a, b in zip(mi, mi[1:]))
     growth = min(b / a - 1.0 for a, b in zip(mi, mi[1:])) if len(mi) > 1 else math.nan
@@ -863,13 +863,10 @@ def levy2d_scan(
     for e in eps:
         pa = _ball_lattice(c1, e, grid_per_axis)
         pb = _ball_lattice(c2, e, grid_per_axis)
-        la = np.tile(c1, (pa.shape[0], 1))
-        lb = np.tile(c2, (pb.shape[0], 1))
-        ga = levy_increment_gram(la, pa, h)
-        gb = levy_increment_gram(lb, pb, h)
-        c = levy_increment_cross_gram(la, pa, lb, pb, h)
-        min_rank = min(pa.shape[0], pb.shape[0]) * _MIN_RANK_FRACTION
-        rows.append(_make_row(e, ga, gb, c, rtol, min_rank))
+        a = IncrementBasis(s=np.tile(c1, (len(pa), 1)), t=pa)
+        b = IncrementBasis(s=np.tile(c2, (len(pb), 1)), t=pb)
+        min_rank = min(len(a), len(b)) * _MIN_RANK_FRACTION
+        rows.append(_make_row(e, gram(a, h), gram(b, h), cross_gram(a, b, h), rtol, min_rank))
     meta = {
         "experiment": "levy2d",
         "H": h,
@@ -931,16 +928,18 @@ def _row_values(row: ScanRow) -> tuple:
     )
 
 
-def scan_csv_text(table: ScanTable, extra_meta: dict | None = None) -> str:
+def _csv_text(meta: dict, columns, rows) -> str:
     """CSV rows with '#'-prefixed parameter header, LF endings, '.' decimals."""
-    meta = dict(table.meta)
-    if extra_meta:
-        meta.update(extra_meta)
     lines = [f"# {k} = {v}" for k, v in meta.items()]
-    lines.append(",".join(_SCAN_COLUMNS))
-    for row in table.rows:
-        lines.append(",".join(_fmt_csv(v) for v in _row_values(row)))
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(_fmt_csv, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def scan_csv_text(table: ScanTable, extra_meta: dict | None = None) -> str:
+    """A scan table as CSV under its parameter header, extra_meta appended."""
+    meta = {**table.meta, **(extra_meta or {})}
+    return _csv_text(meta, _SCAN_COLUMNS, map(_row_values, table.rows))
 
 
 def _json_val(x):

@@ -215,7 +215,7 @@ def lag1_increment_correlation(paths: SamplePaths):
     return float(r.mean()), float(se)
 
 
-def empirical_mi_check(paths: SamplePaths, split: int, h: float | None = None):
+def empirical_mi_check(paths: SamplePaths, split: int):
     """Plug-in Gaussian MI across a split, against the analytic value.
 
     The sample covariance uses the known zero mean (divide by m); the
@@ -226,14 +226,12 @@ def empirical_mi_check(paths: SamplePaths, split: int, h: float | None = None):
         raise ValueError("split must leave both sides nonempty")
     if paths.m <= paths.n:
         raise ValueError("singular sample covariance: need m > n")
-    if h is None:
-        h = paths.h
     x = paths.data
     s = x.T @ x / paths.m
     emp = mutual_information_det(s[:split, :split], s[split:, split:], s[:split, split:])
 
     basis = IncrementBasis.from_grid(TimeGrid(0.0, paths.n * paths.dt, paths.n + 1))
-    g = gram(basis, h)
+    g = gram(basis, paths.h)
     ana = mutual_information_det(g[:split, :split], g[split:, split:], g[:split, split:])
     return float(emp), float(ana), float(abs(emp - ana))
 

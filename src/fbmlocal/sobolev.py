@@ -25,6 +25,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
+from fbmlocal.kernels import _second_difference, check_hurst
+
 __all__ = [
     "SMOOTH_GUARD",
     "TailNotConvergedError",
@@ -43,6 +45,8 @@ __all__ = [
 ]
 
 SMOOTH_GUARD = 1e-9
+# the dropped far tail of sobolev_inner stays below this fraction of the head
+_TAIL_REL = 1e-8
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -243,14 +247,14 @@ def _head(phi: TestFunction, psi: TestFunction, s: float, m: int) -> float:
     return head
 
 
-def sobolev_inner(phi: TestFunction, psi: TestFunction, s: float, tail_rel: float = 1e-8) -> float:
+def sobolev_inner(phi: TestFunction, psi: TestFunction, s: float) -> float:
     """Homogeneous Sobolev inner product of order s, |s| < 1/2.
 
     Head on [0,1] by the Gauss-Jacobi rule for the weight xi^(2s), with
     32 + ceil(support span) nodes checked against twice that many;
     midrange [1, Xi] by cosine-weighted quadrature per phase group;
     |xi| > Xi bounded by the analytic envelope and required to stay
-    below tail_rel of the head.
+    below _TAIL_REL of the head.
     """
     s = check_smoothness(s)
     groups, abs_sum = _cross_spectrum(phi, psi)
@@ -259,11 +263,11 @@ def sobolev_inner(phi: TestFunction, psi: TestFunction, s: float, tail_rel: floa
     # analytic tail envelope: |integrand| <= abs_sum * xi^(2s-4) / (2 pi)
     scale = max(abs(head), abs_sum * 1e-16)
     power = 3.0 - 2.0 * s
-    xi_cut = (abs_sum / (math.pi * power * tail_rel * scale)) ** (1.0 / power)
+    xi_cut = (abs_sum / (math.pi * power * _TAIL_REL * scale)) ** (1.0 / power)
     xi_cut = max(xi_cut, 10.0)
     if xi_cut > 1e9:
         raise TailNotConvergedError(
-            f"tail bound needs cutoff {xi_cut:.3e} to reach {tail_rel} of the head"
+            f"tail bound needs cutoff {xi_cut:.3e} to reach {_TAIL_REL} of the head"
         )
 
     mid = 0.0
@@ -317,8 +321,7 @@ def indicator_sq_norm(s: float) -> float:
 
 def a_h_constant(h: float) -> float:
     """sin(pi H) Gamma(1 + 2H); the increment-space isometry constant."""
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
+    h = check_hurst(h)
     return math.sin(math.pi * h) * math.gamma(1.0 + 2.0 * h)
 
 
@@ -336,8 +339,7 @@ def r_h_constant(h: float) -> float:
 
         r_H = |2H-1| 2^(1-2H) Gamma(3/2-H) / (Gamma(3-2H) Gamma(H+1/2)).
     """
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
+    h = check_hurst(h)
     return (
         abs(2.0 * h - 1.0) * 2.0 ** (1.0 - 2.0 * h) * math.gamma(1.5 - h)
         / (math.gamma(3.0 - 2.0 * h) * math.gamma(h + 0.5))
@@ -354,8 +356,7 @@ def r_h_spectral(h: float) -> float:
     combinations on (0, 1), and it omits the isometry factor 1/a_H and the
     window-length factor 2^(2-2H) of the half-width convention.
     """
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
+    h = check_hurst(h)
     if h == 0.5:
         return 0.0
     return h * abs(2.0 * h - 1.0) * indicator_sq_norm(h - 0.5)
@@ -365,30 +366,21 @@ def r_h_spectral(h: float) -> float:
 # FBM pairing: exact time-domain route vs spectral route
 
 
-def _f3(x: np.ndarray, two_h: float) -> np.ndarray:
-    # double antiderivative of |x|^(2H)
-    return np.abs(x) ** (two_h + 2.0) / ((two_h + 1.0) * (two_h + 2.0))
-
-
 def fbm_pairing_time(phi1: TestFunction, phi2: TestFunction, h: float) -> float:
     """E of the product of the two X-integrals, by exact rectangle integrals.
 
     The pairing integrates 0.5(|u|^2H + |v|^2H - |u-v|^2H) against
     phi1'(u) phi2'(v); the single-variable pieces drop because each phi'
-    integrates to zero, and the |u-v| piece has a closed double
-    antiderivative, so no quadrature is involved.
+    integrates to zero, and the |u-v| piece has the closed double
+    antiderivative |x|^(2H+2) / ((2H+1)(2H+2)), so each pair of slope
+    intervals contributes the kernels' second difference at power 2H+2
+    and no quadrature is involved.
     """
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"Hurst index must lie in (0, 1), got {h}")
+    h = check_hurst(h)
     two_h = 2.0 * h
-    s1 = phi1.slopes()
-    s2 = phi2.slopes()
-    a = phi1.nodes[:-1][:, None]
-    b = phi1.nodes[1:][:, None]
-    c = phi2.nodes[:-1][None, :]
-    d = phi2.nodes[1:][None, :]
-    rect = _f3(b - c, two_h) + _f3(a - d, two_h) - _f3(b - d, two_h) - _f3(a - c, two_h)
-    return -0.5 * float(s1 @ rect @ s2)
+    p1, p2 = phi1.nodes, phi2.nodes
+    rect = _second_difference(p1[:-1], p1[1:], p2[:-1], p2[1:], two_h + 2.0)
+    return -float(phi1.slopes() @ rect @ phi2.slopes()) / ((two_h + 1.0) * (two_h + 2.0))
 
 
 def fbm_pairing_spectral(phi1: TestFunction, phi2: TestFunction, h: float) -> float:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from fbmlocal.kernels import (
@@ -14,10 +16,6 @@ from fbmlocal.kernels import (
     disjoint_kernel,
     fbm_cov,
     gram,
-    increment_cov,
-    levy_fbm_cov,
-    levy_increment_cross_gram,
-    levy_increment_gram,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -84,18 +82,25 @@ def test_fbm_cov_self_similarity():
         assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
 
 
+def _cross_1x1(p, q, h):
+    # E[(X_{p1} - X_{p0}) (X_{q1} - X_{q0})] as a 1x1 cross-Gram
+    g = cross_gram(IncrementBasis(s=[p[0]], t=[p[1]]), IncrementBasis(s=[q[0]], t=[q[1]]), h)
+    assert g.shape == (1, 1)
+    return float(g[0, 0])
+
+
 def test_increment_cov_unit_increment():
     for h in (0.2, 0.5, 0.8):
-        assert increment_cov((0.0, 1.0), (0.0, 1.0), h) == pytest.approx(1.0, abs=1e-14)
+        assert _cross_1x1((0.0, 1.0), (0.0, 1.0), h) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_increment_cov_brownian_adjacent_zero():
-    assert increment_cov((0.0, 1.0), (1.0, 2.0), 0.5) == pytest.approx(0.0, abs=1e-14)
+    assert _cross_1x1((0.0, 1.0), (1.0, 2.0), 0.5) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_increment_cov_adjacent_hand_value():
     # 0.5 * (2^{3/2} + 0 - 1 - 1) = sqrt(2) - 1
-    assert increment_cov((0.0, 1.0), (1.0, 2.0), 0.75) == pytest.approx(SQRT2 - 1.0, abs=1e-14)
+    assert _cross_1x1((0.0, 1.0), (1.0, 2.0), 0.75) == pytest.approx(SQRT2 - 1.0, abs=1e-14)
 
 
 def test_increment_cov_swap_symmetry():
@@ -106,7 +111,7 @@ def test_increment_cov_swap_symmetry():
         if p[0] == p[1] or q[0] == q[1]:
             continue
         h = rng.uniform(0.05, 0.95)
-        assert increment_cov(p, q, h) == pytest.approx(increment_cov(q, p, h), rel=1e-13, abs=1e-13)
+        assert _cross_1x1(p, q, h) == pytest.approx(_cross_1x1(q, p, h), rel=1e-13, abs=1e-13)
 
 
 def test_increment_cov_translation_invariance():
@@ -118,8 +123,8 @@ def test_increment_cov_translation_invariance():
             continue
         c = rng.uniform(-50.0, 50.0)
         h = rng.uniform(0.05, 0.95)
-        base = increment_cov(p, q, h)
-        moved = increment_cov((p[0] + c, p[1] + c), (q[0] + c, q[1] + c), h)
+        base = _cross_1x1(p, q, h)
+        moved = _cross_1x1((p[0] + c, p[1] + c), (q[0] + c, q[1] + c), h)
         assert moved == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
@@ -143,7 +148,7 @@ def test_increment_cov_matches_kernel_double_integral():
     for h in (0.3, 0.75):
         p, q = (0.0, 1.0), (2.0, 3.5)
         val, err = dblquad(lambda v, u: disjoint_kernel(u, v, h), p[0], p[1], q[0], q[1])
-        assert increment_cov(p, q, h) == pytest.approx(val, rel=1e-6)
+        assert _cross_1x1(p, q, h) == pytest.approx(val, rel=1e-6)
 
 
 def test_gram_brownian_half_grid():
@@ -193,14 +198,14 @@ def test_cross_gram_cases():
 
 
 def test_levy_cov_values():
-    assert levy_fbm_cov((1.0, 0.0), (1.0, 0.0), 0.3) == pytest.approx(1.0, abs=1e-14)
-    assert levy_fbm_cov((1.0, 0.0), (0.0, 1.0), 0.5) == pytest.approx(0.5 * (2.0 - SQRT2), abs=1e-14)
-    assert levy_fbm_cov((0.0, 0.0), (0.7, -0.2), 0.8) == 0.0
+    assert fbm_cov((1.0, 0.0), (1.0, 0.0), 0.3) == pytest.approx(1.0, abs=1e-14)
+    assert fbm_cov((1.0, 0.0), (0.0, 1.0), 0.5) == pytest.approx(0.5 * (2.0 - SQRT2), abs=1e-14)
+    assert fbm_cov((0.0, 0.0), (0.7, -0.2), 0.8) == 0.0
 
 
 def test_levy_cov_dimension_mismatch():
     with pytest.raises(ValueError):
-        levy_fbm_cov((1.0, 0.0), (1.0, 0.0, 0.0), 0.5)
+        fbm_cov((1.0, 0.0), (1.0, 0.0, 0.0), 0.5)
 
 
 def test_levy_cov_reduces_to_1d():
@@ -208,7 +213,7 @@ def test_levy_cov_reduces_to_1d():
     for _ in range(50):
         u, v = rng.uniform(-3.0, 3.0, size=2)
         h = rng.uniform(0.05, 0.95)
-        assert levy_fbm_cov((u,), (v,), h) == pytest.approx(fbm_cov(u, v, h), rel=1e-14, abs=1e-14)
+        assert fbm_cov((u,), (v,), h) == pytest.approx(fbm_cov(u, v, h), rel=1e-14, abs=1e-14)
 
 
 def test_levy_increment_grams_match_bilinear_expansion():
@@ -219,25 +224,117 @@ def test_levy_increment_grams_match_bilinear_expansion():
     center2 = np.array([2.0, 1.0])
     pts2 = rng.uniform(-1.0, 1.0, size=(4, 2)) + center2
     h = 0.65
-    left = np.tile(center, (len(pts), 1))
-    left2 = np.tile(center2, (len(pts2), 1))
-    g = levy_increment_gram(left, pts, h)
-    c = levy_increment_cross_gram(left, pts, left2, pts2, h)
+    a = IncrementBasis(s=np.tile(center, (len(pts), 1)), t=pts)
+    b = IncrementBasis(s=np.tile(center2, (len(pts2), 1)), t=pts2)
+    g = gram(a, h)
+    c = cross_gram(a, b, h)
     for i in range(len(pts)):
         for j in range(len(pts)):
             expect = (
-                levy_fbm_cov(pts[i], pts[j], h)
-                - levy_fbm_cov(pts[i], center, h)
-                - levy_fbm_cov(center, pts[j], h)
-                + levy_fbm_cov(center, center, h)
+                fbm_cov(pts[i], pts[j], h)
+                - fbm_cov(pts[i], center, h)
+                - fbm_cov(center, pts[j], h)
+                + fbm_cov(center, center, h)
             )
             assert g[i, j] == pytest.approx(expect, rel=1e-12, abs=1e-12)
     for i in range(len(pts)):
         for j in range(len(pts2)):
             expect = (
-                levy_fbm_cov(pts[i], pts2[j], h)
-                - levy_fbm_cov(pts[i], center2, h)
-                - levy_fbm_cov(center, pts2[j], h)
-                + levy_fbm_cov(center, center2, h)
+                fbm_cov(pts[i], pts2[j], h)
+                - fbm_cov(pts[i], center2, h)
+                - fbm_cov(center, pts2[j], h)
+                + fbm_cov(center, center2, h)
             )
             assert c[i, j] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# properties of the one second-difference kernel behind gram and cross_gram
+
+_HURST = st.floats(0.05, 0.95)
+
+
+@st.composite
+def _bases(draw, dim):
+    """An IncrementBasis of 1..6 increments: times (dim 0) or planar points
+    (dim 2) in [-4, 4]^dim, each increment of length in [0.1, 2].
+
+    Endpoints lie on the 1/64 lattice, so two of them coincide or sit at
+    least 1/64 apart: |x|^{2H} is ill-conditioned near 0 at small H, and
+    for nearer distinct endpoints the rounding of a shift would dominate.
+    """
+    m = draw(st.integers(1, 6))
+    coord = st.integers(-256, 256)
+    step = st.integers(-128, 128)
+    if dim == 0:
+        s = np.array(draw(st.lists(coord, min_size=m, max_size=m)), dtype=float)
+        d = np.array(draw(st.lists(step.filter(lambda k: abs(k) >= 7), min_size=m, max_size=m)), dtype=float)
+    else:
+        s = np.array(draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m)), dtype=float)
+        d = np.array(
+            draw(st.lists(st.tuples(step, step).filter(lambda v: 7**2 <= v[0] ** 2 + v[1] ** 2 <= 128**2),
+                          min_size=m, max_size=m)),
+            dtype=float,
+        )
+    return IncrementBasis(s=s / 64.0, t=(s + d) / 64.0)
+
+
+def _moved(basis, shift, scale):
+    return IncrementBasis(s=scale * (basis.s + shift), t=scale * (basis.t + shift))
+
+
+def _term_scale(a, b, h, scale):
+    # a bound on the largest |.|^{2H} in the four-term sums once the bases
+    # are scaled; the second difference cancels those terms, so its
+    # rounding error is a few ulps of this bound, not of the entry
+    span = np.ptp(np.concatenate([a.s, a.t, b.s, b.t]), axis=0).sum() * max(scale, 1.0)
+    return max(span, 1.0) ** (2.0 * h)
+
+
+# two bases of one dimension: both of times or both of planar points
+_PAIRS = st.sampled_from((0, 2)).flatmap(lambda dim: st.tuples(_bases(dim), _bases(dim)))
+_PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@_PROPERTY
+@given(_bases(0), _bases(0), _HURST)
+def test_times_and_one_dimensional_points_agree(a, b, h):
+    a1, b1 = (IncrementBasis(s=x.s[:, None], t=x.t[:, None]) for x in (a, b))
+    for times, points in ((gram(a, h), gram(a1, h)), (cross_gram(a, b, h), cross_gram(a1, b1, h))):
+        assert np.max(np.abs(times - points)) <= 1e-15 * np.max(np.abs(times))
+
+
+@_PROPERTY
+@given(_PAIRS, _HURST)
+def test_cross_gram_swap_is_transpose(bases, h):
+    a, b = bases
+    assert np.array_equal(cross_gram(a, b, h), cross_gram(b, a, h).T)
+
+
+@_PROPERTY
+@given(_PAIRS, _HURST, st.floats(-10.0, 10.0), st.floats(0.1, 10.0))
+def test_gram_shift_invariance_and_self_similarity(bases, h, shift, scale):
+    a, b = bases
+    tol = 1e-12 * _term_scale(a, b, h, scale)
+    for build, args in ((gram, (a,)), (cross_gram, (a, b))):
+        base = build(*args, h)
+        shifted = build(*(_moved(x, shift, 1.0) for x in args), h)
+        scaled = build(*(_moved(x, shift, scale) for x in args), h)
+        assert np.max(np.abs(shifted - base)) <= tol
+        assert np.max(np.abs(scaled - scale ** (2.0 * h) * base)) <= tol
+
+
+def test_planar_basis_validation():
+    with pytest.raises(ValueError):
+        IncrementBasis(s=np.array([[0.0, 1.0], [2.0, 0.5]]), t=np.array([[0.0, 2.0], [2.0, 0.5]]))
+    with pytest.raises(ValueError):
+        IncrementBasis(s=np.zeros((2, 2)), t=np.ones((2, 3)))
+    planar = IncrementBasis(s=np.zeros((3, 2)), t=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    assert len(planar) == 3
+    times = IncrementBasis.from_grid(TimeGrid(2.0, 3.0, 4))
+    spatial = IncrementBasis(s=np.zeros((3, 3)), t=np.eye(3))
+    for other in (times, spatial):
+        with pytest.raises(ValueError):
+            cross_gram(planar, other, 0.7)
+        with pytest.raises(ValueError):
+            cross_gram(other, planar, 0.7)

@@ -173,6 +173,16 @@ def test_a_h_values():
         assert a_h_constant(h) > 0.0
 
 
+def test_constants_and_pairing_use_the_kernels_hurst_guard():
+    # 1e-10 and 1 - 1e-10 lie in (0, 1) but outside kernels.check_hurst
+    hat = TestFunction.hat(0.0, 1.0)
+    calls = (a_h_constant, r_h_constant, r_h_spectral, lambda h: fbm_pairing_time(hat, hat, h))
+    for call in calls:
+        for bad in (0.0, 1.0, 1e-10, 1.0 - 1e-10):
+            with pytest.raises(ValueError, match="Hurst index"):
+                call(bad)
+
+
 def test_indicator_norm_against_quadrature():
     # |chi_hat|^2 = (1 - cos xi) / (pi xi^2), integrated against |xi|^{2s};
     # beyond the cutoff the non-oscillatory 1/(pi xi^{2-2s}) piece still
