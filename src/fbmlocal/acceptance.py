@@ -18,7 +18,6 @@ from fbmlocal.kernels import TimeGrid, IncrementBasis, gram, cross_gram
 from fbmlocal.geometry import (
     CanonicalSpectrum,
     canonical_correlations,
-    cos_angle,
     mi_bounds_hs,
     mutual_information_det,
     mutual_information_gy,
@@ -33,7 +32,7 @@ from fbmlocal.sobolev import (
 from fbmlocal.experiments import (
     DEFAULT_EPS,
     ExponentFit,
-    ScanConfig,
+    _make_row,
     adjacency_divergence,
     levy2d_scan,
     local_independence_scan,
@@ -110,8 +109,7 @@ def check_past_window_rates():
 
 def check_brownian_exactness():
     """H=1/2 disjoint intervals: cos and MI vanish to 1e-10."""
-    cfg = ScanConfig(h=0.5, t1=0.0, t2=1.0, eps=DEFAULT_EPS)
-    table = local_independence_scan(cfg)
+    table = local_independence_scan(0.5, 0.0, 1.0, DEFAULT_EPS)
     worst_cos = max(r.cos for r in table.rows)
     worst_mi = max(r.mi for r in table.rows)
     rng = np.random.default_rng(414213)
@@ -120,10 +118,9 @@ def check_brownian_exactness():
         la, lb = rng.uniform(0.1, 3.0, size=2)
         a = IncrementBasis.from_points(np.sort(rng.uniform(-la, 0.0, size=6)) - gap / 2)
         b = IncrementBasis.from_points(np.sort(rng.uniform(0.0, lb, size=6)) + gap / 2)
-        spec = canonical_correlations(gram(a, 0.5), gram(b, 0.5), cross_gram(a, b, 0.5))
-        worst_cos = max(worst_cos, cos_angle(spec))
-        mi = mutual_information_gy(spec)
-        worst_mi = max(worst_mi, mi.value if mi.value is not None else math.inf)
+        row = _make_row(math.nan, a, b, 0.5, 1e-10)
+        worst_cos = max(worst_cos, row.cos)
+        worst_mi = max(worst_mi, math.inf if row.mi is None else row.mi)
     ok = worst_cos <= 1e-10 and worst_mi <= 1e-10
     return ok, f"worst cos {worst_cos:.2e}, worst MI {worst_mi:.2e} over scan + 25 random configs, tol 1e-10"
 
@@ -147,8 +144,7 @@ def check_mi_route_equivalence():
 
 def check_mi_bound_sandwich():
     """HS lower <= MI <= HS upper on scan rows and random spectra."""
-    cfg = ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=DEFAULT_EPS)
-    table = local_independence_scan(cfg)
+    table = local_independence_scan(0.7, 0.0, 1.0, DEFAULT_EPS)
     ok = True
     for r in table.rows:
         ok &= r.hs_lower <= r.mi <= r.hs_upper
@@ -262,13 +258,10 @@ def check_levy2d_rate():
 
 def check_invariance_suite():
     """Stationarity, self-similarity, and MI swap symmetry to 1e-10."""
-    base = ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=DEFAULT_EPS)
-    shift = ScanConfig(h=0.7, t1=math.pi, t2=math.pi + 1.0, eps=DEFAULT_EPS)
     lam = 3.0
-    scaled = ScanConfig(h=0.7, t1=0.0, t2=lam, eps=tuple(lam * e for e in DEFAULT_EPS))
-    rows_b = local_independence_scan(base).rows
-    rows_sh = local_independence_scan(shift).rows
-    rows_sc = local_independence_scan(scaled).rows
+    rows_b = local_independence_scan(0.7, 0.0, 1.0, DEFAULT_EPS).rows
+    rows_sh = local_independence_scan(0.7, math.pi, math.pi + 1.0, DEFAULT_EPS).rows
+    rows_sc = local_independence_scan(0.7, 0.0, lam, tuple(lam * e for e in DEFAULT_EPS)).rows
     worst = 0.0
     for rb, rs, rc in zip(rows_b, rows_sh, rows_sc):
         worst = max(worst, abs(rb.cos - rs.cos), abs(rb.mi - rs.mi))

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from fbmlocal.kernels import cross_gram, fbm_cov, gram
-from fbmlocal.geometry import canonical_correlations, cos_angle, mutual_information_gy
+from fbmlocal.kernels import fbm_cov
 from fbmlocal.sobolev import a_h_constant, r_h_constant
 from fbmlocal.experiments import (
     DEFAULT_EPS,
     DEFAULT_GRID_N,
     DEFAULT_TRUNCATION,
-    ScanConfig,
     _csv_text,
     _json_val,
+    _make_row,
     _window_basis,
     adjacency_divergence,
     complement_window_scan,
@@ -68,6 +68,14 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def finite_float(text: str) -> float:
+    """A float flag value; argparse names this function in its error."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def parse_eps(text: str) -> tuple:
     """Comma list '0.125,0.0625' or geometric 'start:stop:factor'."""
     text = text.strip()
@@ -75,7 +83,7 @@ def parse_eps(text: str) -> tuple:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("geometric eps spec must be start:stop:factor")
-        a, b, f = (float(p) for p in parts)
+        a, b, f = (finite_float(p) for p in parts)
         if a <= 0.0 or b <= 0.0 or not 0.0 < f < 1.0:
             raise ValueError("geometric eps spec needs start, stop > 0 and 0 < factor < 1")
         if b > a:
@@ -87,7 +95,7 @@ def parse_eps(text: str) -> tuple:
             if len(out) > 64:
                 raise ValueError("geometric eps spec expands to more than 64 values")
         return tuple(out)
-    vals = tuple(float(p) for p in text.split(",") if p.strip())
+    vals = tuple(finite_float(p) for p in text.split(",") if p.strip())
     if not vals:
         raise ValueError("empty eps list")
     return vals
@@ -122,16 +130,16 @@ def _truthy(text) -> bool:
 # every flag: the cast shared by argparse and the config file, and its help;
 # _truthy marks a switch
 _FLAGS = {
-    "H": (float, "Hurst index in (0, 1)"),
-    "t1": (float, None),
-    "t2": (float, None),
+    "H": (finite_float, "Hurst index in (0, 1)"),
+    "t1": (finite_float, None),
+    "t2": (finite_float, None),
     "eps": (parse_eps, "comma list '0.125,0.0625' or geometric 'start:stop:factor'"),
     "n": (int, "grid size (points per window / lattice per axis)"),
-    "T": (float, "truncation horizon"),
+    "T": (finite_float, "truncation horizon"),
     "seed": (int, None),
-    "rtol": (float, "pivoted-Cholesky relative tolerance"),
+    "rtol": (finite_float, "pivoted-Cholesky relative tolerance"),
     "m": (int, "number of paths"),
-    "dt": (float, "grid spacing (default T/n, else 1)"),
+    "dt": (finite_float, "grid spacing (default T/n, else 1)"),
     "threads": (int, None),
     "format": (csv_or_json, "csv (default) or json"),
     "out": (str, "output file (default: stdout)"),
@@ -224,47 +232,42 @@ def _cmd_cov(params):
     return {"cov": v}, None, f"cov({params['t1']:g}, {params['t2']:g}) = {_fmt(v)}", []
 
 
-def _window_spectrum(params):
-    h = params["H"]
+def _window_row(params):
+    # one scan row, never skipped: a single eps reports whatever rank survives
     eps = _single_eps(params)
     a = _window_basis(params["t1"], eps, params["n"])
     b = _window_basis(params["t2"], eps, params["n"])
-    return canonical_correlations(gram(a, h), gram(b, h), cross_gram(a, b, h), rtol=params["rtol"])
+    row = _make_row(eps, a, b, params["H"], params["rtol"])
+    return row, ["ill-conditioned whitening"] if row.ill_conditioned else []
 
 
 def _cmd_angle(params):
-    spec = _window_spectrum(params)
-    v = cos_angle(spec)
-    flags = ["ill-conditioned whitening"] if spec.ill_conditioned else []
+    row, flags = _window_row(params)
     payload = {
-        "cos_angle": v,
-        "rank_a": spec.rank_a,
-        "rank_b": spec.rank_b,
-        "cond": spec.cond,
-        "ill_conditioned": spec.ill_conditioned,
+        "cos_angle": row.cos,
+        "rank_a": row.rank_a,
+        "rank_b": row.rank_b,
+        "cond": row.cond,
+        "ill_conditioned": row.ill_conditioned,
     }
-    return payload, None, f"cos_angle = {_fmt(v)} (ranks {spec.rank_a}/{spec.rank_b})", flags
+    return payload, None, f"cos_angle = {_fmt(row.cos)} (ranks {row.rank_a}/{row.rank_b})", flags
 
 
 def _cmd_mi(params):
-    spec = _window_spectrum(params)
-    mi = mutual_information_gy(spec)
-    flags = ["ill-conditioned whitening"] if spec.ill_conditioned else []
+    row, flags = _window_row(params)
     payload = {
-        "mi": mi.value,
-        "hs_lower": mi.lower,
-        "hs_upper": mi.upper,
-        "ill_conditioned": spec.ill_conditioned,
+        "mi": row.mi,
+        "hs_lower": row.hs_lower,
+        "hs_upper": row.hs_upper,
+        "ill_conditioned": row.ill_conditioned,
     }
-    return payload, None, f"mi = {_fmt(mi.value)} nats (bounds {_fmt(mi.lower)} .. {_fmt(mi.upper)})", flags
+    return payload, None, f"mi = {_fmt(row.mi)} nats (bounds {_fmt(row.hs_lower)} .. {_fmt(row.hs_upper)})", flags
 
 
 def _cmd_scan(params):
-    cfg = ScanConfig(
-        h=params["H"], t1=params["t1"], t2=params["t2"], eps=params["eps"],
-        grid_n=params["n"], rtol=params["rtol"],
+    table = local_independence_scan(
+        params["H"], params["t1"], params["t2"], params["eps"], params["n"], params["rtol"],
     )
-    table = local_independence_scan(cfg)
     theory = 2.0 - 2.0 * params["H"]
     try:
         fit = fit_exponent(table, "cos", theory=theory, correction_order=min(1.0, theory))

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from fbmlocal.geometry import (
     IllConditionedWarning,
+    MiResult,
     canonical_correlations,
     cos_angle,
     mutual_information_gy,
@@ -42,7 +43,6 @@ __all__ = [
     "DEFAULT_EPS",
     "DEFAULT_GRID_N",
     "DEFAULT_TRUNCATION",
-    "ScanConfig",
     "ScanRow",
     "ScanTable",
     "ExponentFit",
@@ -83,34 +83,7 @@ _ALT_EPS_FACTOR = 0.25
 
 
 # ---------------------------------------------------------------------------
-# configuration and result containers
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """Two shrinking windows around t1 and t2, scanned over eps.
-
-    eps values must be strictly decreasing and the largest one must keep
-    the windows disjoint (max eps < |t1 - t2| / 2).
-    """
-
-    h: float
-    t1: float
-    t2: float
-    eps: tuple
-    grid_n: int = DEFAULT_GRID_N
-    rtol: float = 1e-10
-
-    def __post_init__(self):
-        check_hurst(self.h)
-        if self.t1 == self.t2:
-            raise ValueError("t1 and t2 must differ")
-        eps = _eps_schedule(self.eps)
-        object.__setattr__(self, "eps", eps)
-        if eps[0] >= abs(self.t2 - self.t1) / 2.0:
-            raise ValueError("max eps must keep the windows disjoint: eps < |t1-t2|/2")
-        if self.grid_n < 4:
-            raise ValueError("grid_n must be at least 4")
+# result containers
 
 
 @dataclass(frozen=True)
@@ -144,26 +117,6 @@ class ScanTable:
 
     rows: tuple
     meta: dict
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def column(self, name: str) -> np.ndarray:
-        """Numeric column; infinite MI maps to +inf, skipped rows to nan."""
-        if name == "eps":
-            return np.array([r.eps for r in self.rows])
-        if name == "cos":
-            return np.array([r.cos for r in self.rows])
-        if name == "mi":
-            return np.array(
-                [math.inf if (r.mi is None and not r.skipped) else (r.mi if r.mi is not None else math.nan) for r in self.rows]
-            )
-        if name == "hs":
-            return np.array([r.hs_norm for r in self.rows])
-        raise ValueError(f"unknown column {name!r}")
-
-    def usable_rows(self) -> list:
-        return [r for r in self.rows if not r.skipped and not r.ill_conditioned]
 
 
 class _Record:
@@ -276,33 +229,20 @@ def graded_points(a: float, b: float, npts: int, decades: float = 8.0, toward: s
     raise ValueError("toward must be 'a' or 'b'")
 
 
-def _spectrum_quiet(ga, gb, c, rtol):
-    # per-row flags carry the ill-conditioning information; the warning
-    # itself would just spam a scan loop
+def _make_row(eps, a: IncrementBasis, b: IncrementBasis, h, rtol, min_rank=0.0) -> ScanRow:
+    """The one route from two increment bases to a row: Grams, whitening,
+    angle and MI with its HS bounds; skipped when either side keeps fewer
+    than min_rank directions."""
+    # the row's flags carry the ill-conditioning; the warning would only
+    # repeat it once per row
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        return canonical_correlations(ga, gb, c, rtol=rtol)
-
-
-def _make_row(eps, ga, gb, c, rtol, min_rank) -> ScanRow:
-    spec = _spectrum_quiet(ga, gb, c, rtol)
-    if min(spec.rank_a, spec.rank_b) < min_rank:
-        return ScanRow(
-            eps=eps,
-            cos=math.nan,
-            mi=math.nan,
-            hs_lower=math.nan,
-            hs_upper=math.nan,
-            rank_a=spec.rank_a,
-            rank_b=spec.rank_b,
-            cond=spec.cond,
-            ill_conditioned=spec.ill_conditioned,
-            skipped=True,
-        )
-    mi = mutual_information_gy(spec)
+        spec = canonical_correlations(gram(a, h), gram(b, h), cross_gram(a, b, h), rtol=rtol)
+    skipped = min(spec.rank_a, spec.rank_b) < min_rank
+    mi = MiResult(math.nan, math.nan, math.nan) if skipped else mutual_information_gy(spec)
     return ScanRow(
         eps=eps,
-        cos=cos_angle(spec),
+        cos=math.nan if skipped else cos_angle(spec),
         mi=mi.value,
         hs_lower=mi.lower,
         hs_upper=mi.upper,
@@ -310,19 +250,27 @@ def _make_row(eps, ga, gb, c, rtol, min_rank) -> ScanRow:
         rank_b=spec.rank_b,
         cond=spec.cond,
         ill_conditioned=spec.ill_conditioned,
+        skipped=skipped,
     )
 
 
-def _eps_schedule(eps) -> tuple:
-    """The eps rule every scan shares: a nonempty, strictly decreasing
-    tuple of positive floats."""
+def _scan_schedule(h: float, eps, grid_n: int | None) -> tuple:
+    """Validation every eps scan shares: the Hurst index, the eps rule (a
+    nonempty, strictly decreasing tuple of finite positive floats) and,
+    for window scans, grid_n >= 4. Returns the schedule as floats."""
+    check_hurst(h)
     eps = tuple(float(e) for e in eps)
     if len(eps) == 0:
         raise ValueError("eps schedule is empty")
+    bad = [e for e in eps if not math.isfinite(e)]
+    if bad:
+        raise ValueError(f"eps values must be finite, got {bad[0]!r}")
     if any(e <= 0.0 for e in eps):
         raise ValueError("eps values must be positive")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
+    if grid_n is not None and grid_n < 4:
+        raise ValueError("grid_n must be at least 4")
     return eps
 
 
@@ -334,28 +282,50 @@ def _window_basis(center: float, eps: float, grid_n: int) -> IncrementBasis:
     return IncrementBasis.from_grid(TimeGrid(center - eps, center + eps, grid_n))
 
 
+def _window_rows(h, basis, t, eps, grid_n, rtol) -> tuple:
+    """One row per eps: basis(eps) against the grid_n-point window of
+    half-width eps around t."""
+    min_rank = grid_n * _MIN_RANK_FRACTION
+    return tuple(_make_row(e, basis(e), _window_basis(t, e, grid_n), h, rtol, min_rank) for e in eps)
+
+
 # ---------------------------------------------------------------------------
 # two shrinking windows (the basic local-independence scan)
 
 
-def local_independence_scan(cfg: ScanConfig) -> ScanTable:
-    """Angle and MI between increment windows around t1 and t2, per eps."""
-    min_rank = cfg.grid_n * _MIN_RANK_FRACTION
-    rows = []
-    for eps in cfg.eps:
-        a = _window_basis(cfg.t1, eps, cfg.grid_n)
-        b = _window_basis(cfg.t2, eps, cfg.grid_n)
-        rows.append(_make_row(eps, gram(a, cfg.h), gram(b, cfg.h), cross_gram(a, b, cfg.h), cfg.rtol, min_rank))
+def local_independence_scan(
+    h: float,
+    t1: float = 0.0,
+    t2: float = 1.0,
+    eps: tuple = DEFAULT_EPS,
+    grid_n: int = DEFAULT_GRID_N,
+    rtol: float = 1e-10,
+) -> ScanTable:
+    """Angle and MI between increment windows around t1 and t2, per eps.
+
+    eps values must be strictly decreasing and the largest one must keep
+    the windows disjoint (max eps < |t1 - t2| / 2).
+    """
+    eps = _scan_schedule(h, eps, grid_n)
+    if t1 == t2:
+        raise ValueError("t1 and t2 must differ")
+    if eps[0] >= abs(t2 - t1) / 2.0:
+        raise ValueError("max eps must keep the windows disjoint: eps < |t1-t2|/2")
+    rows = _window_rows(h, lambda e: _window_basis(t1, e, grid_n), t2, eps, grid_n, rtol)
     meta = {
         "experiment": "scan",
-        "H": cfg.h,
-        "t1": cfg.t1,
-        "t2": cfg.t2,
-        "eps": _eps_meta(cfg.eps),
-        "grid_n": cfg.grid_n,
-        "rtol": cfg.rtol,
+        "H": h,
+        "t1": t1,
+        "t2": t2,
+        "eps": _eps_meta(eps),
+        "grid_n": grid_n,
+        "rtol": rtol,
     }
-    return ScanTable(rows=tuple(rows), meta=meta)
+    return ScanTable(rows=rows, meta=meta)
+
+
+# fit_exponent's column names and the ScanRow attribute each one reads
+_FIT_COLUMNS = {"cos": "cos", "mi": "mi", "hs": "hs_norm"}
 
 
 def fit_exponent(
@@ -364,12 +334,14 @@ def fit_exponent(
     theory: float = math.nan,
     correction_order: float = math.nan,
 ) -> ExponentFit:
-    """Log-log slope of a scan column vs eps.
+    """Log-log slope of a scan column (cos, mi or hs) vs eps.
 
     The largest eps (pre-asymptotic) and any ill-conditioned rows are
     dropped; remaining rows must be finite and positive.  Requires at
     least 4 finite rows in the table.
     """
+    if column not in _FIT_COLUMNS:
+        raise ValueError(f"unknown column {column!r}")
     finite = [r for r in table.rows if not r.skipped and r.mi is not None]
     if len(finite) < 4:
         raise ValueError("need at least 4 finite rows to fit an exponent")
@@ -383,7 +355,7 @@ def fit_exponent(
     if len(kept) < 3:
         raise ValueError("fewer than 3 usable rows after dropping flagged ones")
 
-    y = ScanTable(rows=tuple(kept), meta=table.meta).column(column)
+    y = np.array([getattr(r, _FIT_COLUMNS[column]) for r in kept])
     if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
         raise ValueError(f"column {column!r} must be finite and positive for a power-law fit")
     return ExponentFit.least_squares([r.eps for r in kept], y, theory, correction_order)
@@ -463,13 +435,12 @@ def theorem21_check(
     check_hurst(h)
     if abs(2.0 * h - 1.0) < 0.1:
         raise ValueError("constant comparison needs |2H-1| >= 0.1")
-    cfg = ScanConfig(h=h, t1=t1, t2=t2, eps=eps, grid_n=grid_n, rtol=rtol)
-    table = local_independence_scan(cfg)
+    table = local_independence_scan(h, t1, t2, eps, grid_n, rtol)
     delta = min(1.0, 2.0 - 2.0 * h)
     fit_cos = fit_exponent(table, "cos", theory=2.0 - 2.0 * h, correction_order=delta)
     fit_mi = fit_exponent(table, "mi", theory=4.0 - 4.0 * h, correction_order=delta)
 
-    usable = table.usable_rows()
+    usable = [r for r in table.rows if not r.skipped and not r.ill_conditioned]
     if not usable:
         raise ValueError("every row was skipped or flagged; cannot extrapolate r_H")
     last = usable[-1]  # smallest stable eps
@@ -512,25 +483,17 @@ def past_window_scan(
     0 where the cross kernel varies fastest, spanning grading_depth
     decades.
     """
-    check_hurst(h)
+    eps = _scan_schedule(h, eps, grid_n)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    eps = _eps_schedule(eps)
     if eps[0] >= t:
         raise ValueError("max eps must keep the window inside (0, inf): eps < t")
     if truncation_t < 16.0 * t:
         raise ValueError("truncation must satisfy T >= 16 t")
-    if grid_n < 4:
-        raise ValueError("grid_n must be at least 4")
     decades = grading_depth(h, grid_n - 1)
 
     past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, grid_n, decades, toward="b"))
-    gp = gram(past, h)
-    min_rank = grid_n * _MIN_RANK_FRACTION
-    rows = []
-    for e in eps:
-        b = _window_basis(t, e, grid_n)
-        rows.append(_make_row(e, gp, gram(b, h), cross_gram(past, b, h), rtol, min_rank))
+    rows = _window_rows(h, lambda e: past, t, eps, grid_n, rtol)
     meta = {
         "experiment": "past-window",
         "H": h,
@@ -541,7 +504,7 @@ def past_window_scan(
         "grading_decades": decades,
         "rtol": rtol,
     }
-    return ScanTable(rows=tuple(rows), meta=meta)
+    return ScanTable(rows=rows, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -621,9 +584,8 @@ def adjacency_mi_table(
             raise ValueError("grid sizes must be at least 2")
         a = IncrementBasis.from_grid(TimeGrid(-eps, 0.0, int(n) + 1))
         b = IncrementBasis.from_grid(TimeGrid(0.0, eps, int(n) + 1))
-        spec = _spectrum_quiet(gram(a, h), gram(b, h), cross_gram(a, b, h), rtol)
-        mi = mutual_information_gy(spec)
-        out.append(math.inf if mi.value is None else mi.value)
+        mi = _make_row(eps, a, b, h, rtol).mi
+        out.append(math.inf if mi is None else mi)
     return out
 
 
@@ -642,13 +604,15 @@ def adjacency_divergence(
     if abs(2.0 * h - 1.0) < 0.1:
         raise ValueError("divergence check needs |2H-1| >= 0.1")
     ns = tuple(int(n) for n in n_schedule)
+    if len(ns) < 2:
+        raise ValueError(f"n schedule needs at least 2 grid sizes, got {len(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n schedule must be strictly increasing")
     mi = adjacency_mi_table(h, eps, ns, rtol)
     alt = _ALT_EPS_FACTOR * eps
     mi_alt = adjacency_mi_table(h, alt, ns, rtol)
     increasing = all(b > a for a, b in zip(mi, mi[1:]))
-    growth = min(b / a - 1.0 for a, b in zip(mi, mi[1:])) if len(mi) > 1 else math.nan
+    growth = min(b / a - 1.0 for a, b in zip(mi, mi[1:]))
     gap = max(abs(x - y) for x, y in zip(mi, mi_alt))
     return AdjacencyReport(
         n_schedule=ns,
@@ -686,8 +650,7 @@ def past_future_angle(
     decades = grading_depth(h, int(n))
     past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, int(n) + 1, decades, toward="b"))
     future = IncrementBasis.from_points(graded_points(0.0, truncation_t, int(n) + 1, decades, toward="a"))
-    spec = _spectrum_quiet(gram(past, h), gram(future, h), cross_gram(past, future, h), rtol)
-    return cos_angle(spec)
+    return _make_row(truncation_t, past, future, h, rtol).cos
 
 
 @dataclass(frozen=True)
@@ -750,12 +713,7 @@ def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol):
         s=np.concatenate([left.s, right.s]),
         t=np.concatenate([left.t, right.t]),
     )
-    gc = gram(comp, h)
-    min_rank = grid_n * _MIN_RANK_FRACTION
-    rows = []
-    for e in eps:
-        b = _window_basis(t, e, grid_n)
-        rows.append(_make_row(e, gc, gram(b, h), cross_gram(comp, b, h), rtol, min_rank))
+    rows = _window_rows(h, lambda e: comp, t, eps, grid_n, rtol)
     meta = {
         "experiment": "complement-window",
         "H": h,
@@ -768,7 +726,7 @@ def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol):
         "grading_decades": decades,
         "rtol": rtol,
     }
-    return ScanTable(rows=tuple(rows), meta=meta)
+    return ScanTable(rows=rows, meta=meta)
 
 
 def complement_window_scan(
@@ -787,16 +745,13 @@ def complement_window_scan(
     rate 1-H that the two-sided estimate yields, with a 2T sensitivity
     rerun.
     """
-    check_hurst(h)
+    eps = _scan_schedule(h, eps, grid_n)
     if not t1 < t < t2:
         raise ValueError("need t1 < t < t2")
-    eps = _eps_schedule(eps)
     if t - eps[0] <= t1 or t + eps[0] >= t2:
         raise ValueError("windows must stay strictly inside (t1, t2)")
     if truncation_t <= (t2 - t1):
         raise ValueError("truncation_t must exceed the inner interval length")
-    if grid_n < 4:
-        raise ValueError("grid_n must be at least 4")
 
     table = _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol)
     table2 = _complement_table(h, t1, t, t2, eps, 2.0 * truncation_t, grid_n, rtol)
@@ -823,8 +778,9 @@ class Levy2dReport(_Record):
     table: ScanTable
 
 
-def _ball_lattice(center: np.ndarray, eps: float, grid_per_axis: int) -> np.ndarray:
-    """Square-lattice points inside the closed ball B(center, eps), center excluded."""
+def _ball_basis(center: np.ndarray, eps: float, grid_per_axis: int) -> IncrementBasis:
+    """Increments from center to the square-lattice points inside the
+    closed ball B(center, eps), center excluded."""
     offs = np.linspace(-eps, eps, grid_per_axis)
     ox, oy = np.meshgrid(offs, offs, indexing="ij")
     pts = np.column_stack([ox.ravel(), oy.ravel()])
@@ -833,7 +789,7 @@ def _ball_lattice(center: np.ndarray, eps: float, grid_per_axis: int) -> np.ndar
     pts = pts[inside & nonzero]
     if pts.shape[0] < 8:
         raise ValueError("lattice too coarse: fewer than 8 points fall inside the ball")
-    return center[None, :] + pts
+    return IncrementBasis(s=np.tile(center, (len(pts), 1)), t=center[None, :] + pts)
 
 
 def levy2d_scan(
@@ -849,24 +805,21 @@ def levy2d_scan(
     Increments are differences X(p) - X(center) over lattice points p in
     each ball; the fitted cos slope is compared against 2-2H.
     """
-    check_hurst(h)
+    # too few lattice points per axis shows as too few points in a ball
+    eps = _scan_schedule(h, eps, None)
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
     if c1.shape != (2,) or c2.shape != (2,):
         raise ValueError("centers must be 2-dimensional points")
     dist = float(np.linalg.norm(c2 - c1))
-    eps = _eps_schedule(eps)
     if eps[0] >= dist / 2.0:
         raise ValueError("balls must be disjoint at the largest eps")
 
     rows = []
     for e in eps:
-        pa = _ball_lattice(c1, e, grid_per_axis)
-        pb = _ball_lattice(c2, e, grid_per_axis)
-        a = IncrementBasis(s=np.tile(c1, (len(pa), 1)), t=pa)
-        b = IncrementBasis(s=np.tile(c2, (len(pb), 1)), t=pb)
-        min_rank = min(len(a), len(b)) * _MIN_RANK_FRACTION
-        rows.append(_make_row(e, gram(a, h), gram(b, h), cross_gram(a, b, h), rtol, min_rank))
+        a = _ball_basis(c1, e, grid_per_axis)
+        b = _ball_basis(c2, e, grid_per_axis)
+        rows.append(_make_row(e, a, b, h, rtol, min(len(a), len(b)) * _MIN_RANK_FRACTION))
     meta = {
         "experiment": "levy2d",
         "H": h,
@@ -884,18 +837,9 @@ def levy2d_scan(
 # ---------------------------------------------------------------------------
 # serialization (CSV with '#' parameter header; JSON mirror)
 
-_SCAN_COLUMNS = (
-    "eps",
-    "cos_angle",
-    "mi",
-    "hs_lower",
-    "hs_upper",
-    "rank_a",
-    "rank_b",
-    "cond",
-    "ill_conditioned",
-    "skipped",
-)
+# a row's cells are its fields in declaration order (astuple); cos is
+# written as cos_angle
+_SCAN_COLUMNS = tuple("cos_angle" if f.name == "cos" else f.name for f in fields(ScanRow))
 
 
 def _fmt_csv(value) -> str:
@@ -913,21 +857,6 @@ def _fmt_csv(value) -> str:
     return repr(x)
 
 
-def _row_values(row: ScanRow) -> tuple:
-    return (
-        row.eps,
-        row.cos,
-        row.mi,
-        row.hs_lower,
-        row.hs_upper,
-        row.rank_a,
-        row.rank_b,
-        row.cond,
-        row.ill_conditioned,
-        row.skipped,
-    )
-
-
 def _csv_text(meta: dict, columns, rows) -> str:
     """CSV rows with '#'-prefixed parameter header, LF endings, '.' decimals."""
     lines = [f"# {k} = {v}" for k, v in meta.items()]
@@ -939,7 +868,7 @@ def _csv_text(meta: dict, columns, rows) -> str:
 def scan_csv_text(table: ScanTable, extra_meta: dict | None = None) -> str:
     """A scan table as CSV under its parameter header, extra_meta appended."""
     meta = {**table.meta, **(extra_meta or {})}
-    return _csv_text(meta, _SCAN_COLUMNS, map(_row_values, table.rows))
+    return _csv_text(meta, _SCAN_COLUMNS, map(astuple, table.rows))
 
 
 def _json_val(x):
@@ -960,5 +889,5 @@ def _json_val(x):
 
 
 def scan_to_dict(table: ScanTable) -> dict:
-    rows = [dict(zip(_SCAN_COLUMNS, _row_values(row))) for row in table.rows]
+    rows = [dict(zip(_SCAN_COLUMNS, astuple(row))) for row in table.rows]
     return _json_val({"config": dict(table.meta), "rows": rows})

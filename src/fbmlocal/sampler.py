@@ -2,8 +2,10 @@
 
 Circulant embedding of the increment autocovariance gives exact finite
 dimensional distributions at FFT cost; a dense symmetric-factor route
-covers any non-PSD embedding (does not occur for this kernel family,
-but the fallback keeps sampling total). Streams are counter-based and
+covers a non-PSD embedding, which rounding in increment_autocov causes
+near H = 1: the embedding fails from H = 1 - 1e-7 at n = 2000, about
+0.99985 at n = 32768 and 0.9991 at n = 65536 (never for n <= 256), and
+larger embeddings fail as well. Streams are counter-based and
 split per block of BLOCK_PATHS paths, so the seed alone fixes the
 output, whatever the thread count.
 
@@ -41,8 +43,6 @@ __all__ = [
 # determines the output regardless of thread count
 BLOCK_PATHS = 64
 
-_MAX_EMBED_DOUBLINGS = 8
-
 # the ThreadPoolExecutor default, used when no thread count is passed
 _DEFAULT_WORKERS = min(32, (os.cpu_count() or 1) + 4)
 
@@ -69,17 +69,14 @@ class SamplePaths:
 
 
 def _embedding_spectrum(n: int, h: float, dt: float):
-    """Eigenvalues of the smallest PSD circulant extension of gamma."""
-    half = 2 * n
-    for _ in range(_MAX_EMBED_DOUBLINGS):
-        g = increment_autocov(np.arange(half + 1), h, dt)
-        circ = np.concatenate([g, g[-2:0:-1]])
-        lam = np.fft.fft(circ).real
-        # exact spectrum is real; tolerate rounding at the PSD boundary
-        tol = 1e-12 * abs(lam).max()
-        if lam.min() >= -tol:
-            return np.maximum(lam, 0.0), circ.size
-        half *= 2
+    """Eigenvalues of the size-4n circulant extension of gamma and that
+    size, or (None, 0) when the extension is not PSD."""
+    g = increment_autocov(np.arange(2 * n + 1), h, dt)
+    circ = np.concatenate([g, g[-2:0:-1]])
+    lam = np.fft.fft(circ).real
+    # exact spectrum is real; tolerate rounding at the PSD boundary
+    if lam.min() >= -1e-12 * abs(lam).max():
+        return np.maximum(lam, 0.0), circ.size
     return None, 0
 
 
@@ -146,6 +143,8 @@ def sample_fbm_increments(
     check_hurst(h)
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if method not in ("auto", "circulant", "dense"):
@@ -155,7 +154,7 @@ def sample_fbm_increments(
     if method in ("auto", "circulant"):
         lam, size = _embedding_spectrum(n, h, dt)
         if lam is None and method == "circulant":
-            raise RuntimeError("circulant embedding not PSD at the doubling cap")
+            raise RuntimeError("circulant embedding not PSD")
     if lam is not None:
         ran, per = "circulant", _chunk_blocks(size)
         scale = np.sqrt(lam / size)

@@ -190,6 +190,48 @@ def test_sample_rejects_dt_with_horizon(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["cov", "--H", "0.75", "--t1", "nan", "--t2", "1"], "'nan'"),
+    (["scan", "--H", "0.7", "--eps", "0.125,nan"], "'0.125,nan'"),
+    (["scan", "--H", "0.7", "--eps", "0.125:inf:0.5"], "'0.125:inf:0.5'"),
+    (["levy2d", "--H", "0.7", "--eps", "nan"], "'nan'"),
+    (["thm22", "--H", "0.7", "--T", "nan"], "'nan'"),
+    (["thm22", "--H", "0.7", "--T", "inf"], "'inf'"),
+    (["pastfuture", "--H", "0.7", "--T=-inf"], "'-inf'"),
+    (["complement", "--H", "0.7", "--T", "nan"], "'nan'"),
+    (["sample", "--n", "4096", "--dt", "nan", "--out", "{tmp}/paths.bin"], "'nan'"),
+    (["cov", "--config", "{tmp}/run.cfg"], "'inf'"),
+], ids=["cov-t1", "scan-eps-list", "scan-eps-range", "levy2d-eps", "thm22-T-nan", "thm22-T-inf",
+        "pastfuture-T", "complement-T", "sample-dt", "config-file"])
+def test_non_finite_flags_are_rejected(argv, bad, tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("t2 = inf\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag by exiting
+        code = exc.code
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert bad in err
+    assert not (tmp_path / "paths.bin").exists()
+
+
+@pytest.mark.parametrize("h, t2, eps, n", [(0.8, 1.0, 0.0625, 64), (0.3, 0.5, 0.1, 9), (0.75, 2.0, 0.25, 17)])
+def test_angle_and_mi_equal_the_scan_row(h, t2, eps, n, capsys):
+    row = fbmlocal.local_independence_scan(h, 0.0, t2, (eps,), n).rows[0]
+    args = ["--H", str(h), "--t1", "0", "--t2", str(t2), "--eps", str(eps), "--n", str(n), "--format", "json"]
+    assert main(["angle", *args]) == 0
+    angle = json.loads(capsys.readouterr().out)
+    assert main(["mi", *args]) == 0
+    mi = json.loads(capsys.readouterr().out)
+    assert not row.skipped
+    assert (angle["cos_angle"], angle["rank_a"], angle["rank_b"], angle["cond"]) == (
+        row.cos, row.rank_a, row.rank_b, row.cond)
+    assert (mi["mi"], mi["hs_lower"], mi["hs_upper"]) == (row.mi, row.hs_lower, row.hs_upper)
+    assert angle["ill_conditioned"] == mi["ill_conditioned"] == row.ill_conditioned
+
+
 def test_check_all_single(capsys, tmp_path):
     report = tmp_path / "report.json"
     code = main(["check-all", "--only", "brownian", "--json", str(report)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fbmlocal.experiments import (
     ExponentFit,
     _fmt_csv,
     _json_val,
-    ScanConfig,
     ScanRow,
     ScanTable,
     adjacency_divergence,
@@ -30,6 +30,7 @@ from fbmlocal.experiments import (
     scan_to_dict,
     theorem21_check,
 )
+from fbmlocal.geometry import CanonicalSpectrum
 from fbmlocal.kernels import IncrementBasis, TimeGrid, gram
 from fbmlocal.sobolev import r_h_constant
 
@@ -37,20 +38,20 @@ EPS4 = (0.125, 0.0625, 0.03125, 0.015625)
 
 
 def test_scan_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(h=0.7, t1=0.0, t2=0.0, eps=(0.1,))
-    with pytest.raises(ValueError):
-        ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=(0.1, 0.2))  # not decreasing
-    with pytest.raises(ValueError):
-        ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=(0.6,))  # windows overlap
-    with pytest.raises(ValueError):
-        ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=(0.1,), grid_n=3)
-    with pytest.raises(ValueError):
-        ScanConfig(h=1.2, t1=0.0, t2=1.0, eps=(0.1,))
+    for args, message in [
+        ((0.7, 0.0, 0.0, (0.1,)), "t1 and t2 must differ"),
+        ((0.7, 0.0, 1.0, (0.1, 0.2)), "eps schedule must be strictly decreasing"),
+        ((0.7, 0.0, 1.0, (0.6,)), "max eps must keep the windows disjoint: eps < |t1-t2|/2"),
+        ((0.7, 0.0, 1.0, (0.1,), 3), "grid_n must be at least 4"),
+        ((1.2, 0.0, 1.0, (0.1,)), "Hurst index must lie in (1e-09, 0.999999999), got 1.2"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            local_independence_scan(*args)
+        assert str(err.value) == message
 
 
 _EPS_ENTRY_POINTS = {
-    "scan": lambda eps: ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=eps),
+    "scan": lambda eps: local_independence_scan(0.7, 0.0, 1.0, eps),
     "past-window": lambda eps: past_window_scan(0.7, 1.0, eps=eps),
     "complement": lambda eps: complement_window_scan(0.7, eps=eps),
     "levy2d": lambda eps: levy2d_scan(0.7, eps=eps),
@@ -62,7 +63,9 @@ _EPS_ENTRY_POINTS = {
     ((), "eps schedule is empty"),
     ((0.125, 0.0625, -0.03125), "eps values must be positive"),
     ((0.0625, 0.125), "eps schedule must be strictly decreasing"),
-], ids=["empty", "non-positive", "not-decreasing"])
+    ((0.125, math.nan), "eps values must be finite, got nan"),
+    ((math.inf, 0.125), "eps values must be finite, got inf"),
+], ids=["empty", "non-positive", "not-decreasing", "nan", "inf"])
 def test_scans_share_the_eps_rule(entry, eps, message, monkeypatch):
     # the schedule is rejected before any row is built
     def no_rows(*args):
@@ -71,6 +74,41 @@ def test_scans_share_the_eps_rule(entry, eps, message, monkeypatch):
     monkeypatch.setattr(experiments, "_make_row", no_rows)
     with pytest.raises(ValueError, match=f"^{message}$"):
         _EPS_ENTRY_POINTS[entry](eps)
+
+
+def _skip_rule_rows(family, size, monkeypatch):
+    # the rows a scan family builds at one eps; its fits are stubbed out so
+    # that skipped rows reach the table
+    monkeypatch.setattr(experiments, "fit_exponent", lambda *a, **k: SimpleNamespace(slope=0.0))
+    if family == "scan":
+        return local_independence_scan(0.7, 0.0, 1.0, (0.125,), size).rows
+    if family == "past-window":
+        return past_window_scan(0.7, 1.0, eps=(0.125,), grid_n=size).rows
+    if family == "complement":
+        rep = complement_window_scan(0.7, eps=(0.125,), grid_n=size)
+        return rep.table.rows + rep.table_2t.rows
+    return levy2d_scan(0.7, eps=(0.125,), grid_per_axis=size).table.rows
+
+
+@pytest.mark.parametrize("family, size, threshold", [
+    ("scan", 8, 4), ("scan", 9, 5),
+    ("past-window", 8, 4), ("past-window", 9, 5),
+    ("complement", 8, 4), ("complement", 9, 5),
+    ("levy2d", 9, 24),  # 48 lattice points per ball
+])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_skip_rule_at_its_threshold(family, size, threshold, side, monkeypatch):
+    # window scans skip a row below grid_n/2 kept directions on either side,
+    # levy2d below half the smaller ball's increment count
+    for rank, skipped in ((threshold - 1, True), (threshold, False)):
+        def spectrum(ga, gb, c, rtol):
+            ranks = {"rank_a": ga.shape[0], "rank_b": gb.shape[0], f"rank_{side}": rank}
+            return CanonicalSpectrum(sigmas=np.array([0.5]), cond=1.0, ill_conditioned=False, **ranks)
+
+        monkeypatch.setattr(experiments, "canonical_correlations", spectrum)
+        rows = _skip_rule_rows(family, size, monkeypatch)
+        assert [r.skipped for r in rows] == [skipped] * len(rows)
+        assert all(math.isnan(r.cos) == skipped for r in rows)
 
 
 def test_graded_points_shape():
@@ -105,14 +143,14 @@ def test_grading_depth_rule():
 
 
 def test_brownian_scan_is_zero():
-    table = local_independence_scan(ScanConfig(h=0.5, t1=0.0, t2=1.0, eps=EPS4, grid_n=16))
+    table = local_independence_scan(0.5, 0.0, 1.0, EPS4, 16)
     for r in table.rows:
         assert r.cos <= 1e-10
         assert r.mi <= 1e-10
 
 
 def test_scan_rows_sorted_and_sane():
-    table = local_independence_scan(ScanConfig(h=0.8, t1=0.0, t2=1.0, eps=EPS4, grid_n=16))
+    table = local_independence_scan(0.8, 0.0, 1.0, EPS4, 16)
     eps = [r.eps for r in table.rows]
     assert eps == sorted(eps, reverse=True)
     mi = [r.mi for r in table.rows]
@@ -124,11 +162,9 @@ def test_scan_rows_sorted_and_sane():
 
 
 def test_scan_stationarity_and_scaling():
-    base = local_independence_scan(ScanConfig(h=0.7, t1=0.0, t2=1.0, eps=EPS4, grid_n=12))
-    shifted = local_independence_scan(ScanConfig(h=0.7, t1=5.0, t2=6.0, eps=EPS4, grid_n=12))
-    scaled = local_independence_scan(
-        ScanConfig(h=0.7, t1=0.0, t2=2.0, eps=tuple(2 * e for e in EPS4), grid_n=12)
-    )
+    base = local_independence_scan(0.7, 0.0, 1.0, EPS4, 12)
+    shifted = local_independence_scan(0.7, 5.0, 6.0, EPS4, 12)
+    scaled = local_independence_scan(0.7, 0.0, 2.0, tuple(2 * e for e in EPS4), 12)
     for rb, rs, rc in zip(base.rows, shifted.rows, scaled.rows):
         assert rs.cos == pytest.approx(rb.cos, abs=1e-10)
         assert rs.mi == pytest.approx(rb.mi, abs=1e-10)
@@ -241,6 +277,9 @@ def test_adjacency_h_half_zero_and_precondition():
         adjacency_divergence(0.5)
     with pytest.raises(ValueError):
         adjacency_divergence(0.8, n_schedule=(8, 4))
+    for ns in ((), (8,)):
+        with pytest.raises(ValueError, match=f"at least 2 grid sizes, got {len(ns)}$"):
+            adjacency_divergence(0.8, n_schedule=ns)
 
 
 def test_adjacency_growth_small():
@@ -289,7 +328,7 @@ def test_complement_window_guards():
 
 
 def test_csv_round_trip():
-    table = local_independence_scan(ScanConfig(h=0.75, t1=0.0, t2=1.0, eps=EPS4, grid_n=8))
+    table = local_independence_scan(0.75, 0.0, 1.0, EPS4, 8)
     text = scan_csv_text(table)
     assert text.startswith("#")
     assert "# H = 0.75" in text
@@ -318,7 +357,7 @@ def test_csv_inf_and_nan_literals(tmp_path):
 
 
 def test_json_document():
-    table = local_independence_scan(ScanConfig(h=0.75, t1=0.0, t2=1.0, eps=EPS4, grid_n=8))
+    table = local_independence_scan(0.75, 0.0, 1.0, EPS4, 8)
     doc = scan_to_dict(table)
     assert doc["config"]["H"] == 0.75
     assert len(doc["rows"]) == len(table.rows)

@@ -183,6 +183,22 @@ def test_sample_validation():
         sample_fbm_increments(8, 1.0, 0.5, 0, seed=0)
     with pytest.raises(ValueError):
         sample_fbm_increments(8, 1.0, 0.5, 4, seed=0, method="wavelet")
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"dt must be finite, got {dt}"):
+            sample_fbm_increments(4096, dt, 0.5, 4, seed=0)
+
+
+def test_non_psd_embedding_falls_back_to_dense():
+    # rounding in the autocovariance near H = 1 leaves the embedding's
+    # smallest eigenvalue at -5e-12 of the largest, beyond the 1e-12 tolerance
+    h = 1.0 - 1e-8
+    assert _embedding_spectrum(1024, h, 1.0) == (None, 0)
+    auto = sample_fbm_increments(1024, 1.0, h, 4, seed=0)
+    dense = sample_fbm_increments(1024, 1.0, h, 4, seed=0, method="dense")
+    assert auto.method == "dense"
+    assert auto.data.tobytes() == dense.data.tobytes()
+    with pytest.raises(RuntimeError, match="not PSD"):
+        sample_fbm_increments(1024, 1.0, h, 4, seed=0, method="circulant")
 
 
 def test_round_trip(tmp_path):
