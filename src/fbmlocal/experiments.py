@@ -32,6 +32,7 @@ from fbmlocal.geometry import (
 from fbmlocal.kernels import (
     IncrementBasis,
     TimeGrid,
+    check_finite,
     check_hurst,
     cross_gram,
     gram,
@@ -307,6 +308,8 @@ def local_independence_scan(
     the windows disjoint (max eps < |t1 - t2| / 2).
     """
     eps = _scan_schedule(h, eps, grid_n)
+    check_finite("t1", t1)
+    check_finite("t2", t2)
     if t1 == t2:
         raise ValueError("t1 and t2 must differ")
     if eps[0] >= abs(t2 - t1) / 2.0:
@@ -484,6 +487,8 @@ def past_window_scan(
     decades.
     """
     eps = _scan_schedule(h, eps, grid_n)
+    check_finite("t", t)
+    check_finite("truncation_t", truncation_t)
     if t <= 0.0:
         raise ValueError("t must be positive")
     if eps[0] >= t:
@@ -576,6 +581,7 @@ def adjacency_mi_table(
 ) -> list:
     """MI between increment bases on (-eps, 0) and (0, eps) per grid size n."""
     check_hurst(h)
+    check_finite("eps", eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     out = []
@@ -643,6 +649,7 @@ def past_future_angle(
     through rounding; n is the real refinement knob.
     """
     check_hurst(h)
+    check_finite("truncation_t", truncation_t)
     if truncation_t <= 0.0:
         raise ValueError("truncation_t must be positive")
     if n < 2:
@@ -746,6 +753,8 @@ def complement_window_scan(
     rerun.
     """
     eps = _scan_schedule(h, eps, grid_n)
+    for name, value in (("t1", t1), ("t", t), ("t2", t2), ("truncation_t", truncation_t)):
+        check_finite(name, value)
     if not t1 < t < t2:
         raise ValueError("need t1 < t < t2")
     if t - eps[0] <= t1 or t + eps[0] >= t2:
@@ -807,8 +816,8 @@ def levy2d_scan(
     """
     # too few lattice points per axis shows as too few points in a ball
     eps = _scan_schedule(h, eps, None)
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
+    c1 = np.asarray(check_finite("c1", c1), dtype=float)
+    c2 = np.asarray(check_finite("c2", c2), dtype=float)
     if c1.shape != (2,) or c2.shape != (2,):
         raise ValueError("centers must be 2-dimensional points")
     dist = float(np.linalg.norm(c2 - c1))

@@ -16,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import binom
 
 __all__ = [
     "HURST_GUARD",
     "check_hurst",
+    "check_finite",
     "TimeGrid",
     "IncrementBasis",
     "fbm_cov",
@@ -42,6 +44,14 @@ def check_hurst(h: float) -> float:
     if not (HURST_GUARD < h < 1.0 - HURST_GUARD):
         raise ValueError(f"Hurst index must lie in ({HURST_GUARD}, {1 - HURST_GUARD}), got {h}")
     return h
+
+
+def check_finite(name: str, value):
+    """Return value unchanged, or raise a ValueError naming the argument
+    when any entry is nan or infinite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,8 @@ def fbm_cov(u, v, h: float) -> float:
     """E[X_u X_v] for FBM at times u, v, or for Levy FBM at points of R^d:
     0.5 * (|u|^{2H} + |v|^{2H} - |u-v|^{2H})."""
     h = check_hurst(h)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u = np.asarray(check_finite("u", u), dtype=float)
+    v = np.asarray(check_finite("v", v), dtype=float)
     if u.shape != v.shape or u.ndim > 1:
         raise ValueError(f"need two times or two points of equal dimension, got {u.shape} and {v.shape}")
     two_h = 2.0 * h
@@ -155,18 +165,44 @@ def gram(basis: IncrementBasis, h: float) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
+# even binomial terms C(p, 2), C(p, 4), ... of the lattice series; at lag
+# |k| >= 2 the dropped tail is below 2^-58 of the sum, whose terms all
+# share one sign for 0 < p < 2
+_SERIES_TERMS = 30
+
+
 def increment_autocov(k, h: float, dt: float = 1.0) -> np.ndarray:
     """Autocovariance gamma(k) of unit-lag increments at spacing dt.
 
-    On a uniform grid the increment Gram is Toeplitz, and
-    increment_autocov(arange(n), h, dt) is its first column.
+    gamma(k) = 0.5 dt^p ((k+1)^p + |k-1|^p - 2|k|^p) with p = 2H. For
+    |k| >= 2 the difference is summed as the series
+
+        0.5 ((k+1)^p + (k-1)^p - 2k^p) = k^p sum_{m even >= 2} C(p, m) k^-m
+
+    by Horner in k^-2. No O(k^p) terms cancel, so every lag keeps full
+    relative precision (a few ulps against 40-digit arithmetic, where the
+    four-term form loses about k^2 ulps: 2e-7 at lag 32767); |k| < 2 uses
+    the four-term form. On a uniform grid the increment Gram is
+    Toeplitz, and increment_autocov(arange(n), h, dt) is its first column.
     """
-    check_hurst(h)
+    p = 2.0 * check_hurst(h)
+    check_finite("dt", dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    k = np.abs(np.asarray(k, dtype=float))
-    tw = 2.0 * h
-    return 0.5 * dt**tw * ((k + 1.0) ** tw + np.abs(k - 1.0) ** tw - 2.0 * k**tw)
+    k = np.abs(np.asarray(check_finite("k", k), dtype=float))
+    out = np.empty_like(k)
+    near = k < 2.0
+    kn = k[near]
+    out[near] = 0.5 * ((kn + 1.0) ** p + np.abs(kn - 1.0) ** p - 2.0 * kn**p)
+    kf = k[~near]
+    y = 1.0 / (kf * kf)
+    coef = binom(p, 2.0 * np.arange(1, _SERIES_TERMS + 1))
+    acc = np.full_like(kf, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= y
+        acc += c
+    out[~near] = kf**p * y * acc
+    return dt**p * out
 
 
 def cross_gram(basis_a: IncrementBasis, basis_b: IncrementBasis, h: float) -> np.ndarray:

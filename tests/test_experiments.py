@@ -29,6 +29,7 @@ from fbmlocal.experiments import (
     scan_csv_text,
     scan_to_dict,
     theorem21_check,
+    theorem22_check,
 )
 from fbmlocal.geometry import CanonicalSpectrum
 from fbmlocal.kernels import IncrementBasis, TimeGrid, gram
@@ -325,6 +326,28 @@ def test_complement_window_guards():
     for grid_n in (1, 3):
         with pytest.raises(ValueError, match="grid_n must be at least 4"):
             complement_window_scan(0.75, grid_n=grid_n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: past_window_scan(0.7, 1.0, truncation_t=math.nan), "truncation_t must be finite, got nan"),
+    (lambda: past_window_scan(0.7, math.inf), "t must be finite, got inf"),
+    (lambda: complement_window_scan(0.7, truncation_t=math.nan), "truncation_t must be finite, got nan"),
+    (lambda: complement_window_scan(0.7, t2=math.inf), "t2 must be finite, got inf"),
+    (lambda: past_future_angle(0.7, math.nan), "truncation_t must be finite, got nan"),
+    (lambda: theorem22_check(0.7, truncation_t=math.inf), "truncation_t must be finite, got inf"),
+    (lambda: local_independence_scan(0.7, math.nan), "t1 must be finite, got nan"),
+    (lambda: adjacency_mi_table(0.7, math.inf), "eps must be finite, got inf"),
+    (lambda: levy2d_scan(0.7, c2=(1.0, math.nan)), r"c2 must be finite, got \(1.0, nan\)"),
+])
+def test_entry_points_reject_non_finite_inputs(call, message, monkeypatch):
+    # the argument is named before any Gram is built
+    def no_gram(*args):
+        raise AssertionError("a Gram was built")
+
+    monkeypatch.setattr(experiments, "gram", no_gram)
+    monkeypatch.setattr(experiments, "cross_gram", no_gram)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_csv_round_trip():

@@ -16,6 +16,7 @@ from fbmlocal.kernels import (
     disjoint_kernel,
     fbm_cov,
     gram,
+    increment_autocov,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -126,6 +127,32 @@ def test_increment_cov_translation_invariance():
         base = _cross_1x1(p, q, h)
         moved = _cross_1x1((p[0] + c, p[1] + c), (q[0] + c, q[1] + c), h)
         assert moved == pytest.approx(base, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.25, 0.75, 0.95, 0.9995])
+def test_increment_autocov_matches_40_digit_oracle(h):
+    # the lattice series keeps full relative precision at every lag >= 2,
+    # integer or not; the four-term difference erred by up to 2e-7 here
+    mpmath = pytest.importorskip("mpmath")
+    lags = [2, 3, 5, 17, 100, 1000, 32767, 2.5, 3.7, 41.3, 999.9, 12345.678]
+    got = increment_autocov(np.array(lags, dtype=float), h, 0.5)
+    with mpmath.workdps(40):
+        p = 2 * mpmath.mpf(h)
+        for k, g in zip(lags, got):
+            k = mpmath.mpf(k)
+            want = mpmath.mpf(0.5) ** p * ((k + 1) ** p + (k - 1) ** p - 2 * k**p) / 2
+            assert abs(float((g - want) / want)) <= 1e-13, (k, h)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: fbm_cov(math.nan, 1.0, 0.75), "u"),
+    (lambda: fbm_cov([0.0, 1.0], [1.0, math.inf], 0.75), "v"),
+    (lambda: increment_autocov(3, 0.7, dt=math.nan), "dt"),
+    (lambda: increment_autocov([1.0, math.inf], 0.7), "k"),
+])
+def test_kernels_reject_non_finite_inputs(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        call()
 
 
 def test_disjoint_kernel_values():

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from fbmlocal import sampler
+from fbmlocal.kernels import IncrementBasis, TimeGrid, gram
 from fbmlocal.sampler import (
-    BLOCK_PATHS,
     SamplePaths,
+    _DEFAULT_WORKERS,
     _FFT_ELEMENTS,
-    _chunk_blocks,
-    _circulant_work,
+    _block_buffer,
     _embedding_spectrum,
-    _toeplitz_cov,
     empirical_mi_check,
     increment_autocov,
     lag1_increment_correlation,
@@ -52,73 +51,88 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_thread_count_does_not_change_samples():
-    a = sample_fbm_increments(64, 1.0, 0.7, 200, seed=5, threads=None)
-    b = sample_fbm_increments(64, 1.0, 0.7, 200, seed=5, threads=4)
+    # n = 2048 makes 32-path blocks, so 200 paths are 7 blocks
+    a = sample_fbm_increments(2048, 1.0, 0.7, 200, seed=5, threads=None)
+    b = sample_fbm_increments(2048, 1.0, 0.7, 200, seed=5, threads=4)
     assert np.array_equal(a.data, b.data)
 
 
+def _increment_cov(n, h, dt):
+    return gram(IncrementBasis.from_grid(TimeGrid(0.0, n * dt, n + 1)), h)
+
+
 def test_buffered_blocks_match_whole_block_transform():
-    # chunks of blocks are filled in place from reused buffers, a few rows
-    # per FFT; each block's stream must equal one transform of the whole
-    # block. Cases: an odd last block of 3 paths with threads fewer than
-    # blocks; three chunks at n = 8 (two full, a partial last one ending in
-    # an odd block of 37 paths), so every block must land in its own rows
-    chunk_paths = _chunk_blocks(32) * BLOCK_PATHS
-    assert chunk_paths > BLOCK_PATHS
-    for n, dt, h, m, seed in ((37, 0.5, 0.3, 131, 42),
-                              (8, 1.0, 0.75, 2 * chunk_paths + 5 * BLOCK_PATHS + 37, 9)):
-        lam, size = _embedding_spectrum(n, h, dt)
-        scale = np.sqrt(lam / size)
+    # a block is the paths of one FFT call, 2 * max(1, _FFT_ELEMENTS // 2n),
+    # drawn from its own stream into a reused worker buffer; each block must
+    # equal one transform of the whole block, the real and imaginary parts
+    # of row i being paths 2i and 2i + 1. Cases: three blocks at n = 8 (the
+    # last an odd 37 paths); six 12-path blocks at n = 5000 ending in an odd
+    # 7, with threads fewer than blocks; one-row blocks at n = 40000, where
+    # the embedding alone exceeds _FFT_ELEMENTS
+    for n, dt, h, m, seed in ((8, 1.0, 0.75, 2 * 8192 + 37, 9),
+                              (5000, 0.5, 0.3, 5 * 12 + 7, 42),
+                              (40000, 1.0, 0.6, 5, 3)):
+        lam = _embedding_spectrum(n, h, dt)
+        size = 2 * n
+        assert lam.shape == (size,)
+        rows = max(1, _FFT_ELEMENTS // size)
         parts = []
-        for i, s in enumerate(np.random.SeedSequence(seed).spawn(-(-m // BLOCK_PATHS))):
-            rng = np.random.Generator(np.random.Philox(s))
-            paths = min(BLOCK_PATHS, m - i * BLOCK_PATHS)
+        for i, s in enumerate(np.random.SeedSequence(seed).spawn(-(-m // (2 * rows)))):
+            paths = min(2 * rows, m - 2 * rows * i)
             draws = (paths + 1) // 2
-            z = rng.standard_normal((draws, size)) + 1j * rng.standard_normal((draws, size))
-            y = np.fft.fft(z * scale)[:, :n]
+            w = np.random.Generator(np.random.Philox(s)).standard_normal((draws, 2 * size))
+            y = np.fft.fft((w[:, 0::2] + 1j * w[:, 1::2]) * np.sqrt(lam / size))[:, :n]
             parts.append(np.stack([y.real, y.imag], axis=1).reshape(2 * draws, n)[:paths])
         want = np.concatenate(parts)
-        assert size == 4 * n  # the chunk size above assumed the first embedding
         for threads in (None, 1, 2, 3):
             got = sample_fbm_increments(n, dt, h, m, seed=seed, threads=threads).data
             assert np.array_equal(got, want)
 
 
 def test_worker_buffers_stay_within_budget(monkeypatch):
-    made = []
+    events = []
 
     def record(size, m):
-        work = _circulant_work(size, m)
-        made.append((size, sum(a.nbytes for a in work)))
-        return work
+        buf = _block_buffer(size, m)
+        events.append((size, buf.nbytes))
+        return buf
 
-    monkeypatch.setattr(sampler, "_circulant_work", record)
+    class Pool(sampler.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            events.append(("pool", max_workers))
+            super().__init__(max_workers=max_workers)
 
-    def per_worker(n, m):
-        made.clear()
+    monkeypatch.setattr(sampler, "_block_buffer", record)
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", Pool)
+
+    def per_worker(n, m, blocks):
+        events.clear()
         sample_fbm_increments(n, 1.0, 0.7, m, seed=0)
-        assert made and len({b for _, b in made}) == 1
+        # one buffer per worker, all made before the pool starts
+        *made, (pool, workers) = events
+        assert pool == "pool" and workers == min(_DEFAULT_WORKERS, blocks) == len(made)
+        assert len(set(made)) == 1
         return made[0]
 
-    # both real buffers hold at most one FFT call's rows, or one block's;
-    # the complex buffer holds one call
-    for n, m in ((8, 100_000), (4096, 256)):
-        size, nbytes = per_worker(n, m)
-        assert nbytes <= 2 * 8 * max(_FFT_ELEMENTS, BLOCK_PATHS // 2 * size) + 16 * _FFT_ELEMENTS
-    # n = 4096 allocates what one 64-path block with 4-row FFTs did
-    assert per_worker(4096, 256) == (16384, 2 * 8 * 32 * 16384 + 16 * 4 * 16384)
-    # a 2-path warm-up draws one row: a few KB
-    assert per_worker(16, 2)[1] <= 4096
+    # each buffer is one FFT call: _FFT_ELEMENTS complex entries, or one row
+    # when the embedding alone is larger
+    for n, m, blocks in ((8, 100_000, 13), (4096, 256, 16), (40000, 6, 3)):
+        size, nbytes = per_worker(n, m, blocks)
+        assert size == 2 * n
+        assert nbytes <= 16 * max(_FFT_ELEMENTS, size)
+    assert per_worker(4096, 256, 16) == (8192, 16 * _FFT_ELEMENTS)
+    # a 2-path warm-up draws one row: a few hundred bytes
+    assert per_worker(16, 2, 1) == (32, 16 * 32)
 
 
-def test_dense_matches_circulant_covariance():
-    # both methods target the same Toeplitz covariance; check each against
-    # the analytic matrix at moderate sample size
-    n, m, h = 8, 60_000, 0.75
-    target = _toeplitz_cov(n, h, 1.0)
-    for method in ("circulant", "dense"):
-        p = sample_fbm_increments(n, 1.0, h, m, seed=77, method=method)
-        assert p.method == method
+def test_sampled_covariance_matches_gram():
+    # the sampled covariance targets the increment Gram of the grid, here
+    # at the smallest embeddings (size 2 and 4) as well
+    m, h = 60_000, 0.75
+    for n in (1, 2, 8):
+        p = sample_fbm_increments(n, 1.0, h, m, seed=77)
+        assert p.method == "circulant"
+        target = _increment_cov(n, h, 1.0)
         emp = p.data.T @ p.data / m
         assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.05
 
@@ -134,7 +148,7 @@ def test_marginal_variance():
 
 def test_frobenius_convergence_rate():
     n, h = 16, 0.7
-    target = _toeplitz_cov(n, h, 1.0)
+    target = _increment_cov(n, h, 1.0)
     dists = []
     for m in (1_000, 10_000, 100_000):
         p = sample_fbm_increments(n, 1.0, h, m, seed=901)
@@ -181,24 +195,46 @@ def test_sample_validation():
         sample_fbm_increments(8, -1.0, 0.5, 4, seed=0)
     with pytest.raises(ValueError):
         sample_fbm_increments(8, 1.0, 0.5, 0, seed=0)
-    with pytest.raises(ValueError):
-        sample_fbm_increments(8, 1.0, 0.5, 4, seed=0, method="wavelet")
     for dt in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"dt must be finite, got {dt}"):
             sample_fbm_increments(4096, dt, 0.5, 4, seed=0)
 
 
-def test_non_psd_embedding_falls_back_to_dense():
-    # rounding in the autocovariance near H = 1 leaves the embedding's
-    # smallest eigenvalue at -5e-12 of the largest, beyond the 1e-12 tolerance
-    h = 1.0 - 1e-8
-    assert _embedding_spectrum(1024, h, 1.0) == (None, 0)
-    auto = sample_fbm_increments(1024, 1.0, h, 4, seed=0)
-    dense = sample_fbm_increments(1024, 1.0, h, 4, seed=0, method="dense")
-    assert auto.method == "dense"
-    assert auto.data.tobytes() == dense.data.tobytes()
+@pytest.mark.parametrize("n", [1, 2, 2000, 32768, 65536])
+def test_embedding_is_psd_near_h_one(n):
+    # with the lattice-series autocovariance the size-2n embedding keeps a
+    # positive smallest eigenvalue on H = 1 - 10^-k up to k = 8.5, next to
+    # the Hurst guard (at n = 65536 it is 1.3e-12 of the largest at
+    # H = 1 - 1e-7 and 1.3e-13 at 1 - 1e-8); only the spectrum is computed,
+    # nothing is sampled
+    for k in np.arange(0.5, 8.51, 0.5):
+        h = 1.0 - 10.0**-k
+        lam = _embedding_spectrum(n, h, 1.0)
+        assert lam.shape == (2 * n,)
+        assert lam.min() > 0.0, (n, h)
+
+
+def test_smallest_embeddings_are_psd():
+    # n = 1 and n = 2 embed in circulants of size 2 and 4, whose spectra
+    # are gamma0 +- gamma1 and gamma0 + 2 gamma1 cos(pi j / 2) + gamma2 (-1)^j
+    for h in np.linspace(0.01, 0.99, 99):
+        g0, g1, g2 = increment_autocov(np.arange(3), h, 0.5)
+        lam1 = _embedding_spectrum(1, h, 0.5)
+        lam2 = _embedding_spectrum(2, h, 0.5)
+        assert np.allclose(lam1, [g0 + g1, g0 - g1], rtol=1e-14, atol=0.0)
+        assert np.allclose(lam2, [g0 + 2 * g1 + g2, g0 - g2, g0 - 2 * g1 + g2, g0 - g2], rtol=1e-13, atol=1e-16)
+        assert lam1.min() > 0.0 and lam2.min() > 0.0
+
+
+def test_non_psd_embedding_raises(monkeypatch):
+    # a forced non-PSD column (gamma(0) = 1, gamma(1) = 0.9, zero beyond)
+    # gives eigenvalues 1 + 1.8 cos(pi j / n); nothing falls back
+    monkeypatch.setattr(sampler, "increment_autocov",
+                        lambda k, h, dt: np.where(k == 0, 1.0, np.where(k == 1, 0.9, 0.0)))
+    with pytest.raises(RuntimeError, match="not PSD at n=8"):
+        _embedding_spectrum(8, 0.7, 1.0)
     with pytest.raises(RuntimeError, match="not PSD"):
-        sample_fbm_increments(1024, 1.0, h, 4, seed=0, method="circulant")
+        sample_fbm_increments(8, 1.0, 0.7, 4, seed=0)
 
 
 def test_round_trip(tmp_path):
@@ -215,7 +251,7 @@ def test_round_trip(tmp_path):
 
 def test_sample_paths_invariants():
     with pytest.raises(ValueError):
-        SamplePaths(m=2, n=3, dt=1.0, h=0.5, seed=0, method="dense", data=np.zeros((3, 2)))
+        SamplePaths(m=2, n=3, dt=1.0, h=0.5, seed=0, method="circulant", data=np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        SamplePaths(m=1, n=2, dt=1.0, h=0.5, seed=0, method="dense",
+        SamplePaths(m=1, n=2, dt=1.0, h=0.5, seed=0, method="circulant",
                     data=np.array([[1.0, math.inf]]))
