@@ -32,6 +32,7 @@ from fbmlocal.geometry import (
 from fbmlocal.kernels import (
     IncrementBasis,
     TimeGrid,
+    _toeplitz_quadratic_form,
     check_finite,
     check_hurst,
     cross_gram,
@@ -368,40 +369,21 @@ def fit_exponent(
 # two-window theorem: rates 2-2H and 4-4H plus the constant r_H
 
 
-# Levinson does not test definiteness; a breakdown shows in the residual
-_DUAL_GRAM_RESIDUAL = 1e-8
-
-
 def r_h_dual_gram(h: float, n: int = 2048) -> float:
     """Prefactor via the dual-norm route, no window scan involved.
 
     The leading constant in the scan convention equals
-    H |2H-1| 2^(2-2H) M^2 with M^2 the squared dual norm of the mean
-    functional over unit-variance increment combinations on (0, 1),
-    computed as a Gram quadratic form w' G^{-1} w.  An independent
-    numerical route to the closed form r_h_constant; its discretization
-    error shrinks like O(1/n).
-
-    The increment Gram of the n uniform cells is Toeplitz with first
-    column increment_autocov(arange(n), h, 1/n), so G x = w is solved by
-    Levinson recursion in O(n^2) time and O(n) memory; no n x n matrix
-    is built.  The solve is accepted only if its relative residual
-    ||G x - w|| / ||w|| (an FFT product) is at most 1e-8 and w'x > 0;
-    otherwise LinAlgError is raised.
+    H |2H-1| 2^(2-2H) M^2 with M^2 = w' G^{-1} w the squared dual norm of
+    the mean functional over increment combinations on n uniform cells of
+    (0, 1): an independent route to r_h_constant, O(1/n) off.  G is
+    Toeplitz with first column increment_autocov(arange(n), h, 1/n), so
+    the form is the kernels' guarded Levinson solve (LinAlgError unless
+    the relative residual is at most 1e-8 and w'x > 0).
     """
     check_hurst(h)
-    from scipy.linalg import matmul_toeplitz, solve_toeplitz
-
     col = increment_autocov(np.arange(n), h, 1.0 / n)
     w = np.diff(np.linspace(0.0, 1.0, n + 1))
-    x = solve_toeplitz(col, w)
-    resid = float(np.linalg.norm(matmul_toeplitz(col, x) - w) / np.linalg.norm(w))
-    m2 = float(w @ x)
-    if not (resid <= _DUAL_GRAM_RESIDUAL and m2 > 0.0):
-        raise np.linalg.LinAlgError(
-            f"dual-Gram Toeplitz solve rejected at H={h}, n={n}: "
-            f"relative residual {resid:.3g}, w'x {m2:.3g}"
-        )
+    m2 = _toeplitz_quadratic_form(col, w, f"H={h}, n={n}")
     return h * abs(2.0 * h - 1.0) * 2.0 ** (2.0 - 2.0 * h) * m2
 
 

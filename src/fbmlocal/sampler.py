@@ -117,6 +117,8 @@ def sample_fbm_increments(
     check_hurst(h)
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     check_finite("dt", dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -142,19 +144,21 @@ def sample_fbm_increments(
 
 
 def lag1_increment_correlation(paths: SamplePaths):
-    """Pooled lag-1 correlation estimate with a between-path standard error.
-
-    Per-path ratios are averaged; the increments are zero mean by the
-    model, so no mean subtraction.
+    """Pooled lag-1 correlation r = sum a_i / sum b_i of the paths' lag-1
+    and lag-0 sums (a mean of per-path ratios is biased by several SE at
+    high H), with the ratio estimator's between-path standard error
+    sqrt(sum (a_i - r b_i)^2 / (m (m-1))) / mean b_i. The increments are
+    zero mean by the model, so no mean subtraction.
     """
     x = paths.data
     if paths.n < 2:
         raise ValueError("need at least 2 increments per path")
     num = np.sum(x[:, :-1] * x[:, 1:], axis=1)
     den = np.sum(x * x, axis=1)
-    r = num / den
-    se = r.std(ddof=1) / math.sqrt(paths.m) if paths.m > 1 else math.inf
-    return float(r.mean()), float(se)
+    r = num.sum() / den.sum()
+    resid, m = num - r * den, paths.m
+    se = math.sqrt(resid @ resid / (m * (m - 1))) / den.mean() if m > 1 else math.inf
+    return float(r), float(se)
 
 
 def empirical_mi_check(paths: SamplePaths, split: int):

@@ -14,6 +14,10 @@ weight is the integrable |xi|^(2s) factor, checked against the rule with
 twice the nodes; the midrange uses oscillatory-weight quadrature per
 phase difference, and the far tail is bounded analytically through the
 O(xi^-2) decay of hat transforms.
+
+The lemma-2.2 dual norm needs no quadrature: its hat Gram row is the
+kernels' lattice series (fourth difference) and its quadratic form the
+same guarded Levinson solve as r_h_dual_gram.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from fbmlocal.kernels import _second_difference, check_hurst
+from fbmlocal.kernels import _even_difference, _second_difference, _toeplitz_quadratic_form, check_hurst
 
 __all__ = [
     "SMOOTH_GUARD",
@@ -136,25 +140,6 @@ class TestFunction:
         if k <= 0.0:
             raise ValueError("dilation factor must be positive")
         return TestFunction(nodes=self.nodes / float(k), values=self.values)
-
-    def l2_inner(self, other: "TestFunction") -> float:
-        """Exact L2 inner product (Simpson on merged breakpoints is exact
-        for the piecewise-quadratic product)."""
-        lo = max(self.nodes[0], other.nodes[0])
-        hi = min(self.nodes[-1], other.nodes[-1])
-        if hi <= lo:
-            return 0.0
-        pts = np.unique(np.concatenate([self.nodes, other.nodes]))
-        pts = pts[(pts >= lo) & (pts <= hi)]
-        if pts[0] > lo:
-            pts = np.concatenate([[lo], pts])
-        if pts[-1] < hi:
-            pts = np.concatenate([pts, [hi]])
-        mid = 0.5 * (pts[:-1] + pts[1:])
-        fg_lo = self(pts[:-1]) * other(pts[:-1])
-        fg_mid = self(mid) * other(mid)
-        fg_hi = self(pts[1:]) * other(pts[1:])
-        return float(np.sum(np.diff(pts) / 6.0 * (fg_lo + 4.0 * fg_mid + fg_hi)))
 
     # -- frequency-space view -----------------------------------------------
 
@@ -400,13 +385,17 @@ def pairing_identity_check(phi1: TestFunction, phi2: TestFunction, h: float) -> 
 
 
 def _hat_gram_row(pts: np.ndarray, s: float) -> np.ndarray:
-    """First row of the s-Gram of the hats on the interior uniform nodes
-    pts[1:-1], by the exact identity (phi, psi)_s = E[X(phi) X(psi)] / a_H
-    at H = 1/2 - s; the Gram is Toeplitz, so one row is all of it."""
+    """First row of the (Toeplitz) s-Gram of the hats on the interior
+    uniform nodes pts[1:-1].  By (phi, psi)_s = E[X(phi) X(psi)] / a_H at
+    H = 1/2 - s, hats j cells of width dx apart pair to
+    0.5 Delta^4 |j|^p dx^p / (dx^2 (p-1) p a_H) with p = 2H + 2, summed as
+    the kernels' lattice series at j >= 3: far entries keep full precision.
+    """
     dx = pts[1] - pts[0]
-    hats = [TestFunction.hat(center=p, halfwidth=dx) for p in pts[1:-1]]
     h = 0.5 - s
-    return np.array([fbm_pairing_time(hats[0], hat, h) for hat in hats]) / a_h_constant(h)
+    p = 2.0 * h + 2.0
+    row = _even_difference(np.arange(pts.size - 2, dtype=float), p, (6.0, -4.0, 1.0))
+    return row * dx**p / (dx * dx * (p - 1.0) * p * a_h_constant(h))
 
 
 def _hat_pairings(alpha: float, k: float, pts: np.ndarray) -> np.ndarray:
@@ -436,13 +425,12 @@ def lemma22_dual_norm(
     supported in (-T, 0).
 
     The supremum of the pairing over the unit ball of the span of n hats
-    on a uniform grid of (-T, 0) is a quadratic-form maximum,
-    sup = sqrt(w' M^-1 w).  Both pieces are exact, with no quadrature:
-    M is the Toeplitz Sobolev Gram of the hats, its first row the
-    time-domain FBM pairing at H = 1/2 - s divided by a_H; w holds the
-    pairings of the hats with (k - x)^(-alpha), each a second difference
-    of the double antiderivative.  The Cholesky factorization of M fails
-    loudly if the Gram is not positive definite.
+    on a uniform grid of (-T, 0) is sqrt(w' M^-1 w), with no quadrature:
+    M is the Toeplitz Sobolev Gram of the hats (row _hat_gram_row) and w
+    holds the exact pairings of the hats with (k - x)^(-alpha).  The form
+    is the kernels' guarded Levinson solve, as for r_h_dual_gram: no n x n
+    matrix, and LinAlgError unless the relative residual is at most 1e-8
+    and w' M^-1 w > 0.
     """
     s = check_smoothness(s)
     if k < 2.0:
@@ -451,10 +439,6 @@ def lemma22_dual_norm(
         raise ValueError("need alpha > 1/2 + s for a decaying dual norm")
     if alpha == 1.0:
         raise ValueError("alpha = 1 is excluded")
-    from scipy.linalg import cho_factor, cho_solve, toeplitz
-
     pts = np.linspace(-truncation_t, 0.0, n + 2)
-    m = toeplitz(_hat_gram_row(pts, s))
     w = _hat_pairings(alpha, k, pts)
-    cf = cho_factor(m, lower=True)
-    return float(math.sqrt(w @ cho_solve(cf, w)))
+    return math.sqrt(_toeplitz_quadratic_form(_hat_gram_row(pts, s), w, f"s={s}, T={truncation_t}, n={n}"))

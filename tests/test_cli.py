@@ -190,6 +190,16 @@ def test_sample_rejects_dt_with_horizon(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sample_rejects_bad_thread_count(threads, tmp_path, capsys):
+    target = tmp_path / "paths.bin"
+    assert main(["sample", "--H", "0.7", "--n", "64", "--m", "4", "--threads", threads, "--out", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"fbmlocal: error: threads must be at least 1, got {threads}\n"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("argv, bad", [
     (["cov", "--H", "0.75", "--t1", "nan", "--t2", "1"], "'nan'"),
     (["scan", "--H", "0.7", "--eps", "0.125,nan"], "'0.125,nan'"),

@@ -253,15 +253,21 @@ def test_r_h_dual_gram_converges_like_one_over_n(h):
 
 
 def test_r_h_dual_gram_rejects_bad_solves(monkeypatch):
+    # both dual Grams share one guarded Toeplitz solve; hit each guard
+    # through r_h_dual_gram and through lemma22_dual_norm
     import scipy.linalg
 
-    from fbmlocal import experiments
+    from fbmlocal import experiments, sobolev
 
     # a negative-definite column solves cleanly but gives w'x < 0
     autocov = experiments.increment_autocov
     monkeypatch.setattr(experiments, "increment_autocov", lambda k, h, dt: -autocov(k, h, dt))
-    with pytest.raises(np.linalg.LinAlgError, match="w'x -"):
+    with pytest.raises(np.linalg.LinAlgError, match="at H=0.7, n=64: .* w'x -"):
         r_h_dual_gram(0.7, n=64)
+    row = sobolev._hat_gram_row
+    monkeypatch.setattr(sobolev, "_hat_gram_row", lambda pts, s: -row(pts, s))
+    with pytest.raises(np.linalg.LinAlgError, match="at s=0.25, T=16.0, n=64: .* w'x -"):
+        sobolev.lemma22_dual_norm(2.0, 0.25, 2.0, 16.0, 64)
     monkeypatch.undo()
 
     # a solve that misses the system trips the residual guard
@@ -269,6 +275,8 @@ def test_r_h_dual_gram_rejects_bad_solves(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "solve_toeplitz", lambda c, b: 1.001 * solve(c, b))
     with pytest.raises(np.linalg.LinAlgError, match=r"residual 0\.001"):
         r_h_dual_gram(0.7, n=64)
+    with pytest.raises(np.linalg.LinAlgError, match=r"residual 0\.001"):
+        sobolev.lemma22_dual_norm(2.0, 0.25, 2.0, 16.0, 64)
 
 
 def test_adjacency_h_half_zero_and_precondition():

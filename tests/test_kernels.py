@@ -1,5 +1,6 @@
 """Covariance kernels: closed-form values, symmetries, Gram assembly."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -142,6 +143,39 @@ def test_increment_autocov_matches_40_digit_oracle(h):
             k = mpmath.mpf(k)
             want = mpmath.mpf(0.5) ** p * ((k + 1) ** p + (k - 1) ** p - 2 * k**p) / 2
             assert abs(float((g - want) / want)) <= 1e-13, (k, h)
+
+
+# increment_autocov(arange(65537), h) as recorded from its own series
+# (30 terms, Horner in k^-2): sha256 of the little-endian bytes, and twelve
+# lags exactly
+_AUTOCOV_LAGS = [0, 1, 2, 3, 4, 5, 17, 255, 1023, 4097, 32767, 65536]
+_AUTOCOV_RECORDED = {
+    0.25: ("3b87d26f5cddb953ca60b01caaf67016eb8137632d516a3672cadc13ea0b13b9", [
+        "0x1.0000000000000p+0", "-0x1.2bec333018866p-2", "-0x1.8ac1e4a62aeecp-5", "-0x1.98aed462bb109p-6",
+        "-0x1.052bc0ef940c1p-6", "-0x1.7309193641082p-7", "-0x1.d40040369a3f7p-10", "-0x1.0182334d1e2c6p-15",
+        "-0x1.0060230d25181p-18", "-0x1.ffd0045f970a3p-22", "-0x1.6a0e249206f06p-26", "-0x1.0000000050000p-27",
+    ]),
+    0.7: ("5e20fbe5c20bef7babe827207cca6002542d768b32f004ac3c6ef690bd043ffc", [
+        "0x1.0000000000000p+0", "0x1.472d14ee54db0p-2", "0x1.8290b0fb94791p-3", "0x1.2b5cfb4ebb0b2p-3",
+        "0x1.f5c132bdbedccp-4", "0x1.b6114cf1056eap-4", "0x1.a32daf6720066p-5", "0x1.4a2129d006dbfp-7",
+        "0x1.1ee35e039e3c2p-8", "0x1.f322a9ee1b14cp-10", "0x1.1eb9a9fe69b28p-11", "0x1.7a544d8a87f19p-12",
+    ]),
+    0.9995: ("37621b15ff61a5278778f08974ca99b22eef7b52a4d5ff604e1f157a87182c89", [
+        "0x1.0000000000000p+0", "0x1.ff4a5bcc38240p-1", "0x1.fee3a6977e0b4p-1", "0x1.feacfeafb7286p-1",
+        "0x1.fe86d767d31f5p-1", "0x1.fe696e38a4bc8p-1", "0x1.fdc938cf9821fp-1", "0x1.fc683f765c06dp-1",
+        "0x1.fbb38fcc75ac2p-1", "0x1.faff596515246p-1", "0x1.f9f1c58bd080cp-1", "0x1.f998056b79075p-1",
+    ]),
+}
+
+
+@pytest.mark.parametrize("h", sorted(_AUTOCOV_RECORDED))
+def test_increment_autocov_is_bit_identical_to_recorded_column(h):
+    # the sampler's column and r_h_dual_gram depend on these exact bits:
+    # the second-difference case of the shared series has unit moments
+    digest, values = _AUTOCOV_RECORDED[h]
+    got = increment_autocov(np.arange(65537), h)
+    assert np.array_equal(got[_AUTOCOV_LAGS], [float.fromhex(v) for v in values])
+    assert hashlib.sha256(got.astype("<f8").tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("call, name", [

@@ -165,6 +165,17 @@ def test_lag1_statistic():
     assert abs(est - target) / se <= 4.0
 
 
+def test_lag1_statistic_is_unbiased_at_high_h():
+    # the lag sums are pooled across paths: a mean of per-path ratios is
+    # biased here, with a mean z of -8.3 over these seeds
+    target = 2.0 ** (2.0 * 0.95 - 1.0) - 1.0
+    z = []
+    for seed in range(20):
+        est, se = lag1_increment_correlation(sample_fbm_increments(4096, 1.0, 0.95, 256, seed=seed))
+        z.append((est - target) / se)
+    assert abs(np.mean(z)) <= 1.0
+
+
 def test_empirical_mi_basic():
     p = sample_fbm_increments(6, 1.0, 0.75, 30_000, seed=8)
     emp, ana, gap = empirical_mi_check(p, split=3)
@@ -198,6 +209,18 @@ def test_sample_validation():
     for dt in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"dt must be finite, got {dt}"):
             sample_fbm_increments(4096, dt, 0.5, 4, seed=0)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_bad_thread_count_is_rejected_before_any_pool(threads, monkeypatch):
+    from fbmlocal import sampler
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match=f"^threads must be at least 1, got {threads}$"):
+        sample_fbm_increments(64, 1.0, 0.7, 4, seed=0, threads=threads)
 
 
 @pytest.mark.parametrize("n", [1, 2, 2000, 32768, 65536])

@@ -87,7 +87,12 @@ def test_s_zero_is_l2():
         n1, n2 = rng.integers(3, 7, size=2)
         phi = TestFunction.from_samples(np.sort(rng.uniform(-2, 2, n1)), rng.uniform(-1, 1, n1 - 2))
         psi = TestFunction.from_samples(np.sort(rng.uniform(-2, 2, n2)), rng.uniform(-1, 1, n2 - 2))
-        assert sobolev_inner(phi, psi, 0.0) == pytest.approx(phi.l2_inner(psi), rel=1e-8, abs=1e-10)
+        # the product is piecewise quadratic, so Gauss-Kronrod between the
+        # breakpoints is exact
+        lo, hi = max(phi.nodes[0], psi.nodes[0]), min(phi.nodes[-1], psi.nodes[-1])
+        knots = [x for x in np.concatenate([phi.nodes, psi.nodes]) if lo < x < hi]
+        l2 = quad(lambda x: phi(x) * psi(x), lo, hi, points=knots)[0] if lo < hi else 0.0
+        assert sobolev_inner(phi, psi, 0.0) == pytest.approx(l2, rel=1e-8, abs=1e-10)
 
 
 def test_symmetry_and_bilinearity():
@@ -238,6 +243,38 @@ def test_lemma22_gram_row_matches_spectral_quadrature(s):
     hats = _hats(pts)
     want = [sobolev_inner(hats[0], hat, s) for hat in hats]
     np.testing.assert_allclose(_hat_gram_row(pts, s), want, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.25, 0.75, 0.95])
+def test_lemma22_gram_row_matches_50_digit_oracle(h):
+    # the hat row is 0.5 Delta^4 |j|^p dx^p / (dx^2 (p-1) p a_H), p = 2H + 2;
+    # far entries need the lattice series: summed rectangle by rectangle
+    # they lose up to 1.6e-4 relative to cancellation
+    mpmath = pytest.importorskip("mpmath")
+    lags = [0, 1, 2, 3, 4, 17, 255, 1023]
+    pts = np.linspace(-64.0, 0.0, 1026)
+    got = _hat_gram_row(pts, 0.5 - h)
+    with mpmath.workdps(50):
+        hh = mpmath.mpf(0.5) - mpmath.mpf(0.5 - h)
+        p = 2 * hh + 2
+        dx = mpmath.mpf(pts[1]) - mpmath.mpf(pts[0])
+        a_h = mpmath.sin(mpmath.pi * hh) * mpmath.gamma(1 + 2 * hh)
+        stencil = {-2: 1, -1: -4, 0: 6, 1: -4, 2: 1}
+        for j in lags:
+            delta4 = sum(w * abs(mpmath.mpf(j + i)) ** p for i, w in stencil.items()) / 2
+            want = delta4 * dx**p / (dx**2 * (p - 1) * p * a_h)
+            assert abs(float((got[j] - want) / want)) <= 1e-13, (j, h)
+
+
+@pytest.mark.parametrize("alpha, s, k", [(2.0, 0.25, 2.0), (1.5, -0.25, 8.0), (3.0, 0.45, 4.0), (1.2, -0.45, 2.0)])
+def test_lemma22_dual_norm_matches_dense_cholesky(alpha, s, k):
+    # oracle: the dense Toeplitz Gram of the same row, Cholesky-solved
+    from scipy.linalg import cho_factor, cho_solve, toeplitz
+
+    pts = np.linspace(-16.0, 0.0, 66)
+    w = _hat_pairings(alpha, k, pts)
+    dense = math.sqrt(w @ cho_solve(cho_factor(toeplitz(_hat_gram_row(pts, s)), lower=True), w))
+    assert lemma22_dual_norm(alpha, s, k, 16.0, 64) == pytest.approx(dense, rel=1e-10)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
