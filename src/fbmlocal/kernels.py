@@ -192,7 +192,9 @@ def _even_difference(k: np.ndarray, p: float, weights: tuple) -> np.ndarray:
     out[near] = 0.5 * sum((w * ((kn + i) ** p + np.abs(kn - i) ** p) for i, w in pairs), weights[0] * kn**p)
     y = 1.0 / (kf * kf)
     m = 2.0 * np.arange(1, _SERIES_TERMS + 1)
-    coef = binom(p, m) * sum(w * float(i) ** m for i, w in pairs)
+    # binom has poles at negative integer p, where C(p, m) = C(m - p - 1, m) for even m
+    c = binom(m - p - 1.0, m) if p < 0.0 and float(p).is_integer() else binom(p, m)
+    coef = c * sum(w * float(i) ** m for i, w in pairs)
     out[~near] = kf**p * y * np.polyval(coef[::-1], y)
     return out
 

@@ -404,14 +404,19 @@ def _hat_pairings(alpha: float, k: float, pts: np.ndarray) -> np.ndarray:
 
     A hat's second derivative is (delta_{x-} - 2 delta_x + delta_{x+}) / dx,
     so each integral is the second difference of G / dx with
-    G'' = (k - x)^(-alpha).
+    G'' = (k - x)^(-alpha).  In units of dx, x = (k - node) / dx: at
+    alpha = 2 (G = -log) that is -log1p(-x^-2) / dx, else
+    2 dx^(1-alpha) / ((1-alpha)(2-alpha)) times the kernels' second
+    difference at p = 2 - alpha.  Neither form cancels, and the offsets
+    from the last node are exact integers.
     """
-    u = k - pts
+    n = pts.size - 2
+    dx = (pts[-1] - pts[0]) / (n + 1)
+    x = (k - pts[-1]) / dx + np.arange(n, 0, -1, dtype=float)
     if alpha == 2.0:
-        g = -np.log(u)
-    else:
-        g = u ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
-    return (g[:-2] - 2.0 * g[1:-1] + g[2:]) / (pts[1] - pts[0])
+        return -np.log1p(-1.0 / (x * x)) / dx
+    q = 2.0 - alpha
+    return 2.0 * dx ** (1.0 - alpha) * _even_difference(x, q, (-2.0, 1.0)) / ((1.0 - alpha) * q)
 
 
 def lemma22_dual_norm(

@@ -11,11 +11,13 @@ independent dual-Gram route also reproduces; see README ("The leading
 constant"). The zero-extension value r_h_spectral is a diagnostic only.
 """
 
+import re
 import time
 
 import pytest
 
 from fbmlocal.acceptance import CHECKS
+from fbmlocal.experiments import theorem21_check
 
 _TOTAL_BUDGET = 300.0  # seconds, all criteria together
 _spent = 0.0
@@ -87,3 +89,48 @@ def test_criterion_13_invariance_suite():
 
 def test_criterion_14_sampler_consistency():
     _run("sampler-consistency")
+
+
+# the three two-window checks share one theorem21_check report per H
+_TWO_WINDOW = ("two-window-angle-rate", "two-window-mi-rate", "leading-constant")
+
+
+def test_two_window_checks_build_each_report_once(monkeypatch):
+    from fbmlocal import acceptance
+
+    built = []
+
+    def counted(h, *args, **kwargs):
+        built.append(h)
+        return theorem21_check(h, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "theorem21_check", counted)
+    monkeypatch.setattr(acceptance, "_THM21_REPORTS", {})
+    shared = [CHECKS[name]() for name in CHECKS if name in _TWO_WINDOW]
+    assert len(built) == len(set(built)) == 5
+    # one fresh build per check, as each check alone would make them: the
+    # details agree apart from the (...s) build times
+    alone = []
+    for name in _TWO_WINDOW:
+        monkeypatch.setattr(acceptance, "_THM21_REPORTS", {})
+        alone.append(CHECKS[name]())
+    assert len(built) == 5 + 12
+    for (ok_s, detail_s), (ok_a, detail_a) in zip(shared, alone):
+        assert ok_s == ok_a
+        assert re.sub(r"\(\d+\.\ds\)", "(~s)", detail_s) == re.sub(r"\(\d+\.\ds\)", "(~s)", detail_a)
+
+
+def test_angle_rate_clause_reads_the_stored_build_time(monkeypatch):
+    # a shared report keeps its build time: a cache hit cannot pass the
+    # 10 s clause for a build that took longer
+    from fbmlocal import acceptance
+
+    monkeypatch.setattr(acceptance, "_THM21_REPORTS", {})
+    passed, _ = CHECKS["two-window-angle-rate"]()
+    assert passed
+    assert all(took > 0.0 for _, took in acceptance._THM21_REPORTS.values())
+    rep, _ = acceptance._THM21_REPORTS[0.7]
+    acceptance._THM21_REPORTS[0.7] = (rep, 12.0)
+    passed, detail = CHECKS["two-window-angle-rate"]()
+    assert not passed
+    assert "H=0.7:" in detail and "(12.0s)" in detail

@@ -421,3 +421,19 @@ def test_exponent_fit_dataclass():
                       correction_order=0.5, eps_lo=0.01, eps_hi=0.1, n_used=5)
     d = fit.as_dict()
     assert d["slope"] == 0.5 and d["n_used"] == 5
+
+
+@pytest.mark.parametrize("h", [0.25, 0.75, 0.9])
+def test_bisected_window_grids_never_lower_cos_or_mi(h):
+    # n -> 2n - 1 points bisects every cell, so each window's increment
+    # span contains the coarse one and no canonical correlation can fall
+    eps = (2.0**-3, 2.0**-5, 2.0**-7)
+    prev = None
+    for n in (9, 17, 33, 65):
+        rows = local_independence_scan(h, 0.0, 1.0, eps, grid_n=n).rows
+        assert not any(r.skipped or r.ill_conditioned for r in rows)
+        if prev is not None:
+            for fine, coarse in zip(rows, prev):
+                assert fine.cos >= coarse.cos * (1.0 - 1e-12), (n, fine.eps)
+                assert fine.mi >= coarse.mi * (1.0 - 1e-12), (n, fine.eps)
+        prev = rows

@@ -189,3 +189,43 @@ def test_sigma_clamped_to_unit_interval():
         assert np.all(spec.sigmas >= 0.0)
         assert np.all(spec.sigmas <= 1.0)
         assert np.all(np.diff(spec.sigmas) <= 1e-15)
+
+
+_NUMPY_LAPACK = ("svd", "eigh", "eigvalsh", "cholesky", "qr", "solve", "lstsq", "inv", "slogdet")
+
+
+def test_whitening_never_calls_numpy_lapack(monkeypatch):
+    # numpy and scipy bundle separate OpenBLAS builds; every row must whiten
+    # on scipy's alone, so the scan families still run with numpy's blocked
+    from fbmlocal.experiments import adjacency_mi_table, local_independence_scan, past_future_angle
+
+    def blocked(*args, **kwargs):
+        raise AssertionError("numpy.linalg LAPACK called on the whitening path")
+
+    for name in _NUMPY_LAPACK:
+        monkeypatch.setattr(np.linalg, name, blocked)
+    rows = local_independence_scan(0.25).rows
+    assert all(0.0 < r.cos < 1.0 for r in rows)
+    assert 0.0 < past_future_angle(0.2, n=32) < 1.0
+    assert all(mi > 0.0 for mi in adjacency_mi_table(0.8, n_schedule=(4, 8, 16, 32)))
+
+
+def test_scipy_sigmas_match_numpy_svd_on_gate_row():
+    # gate row H = 0.25, eps = 2^-8, grid_n = 64: sigma_2 sits five decades
+    # below sigma_1, yet both builds' SVDs of the whitened cross-Gram agree
+    from scipy.linalg import solve_triangular
+
+    from fbmlocal.geometry import _pivoted_factor
+
+    eps, h = 2.0**-8, 0.25
+    a = IncrementBasis.from_grid(TimeGrid(-eps, eps, 64))
+    b = IncrementBasis.from_grid(TimeGrid(1.0 - eps, 1.0 + eps, 64))
+    ga, gb, c = gram(a, h), gram(b, h), cross_gram(a, b, h)
+    keep_a, la, _ = _pivoted_factor(ga, 1e-10)
+    keep_b, lb, _ = _pivoted_factor(gb, 1e-10)
+    m = solve_triangular(la, c[np.ix_(keep_a, keep_b)], lower=True)
+    m = solve_triangular(lb, m.T, lower=True).T
+    want = np.linalg.svd(m, compute_uv=False)[:2]
+    got = canonical_correlations(ga, gb, c).sigmas[:2]
+    assert want[1] < 1e-4 * want[0]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

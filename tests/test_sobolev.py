@@ -288,6 +288,27 @@ def test_lemma22_pairing_vector_matches_quadrature(alpha):
     np.testing.assert_allclose(_hat_pairings(alpha, k, pts), want, rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("alpha, t, n", [(2.0, 128.0, 256), (1.5, 64.0, 512), (1.5, 128.0, 1024)])
+def test_lemma22_pairing_vector_matches_50_digit_oracle(alpha, t, n):
+    # the gate protocols and protocol 2's 2T/2n twin: the three-term second
+    # difference of G lost up to 1.3e-9 relative here to cancellation
+    mpmath = pytest.importorskip("mpmath")
+    pts = np.linspace(-t, 0.0, n + 2)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        dx = mpmath.mpf(t) / (n + 1)
+
+        def g(u):
+            return -mpmath.log(u) if alpha == 2.0 else u ** (2 - a) / ((1 - a) * (2 - a))
+
+        for k in (2.0, 4.0, 8.0, 16.0, 32.0):
+            got = _hat_pairings(alpha, k, pts)
+            for j in range(1, n + 1):
+                u = k + t - j * dx
+                want = (g(u + dx) - 2 * g(u) + g(u - dx)) / dx
+                assert abs(float((got[j - 1] - want) / want)) <= 1e-13, (k, j)
+
+
 def test_lemma22_gate_values():
     # the two protocols of the sobolev-scaling check, at the ends of its k schedule
     assert lemma22_dual_norm(2.0, 0.25, 2.0, 128.0, 256) == pytest.approx(0.22744319800215002, rel=1e-6)
