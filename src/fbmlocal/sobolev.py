@@ -9,11 +9,14 @@ exp(-i x xi) f(x) dx and |s| < 1/2.  Test functions are piecewise linear
 with compact support, so their transforms are closed-form combinations
 of complex exponentials and the time-domain FBM pairing is exact.
 
-Quadrature is split at |xi| = 1: the head is one Gauss-Jacobi rule whose
-weight is the integrable |xi|^(2s) factor, checked against the rule with
-twice the nodes; the midrange uses oscillatory-weight quadrature per
-phase difference, and the far tail is bounded analytically through the
-O(xi^-2) decay of hat transforms.
+Quadrature is split at |xi| = 1 and needs no adaptive rule.  The head
+is a fixed panel rule: Gauss-Jacobi for the integrable |xi|^(2s) factor
+on [0, min(1, 1/span)], Gauss-Legendre panels on the rest.  Beyond 1 the
+integrand is a sum of x^(2s-4) cos(delta x) over node pairs; rotating
+the contour to x = 1 + it makes each term a decaying, non-oscillatory
+integral, and one geometric Gauss-Legendre rule in t serves all of them
+out to a t where an analytic bound puts the rest below 1e-8 of the head.
+Each rule is checked against the same panels with twice the nodes.
 
 The lemma-2.2 dual norm needs no quadrature: its hat Gram row is the
 kernels' lattice series (fourth difference) and its quadratic form the
@@ -22,12 +25,13 @@ same guarded Levinson solve as r_h_dual_gram.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_jacobi
+from scipy.special import roots_jacobi, roots_legendre
 
 from fbmlocal.kernels import _even_difference, _second_difference, _toeplitz_quadratic_form, check_hurst
 
@@ -51,15 +55,21 @@ __all__ = [
 SMOOTH_GUARD = 1e-9
 # the dropped far tail of sobolev_inner stays below this fraction of the head
 _TAIL_REL = 1e-8
+# sobolev_inner's panel rules: nodes per panel (checked against twice as
+# many), the most phase one head panel spans, and the allowed gap between
+# the two rules as a fraction of the sum of |weight| * |integrand terms|
+_PANEL_NODES = 16
+_PANEL_PHASE = 16.0
+_RULE_REL = 1e-8
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class TailNotConvergedError(RuntimeError):
-    """The analytic tail bound cannot be pushed below the requested level."""
+    """The rotated-contour tail rule of sobolev_inner disagrees with its doubling."""
 
 
 class HeadNotConvergedError(RuntimeError):
-    """The Gauss-Jacobi head rule of sobolev_inner disagrees with its doubling."""
+    """The panel head rule of sobolev_inner disagrees with its doubling."""
 
 
 def check_smoothness(s: float) -> float:
@@ -188,85 +198,146 @@ def _hat_shape(xi: np.ndarray, hl: float, hr: float) -> np.ndarray:
 
 def _cross_spectrum(phi: TestFunction, psi: TestFunction):
     """Cosine-sum form of Re(phihat * conj(psihat)),
-    sum_g W_g cos(delta_g xi) / (2 pi xi^4), grouped by phase."""
-    wp = phi.slope_jumps()
-    vq = psi.slope_jumps()
-    amp = np.outer(wp, vq).ravel()
+    sum W cos(delta xi) / (2 pi xi^4), one term per pair of nodes: delta is
+    their distance and W the product of the slope jumps there."""
+    weight = np.outer(phi.slope_jumps(), psi.slope_jumps()).ravel()
     delta = np.abs(np.subtract.outer(phi.nodes, psi.nodes)).ravel()
-    groups: dict = {}
-    for a, d in zip(amp, delta):
-        groups[d] = groups.get(d, 0.0) + a
-    groups = {d: w for d, w in groups.items() if w != 0.0}
-    abs_sum = float(np.sum(np.abs(amp)))
-    return groups, abs_sum
+    return delta, weight
 
 
-def _head_nodes(phi: TestFunction, psi: TestFunction) -> int:
-    """Node count of the head rule: the integrand's phases are the node
-    differences, so its frequency is at most the joint support span."""
-    span = max(phi.nodes[-1], psi.nodes[-1]) - min(phi.nodes[0], psi.nodes[0])
-    return 32 + math.ceil(span)
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int):
+    return roots_legendre(n)
 
 
-def _head(phi: TestFunction, psi: TestFunction, s: float, m: int) -> float:
+@functools.lru_cache(maxsize=64)
+def _jacobi(n: int, two_s: float):
+    return roots_jacobi(n, 0.0, two_s)
+
+
+def _panel_rule(edges: np.ndarray, n: int):
+    """Nodes and weights of the n-node Gauss-Legendre rule on every panel
+    [edges[i], edges[i+1]], flattened."""
+    x, w = _legendre(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _checked_sum(
+    f: np.ndarray, size: np.ndarray, w_n: np.ndarray, w_2n: np.ndarray, n: int, what: str, error: type
+) -> float:
+    """The 2n-node sum of a panel rule whose values f hold the n-node
+    nodes first.  It is trusted only if the n-node sum agrees with it to
+    _RULE_REL of the sum of |weight| * size, else error is raised; size
+    bounds the terms each value was summed from, so a value that cancels
+    to round-off (an inner product that is zero by symmetry) does not
+    trip the check."""
+    k = w_n.size
+    fine = float(np.sum(w_2n * f[k:]))
+    gap = abs(float(w_n @ f[:k]) - fine)
+    if gap > _RULE_REL * float(np.abs(w_2n) @ size[k:]):
+        raise error(f"{n}- and {2 * n}-node {what} rules differ by {gap:.3e} ({what} {fine:.6e})")
+    return fine
+
+
+def _head_edges(a: float, span: float) -> np.ndarray:
+    """Panel edges on [a, 1]: geometric (a 2^k), each cut into equal pieces
+    of at most _PANEL_PHASE radians at frequency span."""
+    geometric = np.append(a * 2.0 ** np.arange(math.ceil(math.log2(1.0 / a))), 1.0)
+    cuts = [
+        np.linspace(lo, hi, math.ceil((hi - lo) * span / _PANEL_PHASE), endpoint=False)
+        for lo, hi in zip(geometric[:-1], geometric[1:])
+    ]
+    return np.concatenate(cuts + [[1.0]])
+
+
+def _head(phi: TestFunction, psi: TestFunction, s: float, n: int = _PANEL_NODES) -> float:
     """Integral over [0, 1] of Re(phihat * conj(psihat)) xi^(2s).
 
-    The m-node Gauss-Jacobi rule for the weight xi^(2s) absorbs the
-    endpoint singularity, so the integrand left to the rule is entire.
-    The 2m-node rule (one transform call per function covers both node
-    sets) is its error estimate: if the two differ by more than 1e-8 of
-    the sum of |weight * integrand|, the m-node value is not trusted and
-    the call raises.  The m-node value is returned, the one the estimate
-    is for; scipy's Jacobi nodes also lose digits as m grows.
+    The integrand's phases are node differences, at most the joint
+    support span L.  On [0, a], a = min(1, 1/L), an n-node Gauss-Jacobi
+    rule for the weight xi^(2s) absorbs the endpoint singularity and sees
+    at most one radian of phase; [a, 1] is cut into geometric panels
+    (a 2^k), each split until it spans at most _PANEL_PHASE radians, with
+    an n-node Gauss-Legendre rule per panel.  Small fixed rules keep the
+    Jacobi nodes accurate at any span and any |s| < 1/2.  The same panels
+    with 2n nodes each give the returned value; if the two rules differ
+    by more than _RULE_REL of the sum of |weight| |phihat| |psihat|, the
+    call raises HeadNotConvergedError.
     """
-    x_m, w_m = roots_jacobi(m, 0.0, 2.0 * s)
-    x_2m, w_2m = roots_jacobi(2 * m, 0.0, 2.0 * s)
-    # xi = (1 + x) / 2 maps the rules' [-1, 1] onto [0, 1]: xi^(2s) dxi = 2^(-1-2s) (1 + x)^(2s) dx
-    xi = 0.5 * (1.0 + np.concatenate([x_m, x_2m]))
-    f = np.real(phi.fourier(xi) * np.conj(psi.fourier(xi))) * 2.0 ** (-1.0 - 2.0 * s)
-    head = float(w_m @ f[:m])
-    terms = w_2m * f[m:]
-    gap = abs(head - float(np.sum(terms)))
-    if gap > 1e-8 * float(np.sum(np.abs(terms))):
-        raise HeadNotConvergedError(f"{m}- and {2 * m}-node head rules differ by {gap:.3e} (head {head:.6e})")
-    return head
+    span = max(phi.nodes[-1], psi.nodes[-1]) - min(phi.nodes[0], psi.nodes[0])
+    a = min(1.0, 1.0 / span)
+    edges = _head_edges(a, span)
+    xi, weights = [], []
+    for m in (n, 2 * n):
+        # xi = a (1 + x) / 2 maps the Jacobi rule's [-1, 1] onto [0, a]
+        x, w = _jacobi(m, 2.0 * s)
+        y, v = _panel_rule(edges, m)
+        xi += [0.5 * a * (1.0 + x), y]
+        weights.append(np.concatenate([(0.5 * a) ** (1.0 + 2.0 * s) * w, v * y ** (2.0 * s)]))
+    xi = np.concatenate(xi)
+    phat, psihat = phi.fourier(xi), psi.fourier(xi)
+    f = np.real(phat * np.conj(psihat))
+    return _checked_sum(f, np.abs(phat) * np.abs(psihat), *weights, n, "head", HeadNotConvergedError)
+
+
+def _tail(delta: np.ndarray, weight: np.ndarray, s: float, scale: float, n: int = _PANEL_NODES) -> float:
+    """(1/2pi) sum_k W_k integral over [1, inf) of x^(2s-4) cos(delta_k x) dx,
+    for phases delta_k > 0.
+
+    Rotating the contour to x = 1 + it (the arc vanishes since 2s - 4 < -3)
+    turns each integral into Re[i e^(i delta) integral over [0, inf) of
+    (1 + it)^(2s-4) e^(-delta t) dt], a non-oscillatory integrand.  One
+    rule in t serves every term: geometric panels from [0, a],
+    a = min(1/2, 1/max delta), doubling up to t_max, with n Gauss-Legendre
+    nodes each.  Past t_max, |(1 + it)^(2s-4)| <= t^(2s-4) bounds the
+    dropped part by sum |W_k| t_max^(2s-3) / (2 pi (3 - 2s)), and t_max
+    is the first panel edge that puts this below _TAIL_REL of scale.
+    The 2n-node value is returned after the n-node check of _checked_sum
+    (TailNotConvergedError).
+    """
+    if delta.size == 0:
+        return 0.0
+    power = 3.0 - 2.0 * s
+    a = min(0.5, 1.0 / float(delta.max()))
+    t_max = (float(np.sum(np.abs(weight))) / (2.0 * math.pi * power * _TAIL_REL * scale)) ** (1.0 / power)
+    edges = np.append(0.0, a * 2.0 ** np.arange(max(1, math.ceil(math.log2(t_max / a))) + 1))
+    (t_n, w_n), (t_2n, w_2n) = (_panel_rule(edges, m) for m in (n, 2 * n))
+    t = np.concatenate([t_n, t_2n])
+    # e^(-delta t) per node and term, exponents clipped so no subnormal appears
+    decay = np.multiply.outer(t, -delta)
+    np.exp(np.maximum(decay, -700.0, out=decay), out=decay)
+    sin_part = np.einsum("ij,j->i", decay, weight * np.sin(delta))
+    cos_part = np.einsum("ij,j->i", decay, weight * np.cos(delta))
+    # (1 + it)^beta = (1 + t^2)^(beta/2) e^(i beta arctan t), and
+    # Re[i e^(i delta) (C + iS)] = -sin(delta) C - cos(delta) S
+    beta = 2.0 * s - 4.0
+    angle = beta * np.arctan(t)
+    radius = (1.0 + t * t) ** (0.5 * beta) / (2.0 * math.pi)
+    f = radius * (-np.cos(angle) * sin_part - np.sin(angle) * cos_part)
+    size = radius * np.einsum("ij,j->i", decay, np.abs(weight))
+    return _checked_sum(f, size, w_n, w_2n, n, "tail", TailNotConvergedError)
 
 
 def sobolev_inner(phi: TestFunction, psi: TestFunction, s: float) -> float:
     """Homogeneous Sobolev inner product of order s, |s| < 1/2.
 
-    Head on [0,1] by the Gauss-Jacobi rule for the weight xi^(2s), with
-    32 + ceil(support span) nodes checked against twice that many;
-    midrange [1, Xi] by cosine-weighted quadrature per phase group;
-    |xi| > Xi bounded by the analytic envelope and required to stay
-    below _TAIL_REL of the head.
+    Twice the integral over xi > 0 of Re(phihat * conj(psihat)) xi^(2s):
+    the head on [0, 1] by _head's panel rule, and [1, inf) in the
+    cosine-sum form sum W xi^(2s-4) cos(delta xi) / (2 pi) with no cutoff,
+    the delta = 0 terms in closed form (1 / (3 - 2s)) and every other term
+    through _tail's rotated contour.  Both rules are checked
+    against their doubling and raise HeadNotConvergedError or
+    TailNotConvergedError.
     """
     s = check_smoothness(s)
-    groups, abs_sum = _cross_spectrum(phi, psi)
-    head = _head(phi, psi, s, _head_nodes(phi, psi))
-
-    # analytic tail envelope: |integrand| <= abs_sum * xi^(2s-4) / (2 pi)
-    scale = max(abs(head), abs_sum * 1e-16)
-    power = 3.0 - 2.0 * s
-    xi_cut = (abs_sum / (math.pi * power * _TAIL_REL * scale)) ** (1.0 / power)
-    xi_cut = max(xi_cut, 10.0)
-    if xi_cut > 1e9:
-        raise TailNotConvergedError(
-            f"tail bound needs cutoff {xi_cut:.3e} to reach {_TAIL_REL} of the head"
-        )
-
-    mid = 0.0
-    for d, w in sorted(groups.items()):
-        if d == 0.0:
-            part = (xi_cut ** (2.0 * s - 3.0) - 1.0) / (2.0 * s - 3.0)
-        else:
-            part, _ = quad(
-                lambda x: x ** (2.0 * s - 4.0), 1.0, xi_cut, weight="cos", wvar=d, limit=400
-            )
-        mid += w * part
-    mid /= 2.0 * math.pi
-
-    return 2.0 * (head + mid)
+    delta, weight = _cross_spectrum(phi, psi)
+    head = _head(phi, psi, s)
+    flat = float(np.sum(weight[delta == 0.0])) / (2.0 * math.pi * (3.0 - 2.0 * s))
+    live = (delta > 0.0) & (weight != 0.0)
+    tail = _tail(delta[live], weight[live], s, max(abs(head), 1e-16 * float(np.sum(np.abs(weight)))))
+    return 2.0 * (head + flat + tail)
 
 
 def sobolev_norm(phi: TestFunction, s: float) -> float:

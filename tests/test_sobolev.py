@@ -10,11 +10,13 @@ from fbmlocal import acceptance, sobolev
 from fbmlocal.experiments import ExponentFit
 from fbmlocal.sobolev import (
     HeadNotConvergedError,
+    TailNotConvergedError,
     TestFunction,
+    _cross_spectrum,
     _head,
-    _head_nodes,
     _hat_gram_row,
     _hat_pairings,
+    _tail,
     a_h_constant,
     check_smoothness,
     fbm_pairing_spectral,
@@ -138,9 +140,9 @@ def _head_reference(phi, psi, s):
     return quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)[0]
 
 
-def _gauss_jacobi_head(phi, psi, s):
+def _panel_head(phi, psi, s):
     # the head exactly as sobolev_inner computes it; raises if the guard trips
-    return _head(phi, psi, s, _head_nodes(phi, psi))
+    return _head(phi, psi, s)
 
 
 @pytest.mark.parametrize("span", [2.0, 20.0, 100.0])
@@ -148,7 +150,7 @@ def _gauss_jacobi_head(phi, psi, s):
 def test_head_rule_matches_tight_quadrature(s, span):
     phi = TestFunction.from_samples([0.0, 0.3, 0.7, 1.0], [1.0, -0.4])
     psi = TestFunction.hat(span - 0.5, 0.5)  # joint support [0, span]
-    assert _gauss_jacobi_head(phi, psi, s) == pytest.approx(_head_reference(phi, psi, s), rel=1e-8, abs=0.0)
+    assert _panel_head(phi, psi, s) == pytest.approx(_head_reference(phi, psi, s), rel=1e-8, abs=0.0)
 
 
 def test_head_rule_on_pairing_suite():
@@ -156,7 +158,7 @@ def test_head_rule_on_pairing_suite():
     for phi, psi in acceptance._pairing_suite():
         for h in (0.25, 0.4, 0.6, 0.75):
             s = 0.5 - h
-            assert _gauss_jacobi_head(phi, psi, s) == pytest.approx(_head_reference(phi, psi, s), rel=1e-11, abs=0.0)
+            assert _panel_head(phi, psi, s) == pytest.approx(_head_reference(phi, psi, s), rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("s", [-0.45, 0.0, 0.45])
@@ -166,6 +168,120 @@ def test_head_guard_rejects_unresolved_rule(s):
     psi = TestFunction.hat(19.5, 0.5)
     with pytest.raises(HeadNotConvergedError, match="3- and 6-node head rules differ"):
         _head(phi, psi, s, 3)
+
+
+def _mp_cross_spectrum(phi, psi, mpmath):
+    # (delta, W) pairs of the cosine-sum form, exact from the float nodes and
+    # values: the float phases and weights break sum W = sum W delta^2 = 0 by
+    # round-off, which the finite-part sums below would amplify
+    def jumps(f):
+        x = [mpmath.mpf(v) for v in f.nodes]
+        y = [mpmath.mpf(0)] + [mpmath.mpf(v) for v in f.values] + [mpmath.mpf(0)]
+        slope = [(y[i + 1] - y[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)]
+        return x, [slope[0]] + [slope[i] - slope[i - 1] for i in range(1, len(slope))] + [-slope[-1]]
+
+    (x1, w1), (x2, w2) = jumps(phi), jumps(psi)
+    return [(abs(a - b), u * v) for a, u in zip(x1, w1) for b, v in zip(x2, w2)]
+
+
+def _mp_finite_part_head(delta, s, mpmath):
+    # finite part of the integral over [0, 1] of xi^(2s-4) cos(delta xi): the
+    # 1F2 series of x^mu cos(delta x), continued to mu = 2s - 4
+    mu = 2 * mpmath.mpf(s) - 4
+    return mpmath.hyp1f2((mu + 1) / 2, mpmath.mpf(1) / 2, (mu + 3) / 2, -(delta**2) / 4) / (mu + 1)
+
+
+@pytest.mark.parametrize("span", [400.0, 600.0, 1000.0])
+def test_head_at_large_span_matches_50_digit_oracle(span):
+    # s = -0.49 at these spans once tripped the head guard by round-off alone
+    # (one Gauss-Jacobi rule of 32 + span nodes); the finite parts sum to the
+    # head because sum W = sum W delta^2 = 0
+    mpmath = pytest.importorskip("mpmath")
+    s = -0.49
+    phi = TestFunction.from_samples([0.0, 0.3, 0.7, 1.0], [1.0, -0.4])
+    psi = TestFunction.hat(span - 0.5, 0.5)
+    with mpmath.workdps(50):
+        want = sum(w * _mp_finite_part_head(d, s, mpmath) for d, w in _mp_cross_spectrum(phi, psi, mpmath))
+        want = float(want / (2 * mpmath.pi))
+    assert _panel_head(phi, psi, s) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [-0.49, -0.25, 0.25, 0.49])
+@pytest.mark.parametrize("delta", [1e-3, 0.7, 30.0, 1000.0])
+def test_tail_rule_matches_50_digit_oracle(s, delta):
+    # the rotated-contour rule for one phase group against the full-line
+    # integral minus the head's finite part; the rule may drop 1e-8 of scale
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        mu, d = 2 * mpmath.mpf(s) - 4, mpmath.mpf(delta)
+        full = mpmath.gamma(mu + 1) * mpmath.cos(mpmath.pi * (mu + 1) / 2) * d ** (-mu - 1)
+        want = float((full - _mp_finite_part_head(d, s, mpmath)) / (2 * mpmath.pi))
+    got = _tail(np.array([delta]), np.array([1.0]), s, abs(want))
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [-0.45, 0.0, 0.45])
+def test_tail_guard_rejects_unresolved_rule(s):
+    # 2 nodes per panel cannot follow e^(-delta t) on the first panels
+    phi = TestFunction.from_samples([0.0, 0.3, 0.7, 1.0], [1.0, -0.4])
+    delta, weight = _cross_spectrum(phi, TestFunction.hat(19.5, 0.5))
+    live = delta > 0.0
+    with pytest.raises(TailNotConvergedError, match="2- and 4-node tail rules differ"):
+        _tail(delta[live], weight[live], s, 1e-3, 2)
+
+
+@pytest.mark.parametrize("span", [20.0, 200.0])
+@pytest.mark.parametrize("s", [-0.25, 0.25])
+def test_sobolev_inner_on_separated_pairs(s, span):
+    # the time-domain pairing in 50 digits, 0.5 sum W |delta|^p / ((p-1) p a_H)
+    # with p = 3 - 2s; a cutoff in xi once returned +2.866e-4 here for
+    # -7.439e-6 (span 200, s = 0.25).  The float fbm_pairing_time is no
+    # oracle at this accuracy: its four-term differences of |x|^p cancel,
+    # by 2.2e-8 of the norm product at span 200, s = -0.25
+    mpmath = pytest.importorskip("mpmath")
+    phi = TestFunction.from_samples([0.0, 0.3, 0.7, 1.0], [1.0, -0.4])
+    psi = TestFunction.hat(span - 0.5, 0.5)
+
+    def exact(f, g):
+        with mpmath.workdps(50):
+            hh = mpmath.mpf(0.5) - mpmath.mpf(s)
+            p = 2 * hh + 2
+            a_h = mpmath.sin(mpmath.pi * hh) * mpmath.gamma(1 + 2 * hh)
+            return float(sum(w * d**p for d, w in _mp_cross_spectrum(f, g, mpmath)) / (2 * (p - 1) * p * a_h))
+
+    norms = math.sqrt(exact(phi, phi) * exact(psi, psi))
+    assert abs(sobolev_inner(phi, psi, s) - exact(phi, psi)) <= 1e-9 * norms
+
+
+@pytest.mark.parametrize("s", [-0.49, 0.0, 0.49])
+def test_sobolev_inner_of_pair_orthogonal_by_symmetry(s):
+    # an even and an odd function: the integrand cancels to round-off, which
+    # the doubling checks must not read as an unresolved rule
+    phi = TestFunction.hat(0.0, 1.0)
+    psi = TestFunction.from_samples([-1.0, -0.3, 0.0, 0.3, 1.0], [-1.0, 0.0, 1.0])
+    assert abs(sobolev_inner(phi, psi, s)) <= 1e-12 * sobolev_norm(phi, s) * sobolev_norm(psi, s)
+
+
+def test_sobolev_inner_of_zero_function():
+    zero = TestFunction.from_samples([0.0, 1.0, 2.0], [0.0])
+    assert sobolev_inner(zero, TestFunction.hat(0.5, 1.0), 0.25) == 0.0
+
+
+def test_pairing_identity_on_pairing_suite():
+    # the 40 products behind the pairing-identity gate, to the time-domain route
+    for phi, psi in acceptance._pairing_suite():
+        for h in (0.25, 0.4, 0.6, 0.75):
+            assert pairing_identity_check(phi, psi, h) <= 1e-11
+
+
+def test_sobolev_inner_needs_no_adaptive_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sobolev_inner called quad")
+
+    monkeypatch.setattr(sobolev, "quad", refuse)
+    for phi, psi in acceptance._pairing_suite():
+        for s in (-0.25, 0.25):
+            assert math.isfinite(sobolev_inner(phi, psi, s))
 
 
 def test_a_h_values():
