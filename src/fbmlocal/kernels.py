@@ -10,7 +10,8 @@ covariances of increments X_t - X_s and the (cross-)Gram matrices of
 finite families of increments, all through one second difference of
 |.|^p between the increments' endpoints. Uniform lattices add one
 cancellation-free lattice series (increment_autocov and the lemma-2.2
-hat Gram row) and one guarded Toeplitz solve (both dual Grams).
+hat Gram row) and one guarded Toeplitz solve (both dual Grams): Levinson
+recursion from scipy.linalg, its residual checked with numpy's FFT.
 """
 
 from __future__ import annotations
@@ -220,12 +221,22 @@ def increment_autocov(k, h: float, dt: float = 1.0) -> np.ndarray:
 _TOEPLITZ_RESIDUAL = 1e-8
 
 
+def _toeplitz_matvec(col: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for the symmetric Toeplitz T with first column col, by numpy's FFT:
+    the first n entries of the size-2n circulant with column
+    [col, 0, col[:0:-1]] applied to x padded with n zeros."""
+    n = len(col)
+    circ = np.concatenate((col, [0.0], col[:0:-1]))
+    return np.fft.irfft(np.fft.rfft(circ) * np.fft.rfft(x, 2 * n), 2 * n)[:n]
+
+
 def _toeplitz_quadratic_form(col: np.ndarray, w: np.ndarray, where: str) -> float:
     """w' T^-1 w for the symmetric Toeplitz T with first column col, by
     Levinson recursion (O(n^2) time, O(n) memory); LinAlgError naming where
-    unless ||T x - w|| / ||w|| (an FFT product) <= 1e-8 and w'x > 0."""
+    unless ||T x - w|| / ||w|| <= 1e-8 and w'x > 0, with T x an FFT
+    product on numpy's FFT (_toeplitz_matvec)."""
     x = scipy.linalg.solve_toeplitz(col, w)
-    resid = float(np.linalg.norm(scipy.linalg.matmul_toeplitz(col, x) - w) / np.linalg.norm(w))
+    resid = float(np.linalg.norm(_toeplitz_matvec(col, x) - w) / np.linalg.norm(w))
     form = float(w @ x)
     if not (resid <= _TOEPLITZ_RESIDUAL and form > 0.0):
         raise np.linalg.LinAlgError(f"dual-Gram Toeplitz solve rejected at {where}: "

@@ -12,6 +12,7 @@ from scipy.integrate import dblquad
 from fbmlocal.kernels import (
     IncrementBasis,
     TimeGrid,
+    _toeplitz_matvec,
     check_hurst,
     cross_gram,
     disjoint_kernel,
@@ -166,6 +167,17 @@ _AUTOCOV_RECORDED = {
         "0x1.fbb38fcc75ac2p-1", "0x1.faff596515246p-1", "0x1.f9f1c58bd080cp-1", "0x1.f998056b79075p-1",
     ]),
 }
+
+
+@pytest.mark.parametrize("n", [16, 63, 2048])
+def test_toeplitz_matvec_matches_scipy(n):
+    # the dual-Gram residual guard's product, against scipy's Toeplitz product
+    from scipy.linalg import matmul_toeplitz
+
+    col = increment_autocov(np.arange(n), 0.7, 0.5)
+    x = np.random.default_rng(n).standard_normal(n)
+    want = matmul_toeplitz(col, x)
+    assert np.linalg.norm(_toeplitz_matvec(col, x) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("h", sorted(_AUTOCOV_RECORDED))

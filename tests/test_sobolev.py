@@ -1,6 +1,10 @@
 """Sobolev inner products, explicit constants, pairing identity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,14 +278,27 @@ def test_pairing_identity_on_pairing_suite():
             assert pairing_identity_check(phi, psi, h) <= 1e-11
 
 
-def test_sobolev_inner_needs_no_adaptive_quadrature(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sobolev_inner called quad")
-
-    monkeypatch.setattr(sobolev, "quad", refuse)
-    for phi, psi in acceptance._pairing_suite():
-        for s in (-0.25, 0.25):
-            assert math.isfinite(sobolev_inner(phi, psi, s))
+def test_commands_import_no_quadrature_optimizer_or_scipy_fft():
+    # in a fresh interpreter (this module imports quad itself): the dual
+    # Grams, sobolev_inner and a thm21 command load neither scipy.integrate
+    # nor the scipy.optimize it drags in, nor scipy.fft
+    src = str(Path(sobolev.__file__).resolve().parents[1])
+    code = """
+import contextlib, io, sys
+import fbmlocal
+from fbmlocal import acceptance, cli
+fbmlocal.r_h_dual_gram(0.7, n=64)
+fbmlocal.lemma22_dual_norm(2.0, 0.25, 2.0, 16.0, 64)
+phi, psi = acceptance._pairing_suite()[-1]
+fbmlocal.sobolev_inner(phi, psi, 0.25)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["thm21", "--H", "0.75"]) == 0
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.fft") if m in sys.modules))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_a_h_values():
@@ -322,8 +339,28 @@ def test_indicator_norm_against_quadrature():
     assert indicator_sq_norm(0.0) == pytest.approx(1.0, rel=1e-10)
 
 
+def _mp_indicator_sq_norm(s, mpmath):
+    # (2/pi) integral over (0, inf) of (1 - cos x) x^(2s-2): on [0, 1] with
+    # x = u^(1/(1+2s)), which makes the integrand bounded; beyond 1 the
+    # x^(2s-2) part in closed form less the oscillatory cosine part
+    s = mpmath.mpf(s)
+    beta = 1 / (1 + 2 * s)
+    head = mpmath.quad(lambda u: 2 * mpmath.sin(u**beta / 2) ** 2 * u ** (-2 * beta) * beta, [0, 1])
+    osc = mpmath.quadosc(lambda x: mpmath.cos(x) * x ** (2 * s - 2), [1, mpmath.inf], omega=1)
+    return 2 / mpmath.pi * (head + 1 / (1 - 2 * s) - osc)
+
+
+@pytest.mark.parametrize("s", [-0.49, -0.25, -1e-6, 0.0, 1e-6, 0.25, 0.49])
+def test_indicator_norm_closed_form_against_30_digit_quadrature(s):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = float(_mp_indicator_sq_norm(s, mpmath))
+    assert indicator_sq_norm(s) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_r_h_spectral_values():
     assert r_h_spectral(0.5) == 0.0
+    assert r_h_spectral(0.75) == pytest.approx(0.5984134206021491, rel=0.0, abs=1e-14)
     assert r_h_constant(0.5) == 0.0
     for h in (0.1, 0.3, 0.7, 0.9):
         assert r_h_spectral(h) > 0.0
