@@ -22,8 +22,7 @@ from fbmlocal.experiments import (
     DEFAULT_TRUNCATION,
     _csv_text,
     _json_val,
-    _make_row,
-    _window_basis,
+    _window_rows,
     adjacency_divergence,
     complement_window_scan,
     fit_exponent,
@@ -235,9 +234,9 @@ def _cmd_cov(params):
 def _window_row(params):
     # one scan row, never skipped: a single eps reports whatever rank survives
     eps = _single_eps(params)
-    a = _window_basis(params["t1"], eps, params["n"])
-    b = _window_basis(params["t2"], eps, params["n"])
-    row = _make_row(eps, a, b, params["H"], params["rtol"])
+    t1 = params["t1"]
+    (row,) = _window_rows(params["H"], lambda window: window(t1), params["t2"], (eps,), params["n"],
+                          params["rtol"], min_rank=0.0)
     return row, ["ill-conditioned whitening"] if row.ill_conditioned else []
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from fbmlocal.geometry import (
     IllConditionedWarning,
     MiResult,
-    canonical_correlations,
+    _pivoted_factor,
+    _whitened_spectrum,
     cos_angle,
     mutual_information_gy,
 )
@@ -231,15 +232,21 @@ def graded_points(a: float, b: float, npts: int, decades: float = 8.0, toward: s
     raise ValueError("toward must be 'a' or 'b'")
 
 
-def _make_row(eps, a: IncrementBasis, b: IncrementBasis, h, rtol, min_rank=0.0) -> ScanRow:
-    """The one route from two increment bases to a row: Grams, whitening,
-    angle and MI with its HS bounds; skipped when either side keeps fewer
-    than min_rank directions."""
+def _make_row(eps, a: IncrementBasis, b: IncrementBasis, h, rtol, min_rank=0.0, fa=None, fb=None) -> ScanRow:
+    """The one route from two increment bases to a row: side factors,
+    whitening, angle and MI with its HS bounds; skipped when either side
+    keeps fewer than min_rank directions.  fa and fb are the sides'
+    factors when the scan made them once for many rows; a missing one is
+    made here from its basis's Gram."""
+    if fa is None:
+        fa = _pivoted_factor(gram(a, h), rtol)
+    if fb is None:
+        fb = _pivoted_factor(gram(b, h), rtol)
     # the row's flags carry the ill-conditioning; the warning would only
     # repeat it once per row
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        spec = canonical_correlations(gram(a, h), gram(b, h), cross_gram(a, b, h), rtol=rtol)
+        spec = _whitened_spectrum(fa, fb, cross_gram(a, b, h))
     skipped = min(spec.rank_a, spec.rank_b) < min_rank
     mi = MiResult(math.nan, math.nan, math.nan) if skipped else mutual_information_gy(spec)
     return ScanRow(
@@ -284,11 +291,41 @@ def _window_basis(center: float, eps: float, grid_n: int) -> IncrementBasis:
     return IncrementBasis.from_grid(TimeGrid(center - eps, center + eps, grid_n))
 
 
-def _window_rows(h, basis, t, eps, grid_n, rtol) -> tuple:
-    """One row per eps: basis(eps) against the grid_n-point window of
-    half-width eps around t."""
-    min_rank = grid_n * _MIN_RANK_FRACTION
-    return tuple(_make_row(e, basis(e), _window_basis(t, e, grid_n), h, rtol, min_rank) for e in eps)
+def _uniform_factor(h, grid_n, rtol):
+    """Factor of the Gram every grid_n-point uniform window shares up to
+    scale: the unit-spacing Toeplitz matrix T with first column
+    increment_autocov(arange(grid_n - 1), h, 1.0).  A window of spacing
+    dt has Gram dt^(2H) T, so its factor is this one scaled by dt^-H."""
+    lag = np.arange(grid_n - 1)
+    col = increment_autocov(lag, h, 1.0)
+    return _pivoted_factor(col[np.abs(lag[:, None] - lag)], rtol)
+
+
+def _window_rows(h, side, t, eps, grid_n, rtol, min_rank=None) -> tuple:
+    """One row per eps: side(window) against window(t), where window(c)
+    is the grid_n-point window of half-width eps around c with its factor.
+    The uniform-window factor is made once for all rows; side returns a
+    (basis, factor) pair.  Rows are skipped below grid_n/2 kept
+    directions unless min_rank says otherwise."""
+    unit = _uniform_factor(h, grid_n, rtol)
+    if min_rank is None:
+        min_rank = grid_n * _MIN_RANK_FRACTION
+    rows = []
+    for e in eps:
+        scaled = unit.scaled((2.0 * e / (grid_n - 1)) ** -h)
+
+        def window(center):
+            return _window_basis(center, e, grid_n), scaled
+
+        (a, fa), (b, fb) = side(window), window(t)
+        rows.append(_make_row(e, a, b, h, rtol, min_rank, fa, fb))
+    return tuple(rows)
+
+
+def _fixed_side(basis: IncrementBasis, h, rtol):
+    """A side that stays put across eps, factored once: for _window_rows."""
+    factored = basis, _pivoted_factor(gram(basis, h), rtol)
+    return lambda window: factored
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +352,7 @@ def local_independence_scan(
         raise ValueError("t1 and t2 must differ")
     if eps[0] >= abs(t2 - t1) / 2.0:
         raise ValueError("max eps must keep the windows disjoint: eps < |t1-t2|/2")
-    rows = _window_rows(h, lambda e: _window_basis(t1, e, grid_n), t2, eps, grid_n, rtol)
+    rows = _window_rows(h, lambda window: window(t1), t2, eps, grid_n, rtol)
     meta = {
         "experiment": "scan",
         "H": h,
@@ -480,7 +517,7 @@ def past_window_scan(
     decades = grading_depth(h, grid_n - 1)
 
     past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, grid_n, decades, toward="b"))
-    rows = _window_rows(h, lambda e: past, t, eps, grid_n, rtol)
+    rows = _window_rows(h, _fixed_side(past, h, rtol), t, eps, grid_n, rtol)
     meta = {
         "experiment": "past-window",
         "H": h,
@@ -572,7 +609,9 @@ def adjacency_mi_table(
             raise ValueError("grid sizes must be at least 2")
         a = IncrementBasis.from_grid(TimeGrid(-eps, 0.0, int(n) + 1))
         b = IncrementBasis.from_grid(TimeGrid(0.0, eps, int(n) + 1))
-        mi = _make_row(eps, a, b, h, rtol).mi
+        # both sides are uniform windows of spacing eps/n: one factor
+        f = _uniform_factor(h, int(n) + 1, rtol).scaled((eps / int(n)) ** -h)
+        mi = _make_row(eps, a, b, h, rtol, 0.0, f, f).mi
         out.append(math.inf if mi is None else mi)
     return out
 
@@ -702,7 +741,7 @@ def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol):
         s=np.concatenate([left.s, right.s]),
         t=np.concatenate([left.t, right.t]),
     )
-    rows = _window_rows(h, lambda e: comp, t, eps, grid_n, rtol)
+    rows = _window_rows(h, _fixed_side(comp, h, rtol), t, eps, grid_n, rtol)
     meta = {
         "experiment": "complement-window",
         "H": h,

@@ -11,26 +11,34 @@ the mutual information is
 finite exactly when sigma_1 < 1.  A determinant route through the joint
 covariance is kept as an independent oracle for nondegenerate inputs.
 
+Whitening is factor once, then products.  A factor step (_pivoted_factor:
+pivoted Cholesky dpstrf, then the inverse factor by dtrtri) is made once
+per side, so a scan that keeps one side fixed, or whose windows share a
+Gram up to scale, factors it once for all its rows.  Each row is then
+M = La^-1 C[keep_a, keep_b] Lb^-T by two dgemm products and one SVD.  No
+triangular solve is left: scipy's solve_triangular woke its OpenBLAS
+thread pool at every row, even at n = 9, and a pool thread then spun for
+~0.13 s of CPU beside the main thread.  The dgemm products of the
+63-increment gate windows stay single-threaded.
+
 numpy and scipy each bundle their own OpenBLAS, and each build keeps its
-own pool of spin-waiting threads.  The whitening (pivoted Cholesky, both
-triangular solves and the SVD) therefore runs entirely on scipy's LAPACK:
-alternating the two builds within one row hands every small matrix
-between two pools that contend for the same cores.  On 2 vCPUs that
-contention was most of the whitening's time: on the benchmark's
-rate-reports pass, canonical_correlations took 1.6 ms per call with the
-SVD on numpy and 0.78 ms with it on scipy.  The determinant oracle
-stays on numpy's LAPACK on purpose, so that it checks the whitening
-against a second, independent build.
+own pool of spin-waiting threads.  Every step of the whitening therefore
+runs on scipy's build: alternating the two within one row hands every
+small matrix between two pools that contend for the same cores (on
+2 vCPUs, 1.6 ms per call with the SVD on numpy against 0.78 ms with it
+on scipy).  The determinant oracle stays on numpy's LAPACK on purpose,
+so that it checks the whitening against a second, independent build.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular, svd
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg import svd
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dpstrf, dtrtri
 
 __all__ = [
     "DegenerateCovarianceError",
@@ -95,13 +103,32 @@ class MiResult:
         return self.value is None
 
 
-def _pivoted_factor(g: np.ndarray, rtol: float):
-    """Rank-revealing pivoted Cholesky of a PSD matrix.
+@dataclass(frozen=True)
+class _Factor:
+    """Whitening factor of one side's Gram G with kept pivots P = keep:
+    scale * inv is the inverse of the lower Cholesky factor of G[P, P].
+    The factor of s^-2 G is this one scaled by s, with the same rank and
+    cond."""
 
-    Returns (kept pivot indices, lower-triangular factor of the pivoted
-    leading submatrix, condition estimate).  Truncates where the residual
-    diagonal falls below rtol * max(diag).
+    keep: np.ndarray
+    inv: np.ndarray
+    cond: float
+    scale: float = 1.0
+
+    def scaled(self, s: float) -> "_Factor":
+        return replace(self, scale=self.scale * s)
+
+
+def _pivoted_factor(g: np.ndarray, rtol: float) -> _Factor:
+    """Rank-revealing pivoted Cholesky of a PSD matrix, then the inverse
+    of its factor.
+
+    Truncates where the residual diagonal falls below rtol * max(diag);
+    cond is the diagonal-based estimate (d_0 / d_last)^2 of the kept
+    factor.  dpstrf and dtrtri both run on scipy's LAPACK.
     """
+    if not 0.0 < rtol < 1.0:
+        raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     if g.shape != (n, n):
@@ -117,8 +144,44 @@ def _pivoted_factor(g: np.ndarray, rtol: float):
     keep = piv[:rank] - 1  # LAPACK pivots are 1-based
     factor = np.tril(c[:rank, :rank])
     d = np.diag(factor)
-    cond = float((d[0] / d[-1]) ** 2)
-    return keep, factor, cond
+    inv, info = dtrtri(factor, lower=1, overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"triangular inverse failed (LAPACK info={info})")
+    return _Factor(keep=keep, inv=inv, cond=float((d[0] / d[-1]) ** 2))
+
+
+def _whitened_cross_gram(fa: _Factor, fb: _Factor, c: np.ndarray) -> np.ndarray:
+    """M = La^-1 C[keep_a, keep_b] Lb^-T from the full cross-Gram C, by two
+    dgemm products on scipy's BLAS."""
+    m = dgemm(fa.scale * fb.scale, fa.inv, c[np.ix_(fa.keep, fb.keep)])
+    return dgemm(1.0, m, fb.inv, trans_b=1)
+
+
+def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpectrum:
+    """Canonical correlations from two side factors and the full cross-Gram
+    C: the singular values of the whitened cross-Gram, clamped to [0, 1].
+    Warns (IllConditionedWarning) when either cond exceeds 1e12 or a
+    singular value lands above 1 + 1e-8 before clamping.
+    """
+    cond = max(fa.cond, fb.cond)
+    sigmas = svd(_whitened_cross_gram(fa, fb, c), compute_uv=False)
+
+    overshoot = float(np.max(sigmas, initial=0.0)) - 1.0
+    ill = cond > COND_LIMIT or overshoot > CLAMP_TOL
+    if ill:
+        warnings.warn(
+            f"whitening is ill-conditioned (cond={cond:.3e}, max sigma overshoot={overshoot:.3e})",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    sigmas = np.clip(sigmas, 0.0, 1.0)
+    return CanonicalSpectrum(
+        sigmas=np.sort(sigmas)[::-1],
+        rank_a=len(fa.keep),
+        rank_b=len(fb.keep),
+        cond=cond,
+        ill_conditioned=ill,
+    )
 
 
 def canonical_correlations(
@@ -136,40 +199,12 @@ def canonical_correlations(
     when the condition estimate exceeds 1e12 or a singular value lands
     above 1 + 1e-8 before clamping.
     """
-    if not 0.0 < rtol < 1.0:
-        raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     ga = np.asarray(ga, dtype=float)
     gb = np.asarray(gb, dtype=float)
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if c.shape != (ga.shape[0], gb.shape[0]):
         raise ValueError(f"cross-Gram shape {c.shape} incompatible with Grams")
-
-    keep_a, la, cond_a = _pivoted_factor(ga, rtol)
-    keep_b, lb, cond_b = _pivoted_factor(gb, rtol)
-    cond = max(cond_a, cond_b)
-
-    # Whitened cross-Gram on the retained pivot sub-bases:
-    # M = La^{-1} C[keep_a, keep_b] Lb^{-T}.
-    m = solve_triangular(la, c[np.ix_(keep_a, keep_b)], lower=True)
-    m = solve_triangular(lb, m.T, lower=True).T
-    sigmas = svd(m, compute_uv=False)
-
-    overshoot = float(np.max(sigmas, initial=0.0)) - 1.0
-    ill = cond > COND_LIMIT or overshoot > CLAMP_TOL
-    if ill:
-        warnings.warn(
-            f"whitening is ill-conditioned (cond={cond:.3e}, max sigma overshoot={overshoot:.3e})",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    sigmas = np.clip(sigmas, 0.0, 1.0)
-    return CanonicalSpectrum(
-        sigmas=np.sort(sigmas)[::-1],
-        rank_a=len(keep_a),
-        rank_b=len(keep_b),
-        cond=cond,
-        ill_conditioned=ill,
-    )
+    return _whitened_spectrum(_pivoted_factor(ga, rtol), _pivoted_factor(gb, rtol), c)
 
 
 def cos_angle(spec: CanonicalSpectrum) -> float:

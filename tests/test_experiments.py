@@ -102,11 +102,11 @@ def test_skip_rule_at_its_threshold(family, size, threshold, side, monkeypatch):
     # window scans skip a row below grid_n/2 kept directions on either side,
     # levy2d below half the smaller ball's increment count
     for rank, skipped in ((threshold - 1, True), (threshold, False)):
-        def spectrum(ga, gb, c, rtol):
-            ranks = {"rank_a": ga.shape[0], "rank_b": gb.shape[0], f"rank_{side}": rank}
+        def spectrum(fa, fb, c):
+            ranks = {"rank_a": c.shape[0], "rank_b": c.shape[1], f"rank_{side}": rank}
             return CanonicalSpectrum(sigmas=np.array([0.5]), cond=1.0, ill_conditioned=False, **ranks)
 
-        monkeypatch.setattr(experiments, "canonical_correlations", spectrum)
+        monkeypatch.setattr(experiments, "_whitened_spectrum", spectrum)
         rows = _skip_rule_rows(family, size, monkeypatch)
         assert [r.skipped for r in rows] == [skipped] * len(rows)
         assert all(math.isnan(r.cos) == skipped for r in rows)
@@ -437,3 +437,49 @@ def test_bisected_window_grids_never_lower_cos_or_mi(h):
                 assert fine.cos >= coarse.cos * (1.0 - 1e-12), (n, fine.eps)
                 assert fine.mi >= coarse.mi * (1.0 - 1e-12), (n, fine.eps)
         prev = rows
+
+
+# first order in delta = H - 1/2: the disjoint-cell kernel is
+# delta/|u - v| + O(delta^2) and both Grams are white up to O(delta), so
+# sigma_k = |delta| s_k + O(delta^2) with s_k the singular values of the
+# operator with kernel 1/|u - v| from L^2 of one window to L^2 of the other
+_DELTA = 1e-3
+
+
+def _nystrom_singular_values(eps, d, nodes=60):
+    # Gauss-Legendre Nystrom discretization on (-eps, eps) and (d - eps, d + eps)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u, v, sw = eps * x, d + eps * x, np.sqrt(eps * w)
+    return np.linalg.svd(sw[:, None] / np.abs(u[:, None] - v[None, :]) * sw[None, :], compute_uv=False)
+
+
+def _first_order_sigmas(grid_n, eps, monkeypatch):
+    # +-delta average of sigma / |delta| on the scan's one row; its O(delta)
+    # correction is odd in delta and cancels
+    spectra = []
+    whiten = experiments._whitened_spectrum
+
+    def recording(fa, fb, c):
+        spectra.append(whiten(fa, fb, c))
+        return spectra[-1]
+
+    monkeypatch.setattr(experiments, "_whitened_spectrum", recording)
+    for sign in (1.0, -1.0):
+        row = local_independence_scan(0.5 + sign * _DELTA, 0.0, 1.0, (eps,), grid_n).rows[0]
+        assert row.cos == spectra[-1].sigmas[0]
+    return (spectra[0].sigmas + spectra[1].sigmas) / (2.0 * _DELTA)
+
+
+def test_two_window_first_order_law_at_h_half(monkeypatch):
+    s = _nystrom_singular_values(0.125, 1.0)
+    assert s[0] == pytest.approx(0.2540407, abs=5e-8)
+    assert _first_order_sigmas(64, 0.125, monkeypatch)[0] == pytest.approx(s[0], rel=1e-4)
+    assert _first_order_sigmas(256, 0.125, monkeypatch)[1] == pytest.approx(s[1], rel=1e-4)
+
+
+def test_past_future_first_order_approaches_carleman_norm():
+    # Carleman's operator 1/(u + v) on L^2(0, inf) has norm pi (Hilbert's
+    # inequality); the graded route approaches it from below as n grows
+    for delta in (_DELTA, -_DELTA):
+        slopes = [past_future_angle(0.5 + delta, 16.0, n) / _DELTA for n in (64, 128, 256)]
+        assert slopes[0] < slopes[1] < slopes[2] < math.pi

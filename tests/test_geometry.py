@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fbmlocal import experiments
 from fbmlocal.geometry import (
     CanonicalSpectrum,
     DegenerateCovarianceError,
@@ -213,19 +214,158 @@ def test_whitening_never_calls_numpy_lapack(monkeypatch):
 def test_scipy_sigmas_match_numpy_svd_on_gate_row():
     # gate row H = 0.25, eps = 2^-8, grid_n = 64: sigma_2 sits five decades
     # below sigma_1, yet both builds' SVDs of the whitened cross-Gram agree
-    from scipy.linalg import solve_triangular
-
-    from fbmlocal.geometry import _pivoted_factor
+    from fbmlocal.geometry import _pivoted_factor, _whitened_cross_gram
 
     eps, h = 2.0**-8, 0.25
     a = IncrementBasis.from_grid(TimeGrid(-eps, eps, 64))
     b = IncrementBasis.from_grid(TimeGrid(1.0 - eps, 1.0 + eps, 64))
     ga, gb, c = gram(a, h), gram(b, h), cross_gram(a, b, h)
-    keep_a, la, _ = _pivoted_factor(ga, 1e-10)
-    keep_b, lb, _ = _pivoted_factor(gb, 1e-10)
-    m = solve_triangular(la, c[np.ix_(keep_a, keep_b)], lower=True)
-    m = solve_triangular(lb, m.T, lower=True).T
+    m = _whitened_cross_gram(_pivoted_factor(ga, 1e-10), _pivoted_factor(gb, 1e-10), c)
     want = np.linalg.svd(m, compute_uv=False)[:2]
     got = canonical_correlations(ga, gb, c).sigmas[:2]
     assert want[1] < 1e-4 * want[0]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _solve_route(ga, gb, c, rtol=1e-10):
+    """The reference whitening: pivoted Cholesky, two triangular solves
+    M = La^-1 C[keep_a, keep_b] Lb^-T, SVD.  An explicit inverse factor has
+    a weaker worst-case error bound than a triangular solve, so the product
+    route is pinned against this one."""
+    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dpstrf
+
+    def factor(g):
+        f, piv, rank, _ = dpstrf(g, tol=rtol * g.diagonal().max(), lower=1)
+        f = np.tril(f[:rank, :rank])
+        return piv[:rank] - 1, f, float((f[0, 0] / f[-1, -1]) ** 2)
+
+    (keep_a, la, cond_a), (keep_b, lb, cond_b) = factor(ga), factor(gb)
+    m = solve_triangular(la, c[np.ix_(keep_a, keep_b)], lower=True)
+    m = solve_triangular(lb, m.T, lower=True).T
+    sigmas = np.sort(np.linalg.svd(m, compute_uv=False))[::-1]
+    cond = max(cond_a, cond_b)
+    ill = cond > 1e12 or sigmas[0] > 1.0 + 1e-8
+    return CanonicalSpectrum(np.clip(sigmas, 0.0, 1.0), len(keep_a), len(keep_b), cond, ill)
+
+
+def _row_spectra(monkeypatch, run):
+    """[a, b, h, rtol, spectrum] for every row run() builds: the bases
+    _make_row received and the spectrum its whitening step returned."""
+    rows = []
+    make_row, whiten = experiments._make_row, experiments._whitened_spectrum
+
+    def recording_make_row(eps, a, b, h, rtol, *args):
+        rows.append([a, b, h, rtol])
+        return make_row(eps, a, b, h, rtol, *args)
+
+    def recording_whiten(fa, fb, c):
+        spec = whiten(fa, fb, c)
+        rows[-1].append(spec)
+        return spec
+
+    monkeypatch.setattr(experiments, "_make_row", recording_make_row)
+    monkeypatch.setattr(experiments, "_whitened_spectrum", recording_whiten)
+    run()
+    return rows
+
+
+_ROUTE_CASES = {f"scan-H{h}": lambda h=h: experiments.local_independence_scan(h) for h in (0.2, 0.25, 0.7, 0.75, 0.8)}
+for _h in (0.05, 0.95):
+    _ROUTE_CASES[f"scan-H{_h}-eps2^-8"] = lambda h=_h: experiments.local_independence_scan(h, eps=(2.0**-8,))
+for _h in (0.25, 0.75):
+    _ROUTE_CASES[f"past-window-H{_h}"] = lambda h=_h: experiments.past_window_scan(h, 1.0)
+    _ROUTE_CASES[f"complement-H{_h}"] = lambda h=_h: experiments.complement_window_scan(h)
+for _h in (0.2, 0.8):
+    for _n in (128, 256):
+        _ROUTE_CASES[f"past-future-H{_h}-n{_n}"] = lambda h=_h, n=_n: experiments.past_future_angle(h, n=n)
+_ROUTE_CASES["adjacency-H0.8"] = lambda: experiments.adjacency_mi_table(0.8)
+
+
+@pytest.mark.parametrize("case", list(_ROUTE_CASES))
+def test_product_route_matches_triangular_solves(case, monkeypatch):
+    # every row of the gate's scan families and of the hard regime: the
+    # scan's factors (one per side, the uniform windows' rescaled) and the
+    # product whitening against per-row Grams and triangular solves
+    rows = _row_spectra(monkeypatch, _ROUTE_CASES[case])
+    assert rows
+    for a, b, h, rtol, got in rows:
+        want = _solve_route(gram(a, h), gram(b, h), cross_gram(a, b, h), rtol)
+        assert (got.rank_a, got.rank_b, got.ill_conditioned) == (want.rank_a, want.rank_b, want.ill_conditioned)
+        k = min(2, want.sigmas.size)
+        np.testing.assert_allclose(got.sigmas[:k], want.sigmas[:k], rtol=1e-10, atol=0.0)
+        mi_got, mi_want = mutual_information_gy(got).value, mutual_information_gy(want).value
+        assert mi_got == pytest.approx(mi_want, rel=1e-10, abs=0.0)
+
+
+def _mp_cross_gram(mpmath, a, b, h):
+    # increment covariances from the FBM covariance, every operation at the
+    # working precision on the exact values of the float endpoints
+    p = 2 * mpmath.mpf(h)
+
+    def cov(s1, t1, s2, t2):
+        s1, t1, s2, t2 = (mpmath.mpf(float(x)) for x in (s1, t1, s2, t2))
+        return (abs(t1 - s2) ** p + abs(s1 - t2) ** p - abs(t1 - t2) ** p - abs(s1 - s2) ** p) / 2
+
+    return mpmath.matrix([[cov(s1, t1, s2, t2) for s2, t2 in zip(b.s, b.t)] for s1, t1 in zip(a.s, a.t)])
+
+
+@pytest.mark.parametrize("grid_n", [9, 17])
+@pytest.mark.parametrize("h", [0.05, 0.95])
+def test_whitening_matches_50_digit_oracle(h, grid_n):
+    # the hard regime at eps = 2^-8: Grams built at 50 digits and rounded
+    # once, so both float routes see the same entries and only the
+    # whitening is judged
+    mpmath = pytest.importorskip("mpmath")
+    eps = 2.0**-8
+    a = IncrementBasis.from_grid(TimeGrid(-eps, eps, grid_n))
+    b = IncrementBasis.from_grid(TimeGrid(1.0 - eps, 1.0 + eps, grid_n))
+    with mpmath.workdps(50):
+        ga, gb, c = _mp_cross_gram(mpmath, a, a, h), _mp_cross_gram(mpmath, b, b, h), _mp_cross_gram(mpmath, a, b, h)
+        m = mpmath.inverse(mpmath.cholesky(ga)) * c * mpmath.inverse(mpmath.cholesky(gb)).T
+        oracle = float(max(mpmath.svd_r(m, compute_uv=False)))
+        ga, gb, c = (np.array(x.tolist(), dtype=float) for x in (ga, gb, c))
+    assert canonical_correlations(ga, gb, c).sigmas[0] == pytest.approx(oracle, rel=1e-10, abs=0.0)
+    assert _solve_route(ga, gb, c).sigmas[0] == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
+def test_scans_never_call_solve_triangular(monkeypatch):
+    # the whitening is products on scipy's BLAS: a triangular solve woke
+    # its thread pool at every row, even at n = 9
+    import scipy.linalg
+
+    from fbmlocal.experiments import adjacency_mi_table, local_independence_scan, past_future_angle, past_window_scan
+
+    def blocked(*args, **kwargs):
+        raise AssertionError("solve_triangular called on the whitening path")
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", blocked)
+    assert all(0.0 < r.cos < 1.0 for r in local_independence_scan(0.25).rows)
+    assert all(0.0 < r.cos < 1.0 for r in past_window_scan(0.75, 1.0).rows)
+    assert 0.0 < past_future_angle(0.2, n=32) < 1.0
+    assert all(mi > 0.0 for mi in adjacency_mi_table(0.8, n_schedule=(4, 8, 16, 32)))
+
+
+@pytest.mark.parametrize("family, factors", [
+    ("scan", 1),  # both windows share one factor per (H, grid_n)
+    ("past-window", 2),  # the past once, the window once
+    ("complement", 4),  # two per table, two tables
+    ("adjacency", 3),  # one per grid size
+])
+def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
+    calls = []
+    factor = experiments._pivoted_factor
+
+    def counted(g, rtol):
+        calls.append(g.shape)
+        return factor(g, rtol)
+
+    monkeypatch.setattr(experiments, "_pivoted_factor", counted)
+    run = {
+        "scan": lambda: experiments.local_independence_scan(0.75),
+        "past-window": lambda: experiments.past_window_scan(0.75, 1.0),
+        "complement": lambda: experiments.complement_window_scan(0.75),
+        "adjacency": lambda: experiments.adjacency_mi_table(0.8, n_schedule=(4, 8, 16)),
+    }[family]
+    run()
+    assert len(calls) == factors
