@@ -10,8 +10,10 @@ covariances of increments X_t - X_s and the (cross-)Gram matrices of
 finite families of increments, all through one second difference of
 |.|^p between the increments' endpoints. Uniform lattices add one
 cancellation-free lattice series (increment_autocov and the lemma-2.2
-hat Gram row) and one guarded Toeplitz solve (both dual Grams): Levinson
-recursion from scipy.linalg, its residual checked with numpy's FFT.
+hat Gram row, its binomial coefficients by a product recurrence) and one
+guarded Toeplitz solve (both dual Grams): Levinson recursion from
+scipy.linalg, its residual checked with numpy's FFT.  Nothing beyond
+numpy and scipy.linalg is imported.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import binom
 
 __all__ = [
     "HURST_GUARD",
@@ -29,7 +30,6 @@ __all__ = [
     "TimeGrid",
     "IncrementBasis",
     "fbm_cov",
-    "disjoint_kernel",
     "gram",
     "increment_autocov",
     "cross_gram",
@@ -133,19 +133,6 @@ def fbm_cov(u, v, h: float) -> float:
     return 0.5 * float(_norm(u, u.ndim) ** two_h + _norm(v, u.ndim) ** two_h - _norm(u - v, u.ndim) ** two_h)
 
 
-def disjoint_kernel(u: float, v: float, h: float) -> float:
-    """Cross-covariance density H(2H-1)|u-v|^{2H-2} for u != v.
-
-    Integrating this kernel over [p0,p1] x [q0,q1] for disjoint intervals
-    reproduces the increment covariance; it vanishes identically at
-    H = 1/2 and is negative for H < 1/2.
-    """
-    h = check_hurst(h)
-    if u == v:
-        raise ValueError("disjoint_kernel is singular at u == v")
-    return h * (2.0 * h - 1.0) * float(np.abs(u - v) ** (2.0 * h - 2.0))
-
-
 def _second_difference(sa, ta, sb, tb, power: float) -> np.ndarray:
     """0.5 * (|ta-sb|^p + |sa-tb|^p - |ta-tb|^p - |sa-sb|^p), rows indexing
     the (sa, ta) pairs and columns the (sb, tb) pairs.
@@ -193,8 +180,8 @@ def _even_difference(k: np.ndarray, p: float, weights: tuple) -> np.ndarray:
     out[near] = 0.5 * sum((w * ((kn + i) ** p + np.abs(kn - i) ** p) for i, w in pairs), weights[0] * kn**p)
     y = 1.0 / (kf * kf)
     m = 2.0 * np.arange(1, _SERIES_TERMS + 1)
-    # binom has poles at negative integer p, where C(p, m) = C(m - p - 1, m) for even m
-    c = binom(m - p - 1.0, m) if p < 0.0 and float(p).is_integer() else binom(p, m)
+    # C(p, m) = C(p, m - 2) (p - m + 2)(p - m + 1) / (m (m - 1)), finite at every p
+    c = np.cumprod((p - m + 2.0) * (p - m + 1.0) / (m * (m - 1.0)))
     coef = c * sum(w * float(i) ** m for i, w in pairs)
     out[~near] = kf**p * y * np.polyval(coef[::-1], y)
     return out

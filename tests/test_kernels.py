@@ -15,7 +15,6 @@ from fbmlocal.kernels import (
     _toeplitz_matvec,
     check_hurst,
     cross_gram,
-    disjoint_kernel,
     fbm_cov,
     gram,
     increment_autocov,
@@ -201,26 +200,16 @@ def test_kernels_reject_non_finite_inputs(call, name):
         call()
 
 
-def test_disjoint_kernel_values():
-    assert disjoint_kernel(0.0, 1.0, 0.5) == 0.0
-    assert disjoint_kernel(0.0, 2.0, 0.75) == pytest.approx(0.75 * 0.5 * 2.0 ** -0.5, abs=1e-14)
-    assert disjoint_kernel(0.0, 1.0, 0.25) == pytest.approx(-0.125, abs=1e-15)
-    with pytest.raises(ValueError):
-        disjoint_kernel(1.0, 1.0, 0.7)
-
-
-def test_disjoint_kernel_sign():
-    for h in (0.1, 0.3, 0.49):
-        assert disjoint_kernel(0.0, 1.5, h) < 0.0
-    for h in (0.51, 0.7, 0.9):
-        assert disjoint_kernel(0.0, 1.5, h) > 0.0
+def _disjoint_kernel(u, v, h):
+    # cross-covariance density H(2H-1)|u-v|^{2H-2} of increments on disjoint cells
+    return h * (2.0 * h - 1.0) * abs(u - v) ** (2.0 * h - 2.0)
 
 
 def test_increment_cov_matches_kernel_double_integral():
     # disjoint supports: E dX dY = integral of the smooth kernel
     for h in (0.3, 0.75):
         p, q = (0.0, 1.0), (2.0, 3.5)
-        val, err = dblquad(lambda v, u: disjoint_kernel(u, v, h), p[0], p[1], q[0], q[1])
+        val, err = dblquad(lambda v, u: _disjoint_kernel(u, v, h), p[0], p[1], q[0], q[1])
         assert _cross_1x1(p, q, h) == pytest.approx(val, rel=1e-6)
 
 

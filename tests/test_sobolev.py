@@ -20,6 +20,7 @@ from fbmlocal.sobolev import (
     _head,
     _hat_gram_row,
     _hat_pairings,
+    _jacobi,
     _tail,
     a_h_constant,
     check_smoothness,
@@ -87,6 +88,33 @@ def test_fourier_at_zero_is_mass():
     assert phi.fourier(0.0)[0].real == pytest.approx(mass / math.sqrt(2 * math.pi), abs=1e-6)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fourier_matches_40_digit_integral_across_the_series_switch(sign):
+    # unequal elements; the per-element switch to the five-term series sits
+    # at |xi| max(hl, hr) = 1e-2, straddled here at the widest element
+    nodes, values = [-1.0, -0.2, 0.5, 0.6, 1.3, 2.0], [0.7, -0.4, 1.1, 0.3]
+    phi = TestFunction.from_samples(nodes, values)
+    h_max = max(np.diff(nodes))
+    xi = sign * np.array([0.0, 1e-6, 1e-3, 0.0099, 0.0101, 0.02, 1.0, 50.0, 400.0]) / h_max
+    got = phi.fourier(xi)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x, f = [mpmath.mpf(v) for v in nodes], [0] + [mpmath.mpf(v) for v in values] + [0]
+        for k, w in enumerate(map(mpmath.mpf, xi)):
+            total = mpmath.mpc(0)
+            for x0, x1, f0, f1 in zip(x[:-1], x[1:], f[:-1], f[1:]):
+                if w == 0:
+                    total += (x1 - x0) * (f0 + f1) / 2
+                    continue
+                # e^(-i w u) (i f(u) / w + m / w^2) is an antiderivative of
+                # e^(-i w u) f(u) for the linear piece f of slope m
+                m = (f1 - f0) / (x1 - x0)
+                total += mpmath.exp(-1j * w * x1) * (1j * f1 / w + m / w**2)
+                total -= mpmath.exp(-1j * w * x0) * (1j * f0 / w + m / w**2)
+            want = total / mpmath.sqrt(2 * mpmath.pi)
+            assert abs(float(abs(got[k] - want) / abs(want))) <= 1e-10, xi[k]
+
+
 def test_s_zero_is_l2():
     rng = np.random.default_rng(21)
     for _ in range(5):
@@ -147,6 +175,21 @@ def _head_reference(phi, psi, s):
 def _panel_head(phi, psi, s):
     # the head exactly as sobolev_inner computes it; raises if the guard trips
     return _head(phi, psi, s)
+
+
+@pytest.mark.parametrize("b", [-0.98, 0.0, 0.98])
+@pytest.mark.parametrize("n", [16, 32])
+def test_gauss_rule_matches_30_digit_oracle(n, b):
+    # the head's singular panel uses b = 2s and every other panel b = 0;
+    # scipy.special.roots_jacobi erred 1.6e-11 in the weights at n = 32,
+    # b = -0.98
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        nodes, weights = mpmath.mp.gauss_quadrature(n, "jacobi", 0, b)
+        want = sorted((float(x), float(w)) for x, w in zip(nodes, weights))
+    x, w = _jacobi(n, b)
+    np.testing.assert_allclose(x, [v[0] for v in want], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, [v[1] for v in want], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("span", [2.0, 20.0, 100.0])
@@ -278,10 +321,10 @@ def test_pairing_identity_on_pairing_suite():
             assert pairing_identity_check(phi, psi, h) <= 1e-11
 
 
-def test_commands_import_no_quadrature_optimizer_or_scipy_fft():
+def test_commands_import_no_quadrature_optimizer_scipy_fft_or_scipy_special():
     # in a fresh interpreter (this module imports quad itself): the dual
     # Grams, sobolev_inner and a thm21 command load neither scipy.integrate
-    # nor the scipy.optimize it drags in, nor scipy.fft
+    # nor the scipy.optimize it drags in, nor scipy.fft, nor scipy.special
     src = str(Path(sobolev.__file__).resolve().parents[1])
     code = """
 import contextlib, io, sys
@@ -293,7 +336,7 @@ phi, psi = acceptance._pairing_suite()[-1]
 fbmlocal.sobolev_inner(phi, psi, 0.25)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["thm21", "--H", "0.75"]) == 0
-print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.fft") if m in sys.modules))
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special") if m in sys.modules))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
@@ -430,7 +473,7 @@ def test_lemma22_dual_norm_matches_dense_cholesky(alpha, s, k):
     assert lemma22_dual_norm(alpha, s, k, 16.0, 64) == pytest.approx(dense, rel=1e-10)
 
 
-@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
 def test_lemma22_pairing_vector_matches_quadrature(alpha):
     k = 3.0
     pts = np.linspace(-8.0, 0.0, 18)
