@@ -16,6 +16,7 @@ grids (polynomially finer toward the singular endpoint) and mandatory
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import astuple, dataclass, fields
@@ -291,14 +292,19 @@ def _window_basis(center: float, eps: float, grid_n: int) -> IncrementBasis:
     return IncrementBasis.from_grid(TimeGrid(center - eps, center + eps, grid_n))
 
 
+@functools.lru_cache(maxsize=64)
 def _uniform_factor(h, grid_n, rtol):
     """Factor of the Gram every grid_n-point uniform window shares up to
     scale: the unit-spacing Toeplitz matrix T with first column
     increment_autocov(arange(grid_n - 1), h, 1.0).  A window of spacing
-    dt has Gram dt^(2H) T, so its factor is this one scaled by dt^-H."""
+    dt has Gram dt^(2H) T, so its factor is this one scaled by dt^-H.
+    Made once per process for each (h, grid_n, rtol); its arrays are
+    read-only because every caller shares them."""
     lag = np.arange(grid_n - 1)
     col = increment_autocov(lag, h, 1.0)
-    return _pivoted_factor(col[np.abs(lag[:, None] - lag)], rtol)
+    factor = _pivoted_factor(col[np.abs(lag[:, None] - lag)], rtol)
+    factor.keep.flags.writeable = factor.inv.flags.writeable = False
+    return factor
 
 
 def _window_rows(h, side, t, eps, grid_n, rtol, min_rank=None) -> tuple:
@@ -414,8 +420,9 @@ def r_h_dual_gram(h: float, n: int = 2048) -> float:
     the mean functional over increment combinations on n uniform cells of
     (0, 1): an independent route to r_h_constant, O(1/n) off.  G is
     Toeplitz with first column increment_autocov(arange(n), h, 1/n), so
-    the form is the kernels' guarded Levinson solve (LinAlgError unless
-    the relative residual is at most 1e-8 and w'x > 0).
+    the form is the kernels' guarded Toeplitz solve, preconditioned
+    conjugate gradients on numpy's FFT (LinAlgError unless the relative
+    residual is at most 1e-8 and w'x > 0).
     """
     check_hurst(h)
     col = increment_autocov(np.arange(n), h, 1.0 / n)
@@ -849,7 +856,10 @@ def levy2d_scan(
     for e in eps:
         a = _ball_basis(c1, e, grid_per_axis)
         b = _ball_basis(c2, e, grid_per_axis)
-        rows.append(_make_row(e, a, b, h, rtol, min(len(a), len(b)) * _MIN_RANK_FRACTION))
+        # the field's increments are translation-invariant: both balls
+        # have one Gram, factored once
+        f = _pivoted_factor(gram(a, h), rtol)
+        rows.append(_make_row(e, a, b, h, rtol, len(a) * _MIN_RANK_FRACTION, f, f))
     meta = {
         "experiment": "levy2d",
         "H": h,

@@ -12,33 +12,22 @@ finite exactly when sigma_1 < 1.  A determinant route through the joint
 covariance is kept as an independent oracle for nondegenerate inputs.
 
 Whitening is factor once, then products.  A factor step (_pivoted_factor:
-pivoted Cholesky dpstrf, then the inverse factor by dtrtri) is made once
-per side, so a scan that keeps one side fixed, or whose windows share a
-Gram up to scale, factors it once for all its rows.  Each row is then
-M = La^-1 C[keep_a, keep_b] Lb^-T by two dgemm products and one SVD.  No
-triangular solve is left: scipy's solve_triangular woke its OpenBLAS
-thread pool at every row, even at n = 9, and a pool thread then spun for
-~0.13 s of CPU beside the main thread.  The dgemm products of the
-63-increment gate windows stay single-threaded.
-
-numpy and scipy each bundle their own OpenBLAS, and each build keeps its
-own pool of spin-waiting threads.  Every step of the whitening therefore
-runs on scipy's build: alternating the two within one row hands every
-small matrix between two pools that contend for the same cores (on
-2 vCPUs, 1.6 ms per call with the SVD on numpy against 0.78 ms with it
-on scipy).  The determinant oracle stays on numpy's LAPACK on purpose,
-so that it checks the whitening against a second, independent build.
+a pivoted Cholesky that builds the inverse factor as it goes) is made
+once per side, so a scan that keeps one side fixed, or whose windows
+share a Gram up to scale, factors it once for all its rows.  Each row is
+then M = La^-1 C[keep_a, keep_b] Lb^-T by two matrix products and one
+SVD.  Everything runs on numpy alone.  The determinant oracle is an
+independent algorithm on the same build: an unpivoted Cholesky of the
+joint covariance and three log-determinants, no whitening at all.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import svd
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dpstrf, dtrtri
 
 __all__ = [
     "DegenerateCovarianceError",
@@ -120,12 +109,16 @@ class _Factor:
 
 
 def _pivoted_factor(g: np.ndarray, rtol: float) -> _Factor:
-    """Rank-revealing pivoted Cholesky of a PSD matrix, then the inverse
-    of its factor.
+    """Rank-revealing pivoted Cholesky of a PSD matrix (its lower
+    triangle), with the inverse of its factor.
 
-    Truncates where the residual diagonal falls below rtol * max(diag);
-    cond is the diagonal-based estimate (d_0 / d_last)^2 of the kept
-    factor.  dpstrf and dtrtri both run on scipy's LAPACK.
+    LAPACK dpstf2's rule: pivot on the largest residual diagonal, the
+    original diagonal less the accumulated squares of the factor's
+    entries, and stop once it is at most rtol * max(diag).  Step j makes
+    column j of L (rows in original order) and row j of L^-1, by forward
+    substitution, with one vector-matrix product over both:
+    [L[p, :j] L[:, :j]^T, L[p, :j] (L^-1)[:j, :j]].  cond is the
+    diagonal-based estimate (d_0 / d_last)^2 of the kept factor.
     """
     if not 0.0 < rtol < 1.0:
         raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
@@ -136,25 +129,42 @@ def _pivoted_factor(g: np.ndarray, rtol: float) -> _Factor:
     max_diag = float(np.max(np.diag(g), initial=0.0))
     if max_diag <= 0.0:
         raise DegenerateCovarianceError("Gram matrix has effective rank 0")
-    c, piv, rank, info = dpstrf(g, tol=rtol * max_diag, lower=1)
-    if info < 0:
-        raise ValueError(f"pivoted Cholesky failed (LAPACK info={info})")
+    stop = rtol * max_diag
+    # row j of rows: [column j of L in original order | row j of L^-1];
+    # rhs[i] is row i of G padded to the same width
+    rows = np.zeros((n, 2 * n))
+    rhs = np.zeros((n, 2 * n))
+    rhs[:, :n] = np.tril(g) + np.tril(g, -1).T
+    diag = g.diagonal().copy()
+    squares = np.zeros(n)
+    residual = diag.copy()
+    keep, d = [], []
+    for j in range(n):
+        p = int(residual.argmax())
+        ajj = float(residual[p])
+        if not ajj > stop:  # also stops on nan, as dpstf2 does
+            break
+        ljj = math.sqrt(ajj)
+        row = rows[j, : n + j + 1]
+        np.subtract(rhs[p, : n + j + 1], rows[:j, p] @ rows[:j, : n + j + 1], out=row)
+        row *= 1.0 / ljj
+        row[n + j] = 1.0 / ljj
+        squares += row[:n] ** 2
+        diag[p] = -math.inf
+        np.subtract(diag, squares, out=residual)
+        keep.append(p)
+        d.append(ljj)
+    rank = len(keep)
     if rank == 0:
         raise DegenerateCovarianceError("Gram matrix has effective rank 0")
-    keep = piv[:rank] - 1  # LAPACK pivots are 1-based
-    factor = np.tril(c[:rank, :rank])
-    d = np.diag(factor)
-    inv, info = dtrtri(factor, lower=1, overwrite_c=1)
-    if info != 0:
-        raise ValueError(f"triangular inverse failed (LAPACK info={info})")
-    return _Factor(keep=keep, inv=inv, cond=float((d[0] / d[-1]) ** 2))
+    return _Factor(keep=np.array(keep), inv=rows[:rank, n : n + rank].copy(), cond=(d[0] / d[-1]) ** 2)
 
 
 def _whitened_cross_gram(fa: _Factor, fb: _Factor, c: np.ndarray) -> np.ndarray:
-    """M = La^-1 C[keep_a, keep_b] Lb^-T from the full cross-Gram C, by two
-    dgemm products on scipy's BLAS."""
-    m = dgemm(fa.scale * fb.scale, fa.inv, c[np.ix_(fa.keep, fb.keep)])
-    return dgemm(1.0, m, fb.inv, trans_b=1)
+    """M = La^-1 C[keep_a, keep_b] Lb^-T from the full cross-Gram C."""
+    m = fa.inv @ c[np.ix_(fa.keep, fb.keep)]
+    m *= fa.scale * fb.scale
+    return m @ fb.inv.T
 
 
 def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpectrum:
@@ -164,7 +174,7 @@ def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpec
     singular value lands above 1 + 1e-8 before clamping.
     """
     cond = max(fa.cond, fb.cond)
-    sigmas = svd(_whitened_cross_gram(fa, fb, c), compute_uv=False)
+    sigmas = np.linalg.svd(_whitened_cross_gram(fa, fb, c), compute_uv=False)
 
     overshoot = float(np.max(sigmas, initial=0.0)) - 1.0
     ill = cond > COND_LIMIT or overshoot > CLAMP_TOL

@@ -17,16 +17,16 @@ the contour to x = 1 + it makes each term a decaying, non-oscillatory
 integral, and one geometric Gauss-Legendre rule in t serves all of them
 out to a t where an analytic bound puts the rest below 1e-8 of the head.
 Each rule is checked against the same panels with twice the nodes.
-Every Gauss rule comes from one Golub-Welsch generator (_jacobi) on
-scipy.linalg's tridiagonal eigensolver.
+Every Gauss rule comes from one Golub-Welsch generator (_jacobi): numpy's
+symmetric eigensolver, one Newton step and Christoffel weights.
 
 The lemma-2.2 dual norm needs no quadrature: its hat Gram row is the
 kernels' lattice series (fourth difference) and its quadratic form the
-same guarded Levinson solve as r_h_dual_gram.  The indicator norm is a
+same guarded Toeplitz solve as r_h_dual_gram.  The indicator norm is a
 Gamma-function closed form, so nothing in fbmlocal runs adaptive
-quadrature.  The module needs numpy and scipy.linalg only; scipy.integrate
-is imported only if the module attribute sobolev.quad is asked for (see
-__getattr__ at the end).
+quadrature.  The module needs numpy only; scipy.integrate is imported
+only if the module attribute sobolev.quad is asked for (see __getattr__
+at the end).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from fbmlocal.kernels import _even_difference, _second_difference, _toeplitz_quadratic_form, check_hurst
 
@@ -198,19 +197,34 @@ def _jacobi(n: int, b: float = 0.0):
     """Nodes and weights of the n-node Gauss rule for the weight (1 + x)^b
     on [-1, 1], b > -1; Gauss-Legendre at b = 0.
 
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
-    matrix of the Jacobi polynomials P^(0, b), and each weight is the
-    weight's mass 2^(b+1) / (b+1) times the squared first component of
-    its eigenvector.  Bisection with inverse iteration (stebz) keeps the
-    weights within 3e-14 relative at n <= 32, where the default divide
-    and conquer loses up to 1.6e-13.
+    Golub-Welsch with a polish: the nodes are the eigenvalues of the
+    symmetric Jacobi matrix of the Jacobi polynomials P^(0, b), then one
+    Newton step on the orthonormal p_n.  A single vectorized pass of the
+    three-term recurrence gives every p_k and p_k' at the nodes; the
+    weights are the Christoffel numbers 1 / sum_(k < n) p_k^2 at the
+    polished nodes (first order in the step).  The recurrence
+    coefficients are rounded once from extended precision, which keeps
+    the weights within 5e-14 relative at n <= 64.
     """
-    k = np.arange(1.0, n)
-    c = 2.0 * k + b
-    diag = np.concatenate(([b / (b + 2.0)], b * b / (c * (c + 2.0))))
-    off = 2.0 * k * (k + b) / (c * np.sqrt(c * c - 1.0))
-    x, v = scipy.linalg.eigh_tridiagonal(diag, off, lapack_driver="stebz")
-    return x, 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
+    k, bl = np.arange(1, n + 1, dtype=np.longdouble), np.longdouble(b)
+    c = 2 * k + bl
+    diag = np.concatenate(([bl / (bl + 2)], bl * bl / (c[:-1] * (c[:-1] + 2)))).astype(float)
+    off = (2 * k * (k + bl) / (c * np.sqrt(c * c - 1))).astype(float)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1), UPLO="U")
+    # p[k] = (p_k, p_k') at every node; off[k] p_(k+1) = (x - diag[k]) p_k - off[k-1] p_(k-1)
+    p = np.zeros((n + 1, 2, n))
+    p[0, 0] = math.sqrt((b + 1.0) / 2.0 ** (b + 1.0))
+    shift = x - diag[:, None]
+    for j in range(n):
+        nxt = p[j + 1]
+        np.multiply(shift[j], p[j], out=nxt)
+        nxt[1] += p[j, 0]
+        if j:
+            nxt -= off[j - 1] * p[j - 1]
+        nxt /= off[j]
+    step = -p[n, 0] / p[n, 1]
+    vals = p[:n, 0] + step * p[:n, 1]
+    return x + step, 1.0 / np.einsum("kj,kj->j", vals, vals)
 
 
 def _panel_rule(edges: np.ndarray, n: int):
@@ -487,7 +501,7 @@ def lemma22_dual_norm(
     on a uniform grid of (-T, 0) is sqrt(w' M^-1 w), with no quadrature:
     M is the Toeplitz Sobolev Gram of the hats (row _hat_gram_row) and w
     holds the exact pairings of the hats with (k - x)^(-alpha).  The form
-    is the kernels' guarded Levinson solve, as for r_h_dual_gram: no n x n
+    is the kernels' guarded Toeplitz solve, as for r_h_dual_gram: no n x n
     matrix, and LinAlgError unless the relative residual is at most 1e-8
     and w' M^-1 w > 0.
     """

@@ -17,7 +17,7 @@ from fbmlocal.geometry import (
     mutual_information_det,
     mutual_information_gy,
 )
-from fbmlocal.kernels import IncrementBasis, TimeGrid, cross_gram, gram
+from fbmlocal.kernels import IncrementBasis, TimeGrid, cross_gram, gram, increment_autocov
 
 SQRT2 = math.sqrt(2.0)
 
@@ -192,28 +192,12 @@ def test_sigma_clamped_to_unit_interval():
         assert np.all(np.diff(spec.sigmas) <= 1e-15)
 
 
-_NUMPY_LAPACK = ("svd", "eigh", "eigvalsh", "cholesky", "qr", "solve", "lstsq", "inv", "slogdet")
-
-
-def test_whitening_never_calls_numpy_lapack(monkeypatch):
-    # numpy and scipy bundle separate OpenBLAS builds; every row must whiten
-    # on scipy's alone, so the scan families still run with numpy's blocked
-    from fbmlocal.experiments import adjacency_mi_table, local_independence_scan, past_future_angle
-
-    def blocked(*args, **kwargs):
-        raise AssertionError("numpy.linalg LAPACK called on the whitening path")
-
-    for name in _NUMPY_LAPACK:
-        monkeypatch.setattr(np.linalg, name, blocked)
-    rows = local_independence_scan(0.25).rows
-    assert all(0.0 < r.cos < 1.0 for r in rows)
-    assert 0.0 < past_future_angle(0.2, n=32) < 1.0
-    assert all(mi > 0.0 for mi in adjacency_mi_table(0.8, n_schedule=(4, 8, 16, 32)))
-
-
 def test_scipy_sigmas_match_numpy_svd_on_gate_row():
     # gate row H = 0.25, eps = 2^-8, grid_n = 64: sigma_2 sits five decades
-    # below sigma_1, yet both builds' SVDs of the whitened cross-Gram agree
+    # below sigma_1, yet numpy's SVD of the whitened cross-Gram agrees with
+    # scipy's, an outside oracle on another LAPACK build
+    from scipy.linalg import svd
+
     from fbmlocal.geometry import _pivoted_factor, _whitened_cross_gram
 
     eps, h = 2.0**-8, 0.25
@@ -221,7 +205,7 @@ def test_scipy_sigmas_match_numpy_svd_on_gate_row():
     b = IncrementBasis.from_grid(TimeGrid(1.0 - eps, 1.0 + eps, 64))
     ga, gb, c = gram(a, h), gram(b, h), cross_gram(a, b, h)
     m = _whitened_cross_gram(_pivoted_factor(ga, 1e-10), _pivoted_factor(gb, 1e-10), c)
-    want = np.linalg.svd(m, compute_uv=False)[:2]
+    want = svd(m, compute_uv=False)[:2]
     got = canonical_correlations(ga, gb, c).sigmas[:2]
     assert want[1] < 1e-4 * want[0]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -349,10 +333,11 @@ def test_scans_never_call_solve_triangular(monkeypatch):
 @pytest.mark.parametrize("family, factors", [
     ("scan", 1),  # both windows share one factor per (H, grid_n)
     ("past-window", 2),  # the past once, the window once
-    ("complement", 4),  # two per table, two tables
+    ("complement", 3),  # each table its complement, one uniform window factor for both
     ("adjacency", 3),  # one per grid size
 ])
 def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
+    experiments._uniform_factor.cache_clear()
     calls = []
     factor = experiments._pivoted_factor
 
@@ -369,3 +354,71 @@ def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
     }[family]
     run()
     assert len(calls) == factors
+
+
+def _lapack_factor(g, rtol):
+    # the reference: LAPACK's pivoted Cholesky and triangular inverse
+    from scipy.linalg.lapack import dpstrf, dtrtri
+
+    f, piv, rank, _ = dpstrf(g, tol=rtol * g.diagonal().max(), lower=1)
+    f = np.tril(f[:rank, :rank])
+    inv, info = dtrtri(f, lower=1)
+    assert info == 0
+    return piv[:rank] - 1, inv, float((f[0, 0] / f[-1, -1]) ** 2)
+
+
+def _uniform_gram(h, n):
+    lag = np.arange(n)
+    col = increment_autocov(lag, h, 1.0)
+    return col[np.abs(lag[:, None] - lag)]
+
+
+def _graded_past_gram(h):
+    pts = experiments.graded_points(-64.0, 0.0, 64, experiments.grading_depth(h, 63), toward="b")
+    return gram(IncrementBasis.from_points(pts), h)
+
+
+def _complement_gram(h):
+    decades = experiments.grading_depth(h, 63)
+    left = experiments.graded_points(-64.0, 0.0, 64, decades, toward="b")
+    right = experiments.graded_points(1.0, 65.0, 64, decades, toward="a")
+    a, b = IncrementBasis.from_points(left), IncrementBasis.from_points(right)
+    return gram(IncrementBasis(s=np.concatenate([a.s, b.s]), t=np.concatenate([a.t, b.t])), h)
+
+
+def _rank_deficient_gram(h):
+    # 16 unit increments and the 8 sums of consecutive pairs: rank 16 of 24
+    s = np.concatenate([np.arange(16.0), np.arange(0.0, 16.0, 2.0)])
+    t = np.concatenate([np.arange(1.0, 17.0), np.arange(2.0, 17.0, 2.0)])
+    return gram(IncrementBasis(s=s, t=t), h)
+
+
+_FACTOR_FAMILIES = {
+    "uniform-63": lambda h: _uniform_gram(h, 63),
+    "graded-past-63": _graded_past_gram,
+    "complement-126": _complement_gram,
+    "adjacency-256": lambda h: _uniform_gram(h, 256),
+    "levy2d-48": lambda h: gram(experiments._ball_basis(np.zeros(2), 0.125, 9), h),
+    "rank-deficient-24": _rank_deficient_gram,
+}
+
+
+@pytest.mark.parametrize("h", [0.05, 0.25, 0.75, 0.95])
+@pytest.mark.parametrize("family", list(_FACTOR_FAMILIES))
+def test_pivoted_factor_matches_lapack(family, h):
+    # the numpy factor against dpstrf + dtrtri on the gate's Gram families:
+    # the same rank and cond, and the same inverse factor as far as the two
+    # pick the same pivots (ties between equal diagonals may break apart);
+    # the leading k x k block of L^-1 depends on the first k pivots alone
+    from fbmlocal.geometry import _pivoted_factor
+
+    g = _FACTOR_FAMILIES[family](h)
+    keep, inv, cond = _lapack_factor(g, 1e-10)
+    got = _pivoted_factor(g, 1e-10)
+    assert len(got.keep) == len(keep)
+    if family == "rank-deficient-24":
+        assert len(keep) == 16
+    assert got.cond == pytest.approx(cond, rel=1e-12, abs=0.0)
+    k = int(np.argmin(np.append(got.keep == keep, False)))
+    assert k >= 2
+    assert np.max(np.abs(got.inv[:k, :k] - inv[:k, :k])) <= 1e-13 * np.max(np.abs(inv[:k, :k]))

@@ -13,6 +13,8 @@ from fbmlocal.kernels import (
     IncrementBasis,
     TimeGrid,
     _toeplitz_matvec,
+    _toeplitz_quadratic_form,
+    _toeplitz_solve,
     check_hurst,
     cross_gram,
     fbm_cov,
@@ -177,6 +179,36 @@ def test_toeplitz_matvec_matches_scipy(n):
     x = np.random.default_rng(n).standard_normal(n)
     want = matmul_toeplitz(col, x)
     assert np.linalg.norm(_toeplitz_matvec(col, x) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 2048])
+@pytest.mark.parametrize("h", [0.05, 0.25, 0.75, 0.95])
+def test_toeplitz_form_matches_levinson(h, n):
+    # r_h_dual_gram's system against scipy's Levinson solve; at n = 2048
+    # the preconditioner holds conjugate gradients to 8-16 iterations
+    from scipy.linalg import solve_toeplitz
+
+    col = increment_autocov(np.arange(n), h, 1.0 / n)
+    w = np.full(n, 1.0 / n)
+    want = float(w @ solve_toeplitz(col, w))
+    assert _toeplitz_quadratic_form(col, w, "test") == pytest.approx(want, rel=1e-12, abs=0.0)
+    if n == 2048:
+        assert _toeplitz_solve(col, w)[1] <= 30
+
+
+@pytest.mark.parametrize("k", [2.0, 32.0])
+@pytest.mark.parametrize("alpha, s, t, n", [(2.0, 0.25, 128.0, 256), (2.0, 0.25, 512.0, 1024), (1.5, -0.25, 64.0, 512)])
+def test_lemma22_toeplitz_form_matches_levinson(alpha, s, t, n, k):
+    # the lemma-2.2 decay protocols: the sobolev-scaling gate's first at its
+    # former and its present (T, n), and its second
+    from scipy.linalg import solve_toeplitz
+
+    from fbmlocal.sobolev import _hat_gram_row, _hat_pairings
+
+    pts = np.linspace(-t, 0.0, n + 2)
+    col, w = _hat_gram_row(pts, s), _hat_pairings(alpha, k, pts)
+    want = float(w @ solve_toeplitz(col, w))
+    assert _toeplitz_quadratic_form(col, w, "test") == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("h", sorted(_AUTOCOV_RECORDED))
