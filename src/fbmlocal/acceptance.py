@@ -134,7 +134,7 @@ def check_brownian_exactness():
         la, lb = rng.uniform(0.1, 3.0, size=2)
         a = IncrementBasis.from_points(np.sort(rng.uniform(-la, 0.0, size=6)) - gap / 2)
         b = IncrementBasis.from_points(np.sort(rng.uniform(0.0, lb, size=6)) + gap / 2)
-        row = _make_row(math.nan, a, b, 0.5, 1e-10)
+        row = _make_row(math.nan, a, b, 0.5)
         worst_cos = max(worst_cos, row.cos)
         worst_mi = max(worst_mi, math.inf if row.mi is None else row.mi)
     ok = worst_cos <= 1e-10 and worst_mi <= 1e-10

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 
+from fbmlocal.geometry import RANK_RTOL
 from fbmlocal.kernels import fbm_cov
 from fbmlocal.sobolev import a_h_constant, r_h_constant
 from fbmlocal.experiments import (
@@ -136,10 +137,8 @@ _FLAGS = {
     "n": (int, "grid size (points per window / lattice per axis)"),
     "T": (finite_float, "truncation horizon"),
     "seed": (int, None),
-    "rtol": (finite_float, "pivoted-Cholesky relative tolerance"),
     "m": (int, "number of paths"),
     "dt": (finite_float, "grid spacing (default T/n, else 1)"),
-    "threads": (int, None),
     "format": (csv_or_json, "csv (default) or json"),
     "out": (str, "output file (default: stdout)"),
     "strict": (_truthy, "exit 2 when numerical-quality flags are raised"),
@@ -150,11 +149,13 @@ _FLAGS = {
 
 
 def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """CLI flag > config-file entry > built-in default."""
+    """CLI flag > config-file entry > built-in default; a default with no
+    flag (rtol) is fixed."""
     params = {}
     for key, default in defaults.items():
-        cli_val = getattr(args, key)
-        if cli_val is not None:
+        if key not in _FLAGS:
+            params[key] = default
+        elif (cli_val := getattr(args, key)) is not None:
             params[key] = cli_val
         elif key in config:
             params[key] = _FLAGS[key][0](config[key])
@@ -235,8 +236,7 @@ def _window_row(params):
     # one scan row, never skipped: a single eps reports whatever rank survives
     eps = _single_eps(params)
     t1 = params["t1"]
-    (row,) = _window_rows(params["H"], lambda window: window(t1), params["t2"], (eps,), params["n"],
-                          params["rtol"], min_rank=0.0)
+    (row,) = _window_rows(params["H"], lambda window: window(t1), params["t2"], (eps,), params["n"], min_rank=0.0)
     return row, ["ill-conditioned whitening"] if row.ill_conditioned else []
 
 
@@ -264,9 +264,7 @@ def _cmd_mi(params):
 
 
 def _cmd_scan(params):
-    table = local_independence_scan(
-        params["H"], params["t1"], params["t2"], params["eps"], params["n"], params["rtol"],
-    )
+    table = local_independence_scan(params["H"], params["t1"], params["t2"], params["eps"], params["n"])
     theory = 2.0 - 2.0 * params["H"]
     try:
         fit = fit_exponent(table, "cos", theory=theory, correction_order=min(1.0, theory))
@@ -281,10 +279,7 @@ def _cmd_scan(params):
 
 
 def _cmd_thm21(params):
-    rep = theorem21_check(
-        params["H"], params["t1"], params["t2"], params["eps"], params["n"],
-        params["rtol"],
-    )
+    rep = theorem21_check(params["H"], params["t1"], params["t2"], params["eps"], params["n"])
     summary = (
         f"cos slope {rep.fit_cos.slope:.4f} vs {rep.fit_cos.theory_slope:.4f}, "
         f"mi slope {rep.fit_mi.slope:.4f} vs {rep.fit_mi.theory_slope:.4f}, "
@@ -306,10 +301,7 @@ def _cmd_thm21(params):
 
 
 def _cmd_thm22(params):
-    rep = theorem22_check(
-        params["H"], params["t1"], params["T"], params["eps"], params["n"],
-        params["rtol"],
-    )
+    rep = theorem22_check(params["H"], params["t1"], params["T"], params["eps"], params["n"])
     summary = (
         f"cos slope {rep.fit_cos.slope:.4f} vs {rep.fit_cos.theory_slope:.4f}, "
         f"mi slope {rep.fit_mi.slope:.4f} vs {rep.fit_mi.theory_slope:.4f}, "
@@ -328,7 +320,7 @@ def _cmd_thm22(params):
 
 
 def _cmd_adjacency(params):
-    rep = adjacency_divergence(params["H"], _single_eps(params), rtol=params["rtol"])
+    rep = adjacency_divergence(params["H"], _single_eps(params))
     summary = (
         f"MI strictly increasing: {rep.strictly_increasing}, min growth/doubling "
         f"{rep.min_doubling_growth:.2%}, eps-invariance gap {rep.eps_invariance_gap:.2e}"
@@ -338,7 +330,7 @@ def _cmd_adjacency(params):
 
 
 def _cmd_pastfuture(params):
-    rep = past_future_report(params["H"], params["T"], params["n"], params["rtol"])
+    rep = past_future_report(params["H"], params["T"], params["n"])
     summary = (
         f"cos = {rep.value:.6f} (2n: {rep.value_2n:.6f}, 2T: {rep.value_2t:.6f}), "
         f"drift n {rep.drift_n:.2%} T {rep.drift_t:.2%}, margin {rep.margin:.4f}"
@@ -349,8 +341,7 @@ def _cmd_pastfuture(params):
 def _cmd_complement(params):
     t_mid = 0.5 * (params["t1"] + params["t2"])
     rep = complement_window_scan(
-        params["H"], params["t1"], t_mid, params["t2"], params["eps"],
-        params["T"], params["n"], params["rtol"],
+        params["H"], params["t1"], t_mid, params["t2"], params["eps"], params["T"], params["n"],
     )
     summary = (
         f"hs slope {rep.fit_hs.slope:.4f} vs {rep.fit_hs.theory_slope:.4f}, "
@@ -364,8 +355,7 @@ def _cmd_complement(params):
 
 
 def _cmd_levy2d(params):
-    rep = levy2d_scan(params["H"], eps=params["eps"], grid_per_axis=params["n"],
-                      rtol=params["rtol"])
+    rep = levy2d_scan(params["H"], eps=params["eps"], grid_per_axis=params["n"])
     theory = 2.0 - 2.0 * params["H"]
     summary = f"cos slope {rep.fit_cos.slope:.4f} vs {theory:.4f} (gap {rep.fit_cos.slope - theory:+.4f})"
     extra = {"fit_cos_slope": rep.fit_cos.slope, "summary": summary}
@@ -386,10 +376,9 @@ def _cmd_sample(params):
     if dt is not None and horizon is not None:
         raise ValueError("sample takes --dt or --T, not both")
     if dt is None:
-        dt = horizon / params["n"] if horizon is not None else 1.0
-    paths = sampler.sample_fbm_increments(
-        params["n"], dt, params["H"], params["m"], params["seed"], threads=params["threads"],
-    )
+        # an n below 1 is the sampler's to reject, before it reads dt
+        dt = 1.0 if horizon is None else horizon / max(params["n"], 1)
+    paths = sampler.sample_fbm_increments(params["n"], dt, params["H"], params["m"], params["seed"])
     sampler.write_samples(paths, params["out"])
     print(
         f"wrote {paths.m} x {paths.n} increments (dt={dt:g}, method={paths.method}) "
@@ -425,11 +414,13 @@ def _cmd_check_all(params):
 
 
 # each command: help, then its defaults, which name every flag it reads
-# (and nothing else: --config aside, a flag not named here is rejected)
+# (and nothing else: --config aside, a flag not named here is rejected);
+# a whitening command's defaults also carry the fixed rank tolerance, no
+# flag, so that its output records it
 _OUTPUT = {"format": "csv", "out": None}
-_WINDOW = {"H": 0.5, "t1": 0.0, "t2": 1.0, "eps": (0.125,), "n": 32, "rtol": 1e-10, "strict": False, **_OUTPUT}
+_WINDOW = {"H": 0.5, "t1": 0.0, "t2": 1.0, "eps": (0.125,), "n": 32, "rtol": RANK_RTOL, "strict": False, **_OUTPUT}
 _SCAN = {
-    "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N, "rtol": 1e-10, "strict": False,
+    "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N, "rtol": RANK_RTOL, "strict": False,
     **_OUTPUT,
 }
 _COMMANDS = {
@@ -446,38 +437,38 @@ _COMMANDS = {
         "past-vs-window rate report with truncation sensitivity",
         {
             "H": 0.5, "t1": 1.0, "T": DEFAULT_TRUNCATION, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N,
-            "rtol": 1e-10, "strict": False, **_OUTPUT,
+            "rtol": RANK_RTOL, "strict": False, **_OUTPUT,
         },
         _cmd_thm22,
     ),
     "adjacency": (
         "adjacent-interval MI growth under grid refinement",
-        {"H": 0.5, "eps": (1.0,), "rtol": 1e-10, **_OUTPUT},
+        {"H": 0.5, "eps": (1.0,), "rtol": RANK_RTOL, **_OUTPUT},
         _cmd_adjacency,
     ),
     "pastfuture": (
         "past-future angle with doubling studies",
-        {"H": 0.5, "T": 16.0, "n": 128, "rtol": 1e-10, **_OUTPUT},
+        {"H": 0.5, "T": 16.0, "n": 128, "rtol": RANK_RTOL, **_OUTPUT},
         _cmd_pastfuture,
     ),
     "complement": (
         "window against the two-sided complement",
         {
             "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": tuple(e for e in DEFAULT_EPS if e <= 0.125),
-            "T": DEFAULT_TRUNCATION, "n": DEFAULT_GRID_N, "rtol": 1e-10,
+            "T": DEFAULT_TRUNCATION, "n": DEFAULT_GRID_N, "rtol": RANK_RTOL,
             "strict": False, **_OUTPUT,
         },
         _cmd_complement,
     ),
     "levy2d": (
         "planar ball-to-ball angle rate",
-        {"H": 0.5, "eps": DEFAULT_EPS, "n": 9, "rtol": 1e-10, "strict": False, **_OUTPUT},
+        {"H": 0.5, "eps": DEFAULT_EPS, "n": 9, "rtol": RANK_RTOL, "strict": False, **_OUTPUT},
         _cmd_levy2d,
     ),
     "constants": ("a_H and r_H for a given H", {"H": 0.5, **_OUTPUT}, _cmd_constants),
     "sample": (
         "draw increment paths and export them",
-        {"H": 0.5, "n": 1024, "m": 1, "dt": None, "T": None, "seed": 0, "threads": None, "out": None},
+        {"H": 0.5, "n": 1024, "m": 1, "dt": None, "T": None, "seed": 0, "out": None},
         _cmd_sample,
     ),
     "check-all": ("run the acceptance suite", {"only": None, "json": None}, _cmd_check_all),
@@ -490,6 +481,8 @@ def _build_parser() -> _Parser:
     for name, (text, defaults, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text, description=text)
         for key in (*defaults, "config"):
+            if key not in _FLAGS:
+                continue
             cast, flag_help = _FLAGS[key]
             kind = {"action": "store_true"} if cast is _truthy else {"type": cast}
             p.add_argument(f"--{key}", default=None, help=flag_help, **kind)

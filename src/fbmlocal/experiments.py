@@ -24,6 +24,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from fbmlocal.geometry import (
+    RANK_RTOL,
     IllConditionedWarning,
     MiResult,
     _pivoted_factor,
@@ -233,16 +234,16 @@ def graded_points(a: float, b: float, npts: int, decades: float = 8.0, toward: s
     raise ValueError("toward must be 'a' or 'b'")
 
 
-def _make_row(eps, a: IncrementBasis, b: IncrementBasis, h, rtol, min_rank=0.0, fa=None, fb=None) -> ScanRow:
+def _make_row(eps, a: IncrementBasis, b: IncrementBasis, h, min_rank=0.0, fa=None, fb=None) -> ScanRow:
     """The one route from two increment bases to a row: side factors,
     whitening, angle and MI with its HS bounds; skipped when either side
     keeps fewer than min_rank directions.  fa and fb are the sides'
     factors when the scan made them once for many rows; a missing one is
     made here from its basis's Gram."""
     if fa is None:
-        fa = _pivoted_factor(gram(a, h), rtol)
+        fa = _pivoted_factor(gram(a, h))
     if fb is None:
-        fb = _pivoted_factor(gram(b, h), rtol)
+        fb = _pivoted_factor(gram(b, h))
     # the row's flags carry the ill-conditioning; the warning would only
     # repeat it once per row
     with warnings.catch_warnings():
@@ -293,27 +294,27 @@ def _window_basis(center: float, eps: float, grid_n: int) -> IncrementBasis:
 
 
 @functools.lru_cache(maxsize=64)
-def _uniform_factor(h, grid_n, rtol):
+def _uniform_factor(h, grid_n):
     """Factor of the Gram every grid_n-point uniform window shares up to
     scale: the unit-spacing Toeplitz matrix T with first column
     increment_autocov(arange(grid_n - 1), h, 1.0).  A window of spacing
     dt has Gram dt^(2H) T, so its factor is this one scaled by dt^-H.
-    Made once per process for each (h, grid_n, rtol); its arrays are
+    Made once per process for each (h, grid_n); its arrays are
     read-only because every caller shares them."""
     lag = np.arange(grid_n - 1)
     col = increment_autocov(lag, h, 1.0)
-    factor = _pivoted_factor(col[np.abs(lag[:, None] - lag)], rtol)
+    factor = _pivoted_factor(col[np.abs(lag[:, None] - lag)])
     factor.keep.flags.writeable = factor.inv.flags.writeable = False
     return factor
 
 
-def _window_rows(h, side, t, eps, grid_n, rtol, min_rank=None) -> tuple:
+def _window_rows(h, side, t, eps, grid_n, min_rank=None) -> tuple:
     """One row per eps: side(window) against window(t), where window(c)
     is the grid_n-point window of half-width eps around c with its factor.
     The uniform-window factor is made once for all rows; side returns a
     (basis, factor) pair.  Rows are skipped below grid_n/2 kept
     directions unless min_rank says otherwise."""
-    unit = _uniform_factor(h, grid_n, rtol)
+    unit = _uniform_factor(h, grid_n)
     if min_rank is None:
         min_rank = grid_n * _MIN_RANK_FRACTION
     rows = []
@@ -324,13 +325,13 @@ def _window_rows(h, side, t, eps, grid_n, rtol, min_rank=None) -> tuple:
             return _window_basis(center, e, grid_n), scaled
 
         (a, fa), (b, fb) = side(window), window(t)
-        rows.append(_make_row(e, a, b, h, rtol, min_rank, fa, fb))
+        rows.append(_make_row(e, a, b, h, min_rank, fa, fb))
     return tuple(rows)
 
 
-def _fixed_side(basis: IncrementBasis, h, rtol):
+def _fixed_side(basis: IncrementBasis, h):
     """A side that stays put across eps, factored once: for _window_rows."""
-    factored = basis, _pivoted_factor(gram(basis, h), rtol)
+    factored = basis, _pivoted_factor(gram(basis, h))
     return lambda window: factored
 
 
@@ -344,7 +345,6 @@ def local_independence_scan(
     t2: float = 1.0,
     eps: tuple = DEFAULT_EPS,
     grid_n: int = DEFAULT_GRID_N,
-    rtol: float = 1e-10,
 ) -> ScanTable:
     """Angle and MI between increment windows around t1 and t2, per eps.
 
@@ -358,7 +358,7 @@ def local_independence_scan(
         raise ValueError("t1 and t2 must differ")
     if eps[0] >= abs(t2 - t1) / 2.0:
         raise ValueError("max eps must keep the windows disjoint: eps < |t1-t2|/2")
-    rows = _window_rows(h, lambda window: window(t1), t2, eps, grid_n, rtol)
+    rows = _window_rows(h, lambda window: window(t1), t2, eps, grid_n)
     meta = {
         "experiment": "scan",
         "H": h,
@@ -366,7 +366,7 @@ def local_independence_scan(
         "t2": t2,
         "eps": _eps_meta(eps),
         "grid_n": grid_n,
-        "rtol": rtol,
+        "rtol": RANK_RTOL,
     }
     return ScanTable(rows=rows, meta=meta)
 
@@ -451,7 +451,6 @@ def theorem21_check(
     t2: float = 1.0,
     eps: tuple = DEFAULT_EPS,
     grid_n: int = DEFAULT_GRID_N,
-    rtol: float = 1e-10,
 ) -> Theorem21Report:
     """Fit both two-window decay rates and cross-check the constant r_H.
 
@@ -464,7 +463,7 @@ def theorem21_check(
     check_hurst(h)
     if abs(2.0 * h - 1.0) < 0.1:
         raise ValueError("constant comparison needs |2H-1| >= 0.1")
-    table = local_independence_scan(h, t1, t2, eps, grid_n, rtol)
+    table = local_independence_scan(h, t1, t2, eps, grid_n)
     delta = min(1.0, 2.0 - 2.0 * h)
     fit_cos = fit_exponent(table, "cos", theory=2.0 - 2.0 * h, correction_order=delta)
     fit_mi = fit_exponent(table, "mi", theory=4.0 - 4.0 * h, correction_order=delta)
@@ -504,7 +503,6 @@ def past_window_scan(
     truncation_t: float = DEFAULT_TRUNCATION,
     eps: tuple = DEFAULT_EPS,
     grid_n: int = DEFAULT_GRID_N,
-    rtol: float = 1e-10,
 ) -> ScanTable:
     """Angle and MI between the past (-T, 0) and a window around t > 0.
 
@@ -524,7 +522,7 @@ def past_window_scan(
     decades = grading_depth(h, grid_n - 1)
 
     past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, grid_n, decades, toward="b"))
-    rows = _window_rows(h, _fixed_side(past, h, rtol), t, eps, grid_n, rtol)
+    rows = _window_rows(h, _fixed_side(past, h), t, eps, grid_n)
     meta = {
         "experiment": "past-window",
         "H": h,
@@ -533,7 +531,7 @@ def past_window_scan(
         "eps": _eps_meta(eps),
         "grid_n": grid_n,
         "grading_decades": decades,
-        "rtol": rtol,
+        "rtol": RANK_RTOL,
     }
     return ScanTable(rows=rows, meta=meta)
 
@@ -556,15 +554,14 @@ def theorem22_check(
     truncation_t: float = DEFAULT_TRUNCATION,
     eps: tuple = DEFAULT_EPS,
     grid_n: int = DEFAULT_GRID_N,
-    rtol: float = 1e-10,
 ) -> Theorem22Report:
     """Past-vs-window rates: cos slope against 1-H, MI slope against 2-2H.
 
     Reruns at 2T; the report is flagged truncation-dominated when either
     slope moves by more than 0.02.
     """
-    table = past_window_scan(h, t, truncation_t, eps, grid_n, rtol)
-    table2 = past_window_scan(h, t, 2.0 * truncation_t, eps, grid_n, rtol)
+    table = past_window_scan(h, t, truncation_t, eps, grid_n)
+    table2 = past_window_scan(h, t, 2.0 * truncation_t, eps, grid_n)
     # next term is O(eps^(2-H)), one full power of eps beyond the lead
     fit_cos = fit_exponent(table, "cos", theory=1.0 - h, correction_order=1.0)
     fit_mi = fit_exponent(table, "mi", theory=2.0 - 2.0 * h, correction_order=1.0)
@@ -603,7 +600,6 @@ def adjacency_mi_table(
     h: float,
     eps: float = 1.0,
     n_schedule: tuple = (4, 8, 16, 32, 64, 128, 256),
-    rtol: float = 1e-10,
 ) -> list:
     """MI between increment bases on (-eps, 0) and (0, eps) per grid size n."""
     check_hurst(h)
@@ -617,8 +613,8 @@ def adjacency_mi_table(
         a = IncrementBasis.from_grid(TimeGrid(-eps, 0.0, int(n) + 1))
         b = IncrementBasis.from_grid(TimeGrid(0.0, eps, int(n) + 1))
         # both sides are uniform windows of spacing eps/n: one factor
-        f = _uniform_factor(h, int(n) + 1, rtol).scaled((eps / int(n)) ** -h)
-        mi = _make_row(eps, a, b, h, rtol, 0.0, f, f).mi
+        f = _uniform_factor(h, int(n) + 1).scaled((eps / int(n)) ** -h)
+        mi = _make_row(eps, a, b, h, 0.0, f, f).mi
         out.append(math.inf if mi is None else mi)
     return out
 
@@ -627,7 +623,6 @@ def adjacency_divergence(
     h: float,
     eps: float = 1.0,
     n_schedule: tuple = (4, 8, 16, 32, 64, 128, 256),
-    rtol: float = 1e-10,
 ) -> AdjacencyReport:
     """Divergence proxy for adjacent intervals.
 
@@ -642,9 +637,9 @@ def adjacency_divergence(
         raise ValueError(f"n schedule needs at least 2 grid sizes, got {len(ns)}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n schedule must be strictly increasing")
-    mi = adjacency_mi_table(h, eps, ns, rtol)
+    mi = adjacency_mi_table(h, eps, ns)
     alt = _ALT_EPS_FACTOR * eps
-    mi_alt = adjacency_mi_table(h, alt, ns, rtol)
+    mi_alt = adjacency_mi_table(h, alt, ns)
     increasing = all(b > a for a, b in zip(mi, mi[1:]))
     growth = min(b / a - 1.0 for a, b in zip(mi, mi[1:]))
     gap = max(abs(x - y) for x, y in zip(mi, mi_alt))
@@ -668,7 +663,6 @@ def past_future_angle(
     h: float,
     truncation_t: float = 16.0,
     n: int = 128,
-    rtol: float = 1e-10,
 ) -> float:
     """cos angle between increments on (-T, 0) and (0, T), graded toward 0.
 
@@ -685,7 +679,7 @@ def past_future_angle(
     decades = grading_depth(h, int(n))
     past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, int(n) + 1, decades, toward="b"))
     future = IncrementBasis.from_points(graded_points(0.0, truncation_t, int(n) + 1, decades, toward="a"))
-    return _make_row(truncation_t, past, future, h, rtol).cos
+    return _make_row(truncation_t, past, future, h).cos
 
 
 @dataclass(frozen=True)
@@ -702,7 +696,6 @@ def past_future_report(
     h: float,
     truncation_t: float = 16.0,
     n: int = 128,
-    rtol: float = 1e-10,
 ) -> PastFutureReport:
     """Past-future angle with doubling studies in n and T.
 
@@ -711,9 +704,9 @@ def past_future_report(
     except near zero (the Brownian case), where that would divide noise
     by noise.
     """
-    v = past_future_angle(h, truncation_t, n, rtol)
-    v2n = past_future_angle(h, truncation_t, 2 * n, rtol)
-    v2t = past_future_angle(h, 2.0 * truncation_t, n, rtol)
+    v = past_future_angle(h, truncation_t, n)
+    v2n = past_future_angle(h, truncation_t, 2 * n)
+    v2t = past_future_angle(h, 2.0 * truncation_t, n)
     margin = 1.0 - max(v, v2n, v2t)
     scale = max(v, 1e-8)
     return PastFutureReport(
@@ -740,7 +733,7 @@ class ComplementReport(_Record):
     table_2t: ScanTable
 
 
-def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol):
+def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n):
     decades = grading_depth(h, grid_n - 1)
     left = IncrementBasis.from_points(graded_points(t1 - truncation_t, t1, grid_n, decades, toward="b"))
     right = IncrementBasis.from_points(graded_points(t2, t2 + truncation_t, grid_n, decades, toward="a"))
@@ -748,7 +741,7 @@ def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol):
         s=np.concatenate([left.s, right.s]),
         t=np.concatenate([left.t, right.t]),
     )
-    rows = _window_rows(h, _fixed_side(comp, h, rtol), t, eps, grid_n, rtol)
+    rows = _window_rows(h, _fixed_side(comp, h), t, eps, grid_n)
     meta = {
         "experiment": "complement-window",
         "H": h,
@@ -759,7 +752,7 @@ def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol):
         "eps": _eps_meta(eps),
         "grid_n": grid_n,
         "grading_decades": decades,
-        "rtol": rtol,
+        "rtol": RANK_RTOL,
     }
     return ScanTable(rows=rows, meta=meta)
 
@@ -772,7 +765,6 @@ def complement_window_scan(
     eps: tuple = DEFAULT_EPS,
     truncation_t: float = DEFAULT_TRUNCATION,
     grid_n: int = DEFAULT_GRID_N,
-    rtol: float = 1e-10,
 ) -> ComplementReport:
     """Window inside (t1, t2) against the truncated two-sided complement.
 
@@ -790,8 +782,8 @@ def complement_window_scan(
     if truncation_t <= (t2 - t1):
         raise ValueError("truncation_t must exceed the inner interval length")
 
-    table = _complement_table(h, t1, t, t2, eps, truncation_t, grid_n, rtol)
-    table2 = _complement_table(h, t1, t, t2, eps, 2.0 * truncation_t, grid_n, rtol)
+    table = _complement_table(h, t1, t, t2, eps, truncation_t, grid_n)
+    table2 = _complement_table(h, t1, t, t2, eps, 2.0 * truncation_t, grid_n)
     fit = fit_exponent(table, "hs", theory=1.0 - h, correction_order=math.nan)
     fit2 = fit_exponent(table2, "hs", theory=1.0 - h, correction_order=math.nan)
     sens = abs(fit.slope - fit2.slope)
@@ -835,7 +827,6 @@ def levy2d_scan(
     c2=(1.0, 0.0),
     eps: tuple = DEFAULT_EPS,
     grid_per_axis: int = 9,
-    rtol: float = 1e-10,
 ) -> Levy2dReport:
     """Ball-to-ball angle decay for the isotropic two-parameter field.
 
@@ -858,8 +849,8 @@ def levy2d_scan(
         b = _ball_basis(c2, e, grid_per_axis)
         # the field's increments are translation-invariant: both balls
         # have one Gram, factored once
-        f = _pivoted_factor(gram(a, h), rtol)
-        rows.append(_make_row(e, a, b, h, rtol, len(a) * _MIN_RANK_FRACTION, f, f))
+        f = _pivoted_factor(gram(a, h))
+        rows.append(_make_row(e, a, b, h, len(a) * _MIN_RANK_FRACTION, f, f))
     meta = {
         "experiment": "levy2d",
         "H": h,
@@ -867,7 +858,7 @@ def levy2d_scan(
         "c2": f"({c2[0]!r},{c2[1]!r})",
         "eps": _eps_meta(eps),
         "grid_per_axis": grid_per_axis,
-        "rtol": rtol,
+        "rtol": RANK_RTOL,
     }
     table = ScanTable(rows=tuple(rows), meta=meta)
     fit = fit_exponent(table, "cos", theory=2.0 - 2.0 * h, correction_order=math.nan)

@@ -41,7 +41,10 @@ __all__ = [
     "mi_bounds_hs",
 ]
 
-COND_LIMIT = 1e12
+# pivoted-Cholesky rank truncation: a pivot is kept while its residual
+# diagonal exceeds RANK_RTOL * max(diag), so every kept factor has
+# cond = (d_0 / d_last)^2 < 1 / RANK_RTOL
+RANK_RTOL = 1e-10
 SIGMA_ONE_TOL = 1e-12
 CLAMP_TOL = 1e-8
 
@@ -51,7 +54,8 @@ class DegenerateCovarianceError(ValueError):
 
 
 class IllConditionedWarning(UserWarning):
-    """Whitening hit conditioning limits; results may be inaccurate."""
+    """A canonical correlation came out above 1 + 1e-8 before clamping, so
+    the whitening lost accuracy."""
 
 
 @dataclass(frozen=True)
@@ -108,20 +112,18 @@ class _Factor:
         return replace(self, scale=self.scale * s)
 
 
-def _pivoted_factor(g: np.ndarray, rtol: float) -> _Factor:
+def _pivoted_factor(g: np.ndarray) -> _Factor:
     """Rank-revealing pivoted Cholesky of a PSD matrix (its lower
     triangle), with the inverse of its factor.
 
     LAPACK dpstf2's rule: pivot on the largest residual diagonal, the
     original diagonal less the accumulated squares of the factor's
-    entries, and stop once it is at most rtol * max(diag).  Step j makes
+    entries, and stop once it is at most RANK_RTOL * max(diag).  Step j makes
     column j of L (rows in original order) and row j of L^-1, by forward
     substitution, with one vector-matrix product over both:
     [L[p, :j] L[:, :j]^T, L[p, :j] (L^-1)[:j, :j]].  cond is the
     diagonal-based estimate (d_0 / d_last)^2 of the kept factor.
     """
-    if not 0.0 < rtol < 1.0:
-        raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     if g.shape != (n, n):
@@ -129,7 +131,7 @@ def _pivoted_factor(g: np.ndarray, rtol: float) -> _Factor:
     max_diag = float(np.max(np.diag(g), initial=0.0))
     if max_diag <= 0.0:
         raise DegenerateCovarianceError("Gram matrix has effective rank 0")
-    stop = rtol * max_diag
+    stop = RANK_RTOL * max_diag
     # row j of rows: [column j of L in original order | row j of L^-1];
     # rhs[i] is row i of G padded to the same width
     rows = np.zeros((n, 2 * n))
@@ -170,14 +172,14 @@ def _whitened_cross_gram(fa: _Factor, fb: _Factor, c: np.ndarray) -> np.ndarray:
 def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpectrum:
     """Canonical correlations from two side factors and the full cross-Gram
     C: the singular values of the whitened cross-Gram, clamped to [0, 1].
-    Warns (IllConditionedWarning) when either cond exceeds 1e12 or a
-    singular value lands above 1 + 1e-8 before clamping.
+    Warns (IllConditionedWarning) when a singular value lands above
+    1 + 1e-8 before clamping.
     """
     cond = max(fa.cond, fb.cond)
     sigmas = np.linalg.svd(_whitened_cross_gram(fa, fb, c), compute_uv=False)
 
     overshoot = float(np.max(sigmas, initial=0.0)) - 1.0
-    ill = cond > COND_LIMIT or overshoot > CLAMP_TOL
+    ill = overshoot > CLAMP_TOL
     if ill:
         warnings.warn(
             f"whitening is ill-conditioned (cond={cond:.3e}, max sigma overshoot={overshoot:.3e})",
@@ -198,23 +200,21 @@ def canonical_correlations(
     ga: np.ndarray,
     gb: np.ndarray,
     c: np.ndarray,
-    rtol: float = 1e-10,
 ) -> CanonicalSpectrum:
     """Canonical correlations from Gram matrices GA, GB and cross-Gram C.
 
     GA and GB are factored by pivoted Cholesky with rank truncation at
-    relative tolerance rtol; the singular values of the whitened
+    relative tolerance RANK_RTOL; the singular values of the whitened
     cross-Gram are clamped to [0, 1].  Raises DegenerateCovarianceError
     if either Gram has effective rank 0, and emits IllConditionedWarning
-    when the condition estimate exceeds 1e12 or a singular value lands
-    above 1 + 1e-8 before clamping.
+    when a singular value lands above 1 + 1e-8 before clamping.
     """
     ga = np.asarray(ga, dtype=float)
     gb = np.asarray(gb, dtype=float)
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if c.shape != (ga.shape[0], gb.shape[0]):
         raise ValueError(f"cross-Gram shape {c.shape} incompatible with Grams")
-    return _whitened_spectrum(_pivoted_factor(ga, rtol), _pivoted_factor(gb, rtol), c)
+    return _whitened_spectrum(_pivoted_factor(ga), _pivoted_factor(gb), c)
 
 
 def cos_angle(spec: CanonicalSpectrum) -> float:

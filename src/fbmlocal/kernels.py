@@ -218,11 +218,6 @@ def _toeplitz_operator(col: np.ndarray):
     return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, 2 * n), 2 * n)[:n]
 
 
-def _toeplitz_matvec(col: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x for the symmetric Toeplitz T with first column col (_toeplitz_operator)."""
-    return _toeplitz_operator(col)(x)
-
-
 def _toeplitz_solve(col: np.ndarray, w: np.ndarray) -> tuple:
     """Approximate T^-1 w and the number of iterations spent, for the
     symmetric Toeplitz T with first column col.
@@ -267,9 +262,9 @@ def _toeplitz_quadratic_form(col: np.ndarray, w: np.ndarray, where: str) -> floa
     """w' T^-1 w for the symmetric Toeplitz T with first column col, by
     _toeplitz_solve (O(n log n) per iteration, O(n) memory); LinAlgError
     naming where unless ||T x - w|| / ||w|| <= 1e-8 and w'x > 0, with T x
-    one more FFT product (_toeplitz_matvec)."""
+    one more FFT product (_toeplitz_operator)."""
     x, _ = _toeplitz_solve(col, w)
-    resid = float(np.linalg.norm(_toeplitz_matvec(col, x) - w) / np.linalg.norm(w))
+    resid = float(np.linalg.norm(_toeplitz_operator(col)(x) - w) / np.linalg.norm(w))
     form = float(w @ x)
     if not (resid <= _TOEPLITZ_RESIDUAL and form > 0.0):
         raise np.linalg.LinAlgError(f"dual-Gram Toeplitz solve rejected at {where}: "

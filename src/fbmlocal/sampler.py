@@ -15,7 +15,7 @@ there is no other route.
 The m paths are cut into blocks of one FFT call each, 2 * max(1,
 _FFT_ELEMENTS // 2n) paths. Block b draws from the b-th Philox stream
 spawned from the seed, so the seed alone fixes the output, whatever the
-thread count. Each worker owns one complex buffer, made before the
+core count. Each worker owns one complex buffer, made before the
 thread pool starts, so peak memory does not depend on thread scheduling.
 """
 
@@ -42,8 +42,8 @@ __all__ = [
     "load_samples",
 ]
 
-# the ThreadPoolExecutor default, used when no thread count is passed
-_DEFAULT_WORKERS = min(32, (os.cpu_count() or 1) + 4)
+# one worker per core: a block's draw and FFT are compute-bound
+_WORKERS = os.cpu_count() or 1
 
 # complex elements (rows x embedding size) of one FFT call, and so of one
 # block's draw; a block is at least one row
@@ -111,14 +111,11 @@ def sample_fbm_increments(
     h: float,
     m: int,
     seed: int,
-    threads: int | None = None,
 ) -> SamplePaths:
     """m paths of n increments with the exact joint law at spacing dt."""
     check_hurst(h)
     if n < 1 or m < 1:
         raise ValueError("n and m must be at least 1")
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     check_finite("dt", dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -131,7 +128,7 @@ def sample_fbm_increments(
     data = np.empty((m, n))
     # worker k fills blocks k, k + workers, ... through its own buffer, all
     # made here, so memory in use does not depend on thread scheduling
-    workers = min(_DEFAULT_WORKERS if threads is None else threads, blocks)
+    workers = min(_WORKERS, blocks)
     bufs = [_block_buffer(lam.size, m) for _ in range(workers)]
 
     def run(k):
@@ -182,11 +179,8 @@ def empirical_mi_check(paths: SamplePaths, split: int):
     return float(emp), float(ana), float(abs(emp - ana))
 
 
-def write_samples(paths: SamplePaths, data_path, sidecar_path=None) -> None:
-    """Row-major little-endian float64 dump plus a JSON sidecar."""
-    data_path = Path(data_path)
-    if sidecar_path is None:
-        sidecar_path = data_path.with_suffix(data_path.suffix + ".json")
+def write_samples(paths: SamplePaths, data_path) -> None:
+    """Row-major little-endian float64 dump plus the JSON sidecar <data>.json."""
     paths.data.astype("<f8").tofile(data_path)
     meta = {
         "n": paths.n,
@@ -196,14 +190,11 @@ def write_samples(paths: SamplePaths, data_path, sidecar_path=None) -> None:
         "seed": paths.seed,
         "method": paths.method,
     }
-    Path(sidecar_path).write_text(json.dumps(meta, indent=2) + "\n")
+    Path(f"{data_path}.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def load_samples(data_path, sidecar_path=None) -> SamplePaths:
-    data_path = Path(data_path)
-    if sidecar_path is None:
-        sidecar_path = data_path.with_suffix(data_path.suffix + ".json")
-    meta = json.loads(Path(sidecar_path).read_text())
+def load_samples(data_path) -> SamplePaths:
+    meta = json.loads(Path(f"{data_path}.json").read_text())
     data = np.fromfile(data_path, dtype="<f8").reshape(meta["m"], meta["n"])
     return SamplePaths(
         m=meta["m"],

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fbmlocal
-from fbmlocal.cli import _ONLY_ALIASES, load_config, main, parse_eps
+from fbmlocal.cli import _ONLY_ALIASES, _build_parser, load_config, main, parse_eps
 from fbmlocal.acceptance import CHECKS
 from fbmlocal.sampler import load_samples
 
@@ -190,14 +190,28 @@ def test_sample_rejects_dt_with_horizon(tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_sample_rejects_bad_thread_count(threads, tmp_path, capsys):
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_sample_rejects_empty_grid_with_horizon(n, tmp_path, capsys):
+    # the spacing T/n is not formed from an n the sampler rejects
     target = tmp_path / "paths.bin"
-    assert main(["sample", "--H", "0.7", "--n", "64", "--m", "4", "--threads", threads, "--out", str(target)]) == 1
+    assert main(["sample", "--n", n, "--T", "8", "--out", str(target)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"fbmlocal: error: threads must be at least 1, got {threads}\n"
+    assert err == "fbmlocal: error: n and m must be at least 1\n"
     assert not target.exists()
+
+
+def test_rank_tolerance_is_fixed(tmp_path, capsys):
+    # no flag sets it and a config file's rtol is ignored like any key the
+    # command does not read; the output still records it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rtol = 1e-8\n")
+    argv = ["angle", "--H", "0.8", "--eps", "0.0625", "--n", "64"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    assert "# rtol = 1e-10\n" in want
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -335,7 +349,10 @@ def test_report_json_key_order(argv, keys, capsys):
     ["check-all", "--format", "json"],
     ["scan", "--threads", "2"],
     ["check-all", "--threads", "2"],
-], ids=["cov-seed", "constants-eps", "sample-strict", "check-all-format", "scan-threads", "check-all-threads"])
+    ["angle", "--rtol", "1e-8"],
+    ["sample", "--threads", "2"],
+], ids=["cov-seed", "constants-eps", "sample-strict", "check-all-format", "scan-threads", "check-all-threads",
+        "angle-rtol", "sample-threads"])
 def test_flag_a_command_does_not_read_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -344,6 +361,31 @@ def test_flag_a_command_does_not_read_is_rejected(argv, capsys):
     assert "unrecognized arguments" in err
     # the usage line is the subcommand's, which lists the flags it does read
     assert err.startswith(f"usage: fbmlocal {argv[0]} ")
+
+
+def _readme_flag_table():
+    """{command: [flags]} from README's `| command | flags |` table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for line in text.split("| command | flags |\n|---|---|\n", 1)[1].splitlines():
+        if not line.startswith("|"):
+            break
+        names, flags = (cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
+        for name in names.split(", "):
+            assert name not in table, f"{name} listed twice"
+            table[name] = flags.split()
+    return table
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row lists exactly the flags the command's subparser accepts, in
+    # its order, --config and --help aside
+    (sub,) = (a for a in _build_parser()._actions if a.dest == "command")
+    accepted = {
+        name: [a.option_strings[0] for a in p._actions if a.option_strings[0] not in ("-h", "--config")]
+        for name, p in sub.choices.items()
+    }
+    assert _readme_flag_table() == accepted
 
 
 def _load_bench_workloads():

@@ -1,13 +1,13 @@
 """Canonical correlations, angle, MI routes and bounds."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from fbmlocal import experiments
+from fbmlocal import acceptance, experiments, geometry
 from fbmlocal.geometry import (
+    RANK_RTOL,
     CanonicalSpectrum,
     DegenerateCovarianceError,
     IllConditionedWarning,
@@ -169,15 +169,17 @@ def test_brownian_disjoint_exact_zero():
 
 
 def test_ill_conditioned_warning():
-    # near-parallel directions: condition estimate blows past 1e12
-    eps = 1e-13
+    # near-parallel directions whose second pivot survives the rank
+    # tolerance (residual 4e-10): the span against itself whitens to a
+    # sigma above 1 + 1e-8, which is flagged and clamped
+    eps = 2e-10
     ga = np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        spec = canonical_correlations(ga, ga, ga, rtol=1e-16)
-    assert spec.ill_conditioned or any(
-        issubclass(w.category, IllConditionedWarning) for w in caught
-    )
+    with pytest.warns(IllConditionedWarning, match="overshoot"):
+        spec = canonical_correlations(ga, ga, ga)
+    assert spec.ill_conditioned
+    assert (spec.rank_a, spec.rank_b) == (2, 2)
+    assert spec.cond < 1.0 / RANK_RTOL
+    assert np.all(spec.sigmas <= 1.0)
 
 
 def test_sigma_clamped_to_unit_interval():
@@ -204,14 +206,14 @@ def test_scipy_sigmas_match_numpy_svd_on_gate_row():
     a = IncrementBasis.from_grid(TimeGrid(-eps, eps, 64))
     b = IncrementBasis.from_grid(TimeGrid(1.0 - eps, 1.0 + eps, 64))
     ga, gb, c = gram(a, h), gram(b, h), cross_gram(a, b, h)
-    m = _whitened_cross_gram(_pivoted_factor(ga, 1e-10), _pivoted_factor(gb, 1e-10), c)
+    m = _whitened_cross_gram(_pivoted_factor(ga), _pivoted_factor(gb), c)
     want = svd(m, compute_uv=False)[:2]
     got = canonical_correlations(ga, gb, c).sigmas[:2]
     assert want[1] < 1e-4 * want[0]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def _solve_route(ga, gb, c, rtol=1e-10):
+def _solve_route(ga, gb, c):
     """The reference whitening: pivoted Cholesky, two triangular solves
     M = La^-1 C[keep_a, keep_b] Lb^-T, SVD.  An explicit inverse factor has
     a weaker worst-case error bound than a triangular solve, so the product
@@ -220,7 +222,7 @@ def _solve_route(ga, gb, c, rtol=1e-10):
     from scipy.linalg.lapack import dpstrf
 
     def factor(g):
-        f, piv, rank, _ = dpstrf(g, tol=rtol * g.diagonal().max(), lower=1)
+        f, piv, rank, _ = dpstrf(g, tol=RANK_RTOL * g.diagonal().max(), lower=1)
         f = np.tril(f[:rank, :rank])
         return piv[:rank] - 1, f, float((f[0, 0] / f[-1, -1]) ** 2)
 
@@ -228,20 +230,19 @@ def _solve_route(ga, gb, c, rtol=1e-10):
     m = solve_triangular(la, c[np.ix_(keep_a, keep_b)], lower=True)
     m = solve_triangular(lb, m.T, lower=True).T
     sigmas = np.sort(np.linalg.svd(m, compute_uv=False))[::-1]
-    cond = max(cond_a, cond_b)
-    ill = cond > 1e12 or sigmas[0] > 1.0 + 1e-8
-    return CanonicalSpectrum(np.clip(sigmas, 0.0, 1.0), len(keep_a), len(keep_b), cond, ill)
+    ill = sigmas[0] > 1.0 + 1e-8
+    return CanonicalSpectrum(np.clip(sigmas, 0.0, 1.0), len(keep_a), len(keep_b), max(cond_a, cond_b), ill)
 
 
 def _row_spectra(monkeypatch, run):
-    """[a, b, h, rtol, spectrum] for every row run() builds: the bases
-    _make_row received and the spectrum its whitening step returned."""
+    """[a, b, h, spectrum] for every row run() builds: the bases _make_row
+    received and the spectrum its whitening step returned."""
     rows = []
     make_row, whiten = experiments._make_row, experiments._whitened_spectrum
 
-    def recording_make_row(eps, a, b, h, rtol, *args):
-        rows.append([a, b, h, rtol])
-        return make_row(eps, a, b, h, rtol, *args)
+    def recording_make_row(eps, a, b, h, *args):
+        rows.append([a, b, h])
+        return make_row(eps, a, b, h, *args)
 
     def recording_whiten(fa, fb, c):
         spec = whiten(fa, fb, c)
@@ -273,8 +274,8 @@ def test_product_route_matches_triangular_solves(case, monkeypatch):
     # product whitening against per-row Grams and triangular solves
     rows = _row_spectra(monkeypatch, _ROUTE_CASES[case])
     assert rows
-    for a, b, h, rtol, got in rows:
-        want = _solve_route(gram(a, h), gram(b, h), cross_gram(a, b, h), rtol)
+    for a, b, h, got in rows:
+        want = _solve_route(gram(a, h), gram(b, h), cross_gram(a, b, h))
         assert (got.rank_a, got.rank_b, got.ill_conditioned) == (want.rank_a, want.rank_b, want.ill_conditioned)
         k = min(2, want.sigmas.size)
         np.testing.assert_allclose(got.sigmas[:k], want.sigmas[:k], rtol=1e-10, atol=0.0)
@@ -313,23 +314,6 @@ def test_whitening_matches_50_digit_oracle(h, grid_n):
     assert _solve_route(ga, gb, c).sigmas[0] == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
 
-def test_scans_never_call_solve_triangular(monkeypatch):
-    # the whitening is products on scipy's BLAS: a triangular solve woke
-    # its thread pool at every row, even at n = 9
-    import scipy.linalg
-
-    from fbmlocal.experiments import adjacency_mi_table, local_independence_scan, past_future_angle, past_window_scan
-
-    def blocked(*args, **kwargs):
-        raise AssertionError("solve_triangular called on the whitening path")
-
-    monkeypatch.setattr(scipy.linalg, "solve_triangular", blocked)
-    assert all(0.0 < r.cos < 1.0 for r in local_independence_scan(0.25).rows)
-    assert all(0.0 < r.cos < 1.0 for r in past_window_scan(0.75, 1.0).rows)
-    assert 0.0 < past_future_angle(0.2, n=32) < 1.0
-    assert all(mi > 0.0 for mi in adjacency_mi_table(0.8, n_schedule=(4, 8, 16, 32)))
-
-
 @pytest.mark.parametrize("family, factors", [
     ("scan", 1),  # both windows share one factor per (H, grid_n)
     ("past-window", 2),  # the past once, the window once
@@ -341,9 +325,9 @@ def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
     calls = []
     factor = experiments._pivoted_factor
 
-    def counted(g, rtol):
+    def counted(g):
         calls.append(g.shape)
-        return factor(g, rtol)
+        return factor(g)
 
     monkeypatch.setattr(experiments, "_pivoted_factor", counted)
     run = {
@@ -356,11 +340,11 @@ def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
     assert len(calls) == factors
 
 
-def _lapack_factor(g, rtol):
+def _lapack_factor(g):
     # the reference: LAPACK's pivoted Cholesky and triangular inverse
     from scipy.linalg.lapack import dpstrf, dtrtri
 
-    f, piv, rank, _ = dpstrf(g, tol=rtol * g.diagonal().max(), lower=1)
+    f, piv, rank, _ = dpstrf(g, tol=RANK_RTOL * g.diagonal().max(), lower=1)
     f = np.tril(f[:rank, :rank])
     inv, info = dtrtri(f, lower=1)
     assert info == 0
@@ -413,8 +397,8 @@ def test_pivoted_factor_matches_lapack(family, h):
     from fbmlocal.geometry import _pivoted_factor
 
     g = _FACTOR_FAMILIES[family](h)
-    keep, inv, cond = _lapack_factor(g, 1e-10)
-    got = _pivoted_factor(g, 1e-10)
+    keep, inv, cond = _lapack_factor(g)
+    got = _pivoted_factor(g)
     assert len(got.keep) == len(keep)
     if family == "rank-deficient-24":
         assert len(keep) == 16
@@ -422,3 +406,35 @@ def test_pivoted_factor_matches_lapack(family, h):
     k = int(np.argmin(np.append(got.keep == keep, False)))
     assert k >= 2
     assert np.max(np.abs(got.inv[:k, :k] - inv[:k, :k])) <= 1e-13 * np.max(np.abs(inv[:k, :k]))
+
+
+# a kept pivot's residual exceeds RANK_RTOL * max(diag) = RANK_RTOL * d_0^2,
+# so cond = (d_0 / d_last)^2 stays below 1 / RANK_RTOL up to rounding
+_COND_BOUND = (1.0 + 1e-12) / RANK_RTOL
+
+
+@pytest.mark.parametrize("h", [0.05, 0.25, 0.75, 0.95])
+@pytest.mark.parametrize("family", list(_FACTOR_FAMILIES))
+def test_factor_cond_stays_below_inverse_rank_rtol(family, h):
+    from fbmlocal.geometry import _pivoted_factor
+
+    assert _pivoted_factor(_FACTOR_FAMILIES[family](h)).cond < _COND_BOUND
+
+
+def test_gate_rows_cond_stays_below_inverse_rank_rtol(monkeypatch):
+    # every spectrum the 14 checks whiten, scan rows and direct
+    # canonical_correlations calls alike, with no report reused from an
+    # earlier test
+    conds = []
+    whiten = geometry._whitened_spectrum
+
+    def recording(fa, fb, c):
+        spec = whiten(fa, fb, c)
+        conds.append(spec.cond)
+        return spec
+
+    monkeypatch.setattr(geometry, "_whitened_spectrum", recording)
+    monkeypatch.setattr(experiments, "_whitened_spectrum", recording)
+    monkeypatch.setattr(acceptance, "_THM21_REPORTS", {})
+    assert all(r.passed for r in acceptance.run_checks())
+    assert conds and max(conds) < _COND_BOUND

@@ -10,7 +10,6 @@ from fbmlocal import sampler
 from fbmlocal.kernels import IncrementBasis, TimeGrid, gram
 from fbmlocal.sampler import (
     SamplePaths,
-    _DEFAULT_WORKERS,
     _FFT_ELEMENTS,
     _block_buffer,
     _embedding_spectrum,
@@ -50,24 +49,26 @@ def test_determinism_and_seed_sensitivity():
     assert a.method == "circulant"
 
 
-def test_thread_count_does_not_change_samples():
-    # n = 2048 makes 32-path blocks, so 200 paths are 7 blocks
-    a = sample_fbm_increments(2048, 1.0, 0.7, 200, seed=5, threads=None)
-    b = sample_fbm_increments(2048, 1.0, 0.7, 200, seed=5, threads=4)
-    assert np.array_equal(a.data, b.data)
+def test_thread_count_does_not_change_samples(monkeypatch):
+    # n = 2048 makes 32-path blocks, so 200 paths are 7 blocks, drawn by
+    # pools of 1, 2, 3 and 6 workers (one per core on 1- to 6-core hosts)
+    want = sample_fbm_increments(2048, 1.0, 0.7, 200, seed=5).data
+    for workers in (1, 2, 3, 6):
+        monkeypatch.setattr(sampler, "_WORKERS", workers)
+        assert np.array_equal(sample_fbm_increments(2048, 1.0, 0.7, 200, seed=5).data, want)
 
 
 def _increment_cov(n, h, dt):
     return gram(IncrementBasis.from_grid(TimeGrid(0.0, n * dt, n + 1)), h)
 
 
-def test_buffered_blocks_match_whole_block_transform():
+def test_buffered_blocks_match_whole_block_transform(monkeypatch):
     # a block is the paths of one FFT call, 2 * max(1, _FFT_ELEMENTS // 2n),
     # drawn from its own stream into a reused worker buffer; each block must
     # equal one transform of the whole block, the real and imaginary parts
     # of row i being paths 2i and 2i + 1. Cases: three blocks at n = 8 (the
     # last an odd 37 paths); six 12-path blocks at n = 5000 ending in an odd
-    # 7, with threads fewer than blocks; one-row blocks at n = 40000, where
+    # 7, with workers fewer than blocks; one-row blocks at n = 40000, where
     # the embedding alone exceeds _FFT_ELEMENTS
     for n, dt, h, m, seed in ((8, 1.0, 0.75, 2 * 8192 + 37, 9),
                               (5000, 0.5, 0.3, 5 * 12 + 7, 42),
@@ -84,8 +85,9 @@ def test_buffered_blocks_match_whole_block_transform():
             y = np.fft.fft((w[:, 0::2] + 1j * w[:, 1::2]) * np.sqrt(lam / size))[:, :n]
             parts.append(np.stack([y.real, y.imag], axis=1).reshape(2 * draws, n)[:paths])
         want = np.concatenate(parts)
-        for threads in (None, 1, 2, 3):
-            got = sample_fbm_increments(n, dt, h, m, seed=seed, threads=threads).data
+        for workers in (1, 2, 3, 6):
+            monkeypatch.setattr(sampler, "_WORKERS", workers)
+            got = sample_fbm_increments(n, dt, h, m, seed=seed).data
             assert np.array_equal(got, want)
 
 
@@ -110,19 +112,21 @@ def test_worker_buffers_stay_within_budget(monkeypatch):
         sample_fbm_increments(n, 1.0, 0.7, m, seed=0)
         # one buffer per worker, all made before the pool starts
         *made, (pool, workers) = events
-        assert pool == "pool" and workers == min(_DEFAULT_WORKERS, blocks) == len(made)
+        assert pool == "pool" and workers == min(sampler._WORKERS, blocks) == len(made)
         assert len(set(made)) == 1
         return made[0]
 
-    # each buffer is one FFT call: _FFT_ELEMENTS complex entries, or one row
-    # when the embedding alone is larger
-    for n, m, blocks in ((8, 100_000, 13), (4096, 256, 16), (40000, 6, 3)):
-        size, nbytes = per_worker(n, m, blocks)
-        assert size == 2 * n
-        assert nbytes <= 16 * max(_FFT_ELEMENTS, size)
-    assert per_worker(4096, 256, 16) == (8192, 16 * _FFT_ELEMENTS)
-    # a 2-path warm-up draws one row: a few hundred bytes
-    assert per_worker(16, 2, 1) == (32, 16 * 32)
+    for cores in (1, 2, 3, 6):
+        monkeypatch.setattr(sampler, "_WORKERS", cores)
+        # each buffer is one FFT call: _FFT_ELEMENTS complex entries, or one
+        # row when the embedding alone is larger
+        for n, m, blocks in ((8, 100_000, 13), (4096, 256, 16), (40000, 6, 3)):
+            size, nbytes = per_worker(n, m, blocks)
+            assert size == 2 * n
+            assert nbytes <= 16 * max(_FFT_ELEMENTS, size)
+        assert per_worker(4096, 256, 16) == (8192, 16 * _FFT_ELEMENTS)
+        # a 2-path warm-up draws one row: a few hundred bytes
+        assert per_worker(16, 2, 1) == (32, 16 * 32)
 
 
 def test_sampled_covariance_matches_gram():
@@ -209,18 +213,6 @@ def test_sample_validation():
     for dt in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"dt must be finite, got {dt}"):
             sample_fbm_increments(4096, dt, 0.5, 4, seed=0)
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_bad_thread_count_is_rejected_before_any_pool(threads, monkeypatch):
-    from fbmlocal import sampler
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was made")
-
-    monkeypatch.setattr(sampler, "ThreadPoolExecutor", no_pool)
-    with pytest.raises(ValueError, match=f"^threads must be at least 1, got {threads}$"):
-        sample_fbm_increments(64, 1.0, 0.7, 4, seed=0, threads=threads)
 
 
 @pytest.mark.parametrize("n", [1, 2, 2000, 32768, 65536])
