@@ -33,6 +33,7 @@ from fbmlocal.experiments import (
     DEFAULT_EPS,
     ExponentFit,
     _make_row,
+    _side,
     adjacency_divergence,
     levy2d_scan,
     local_independence_scan,
@@ -134,7 +135,7 @@ def check_brownian_exactness():
         la, lb = rng.uniform(0.1, 3.0, size=2)
         a = IncrementBasis.from_points(np.sort(rng.uniform(-la, 0.0, size=6)) - gap / 2)
         b = IncrementBasis.from_points(np.sort(rng.uniform(0.0, lb, size=6)) + gap / 2)
-        row = _make_row(math.nan, a, b, 0.5)
+        row = _make_row(math.nan, _side(a, 0.5), _side(b, 0.5), 0.5)
         worst_cos = max(worst_cos, row.cos)
         worst_mi = max(worst_mi, math.inf if row.mi is None else row.mi)
     ok = worst_cos <= 1e-10 and worst_mi <= 1e-10

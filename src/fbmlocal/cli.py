@@ -23,7 +23,9 @@ from fbmlocal.experiments import (
     DEFAULT_TRUNCATION,
     _csv_text,
     _json_val,
-    _window_rows,
+    _make_row,
+    _scan_schedule,
+    _window,
     adjacency_divergence,
     complement_window_scan,
     fit_exponent,
@@ -234,9 +236,9 @@ def _cmd_cov(params):
 
 def _window_row(params):
     # one scan row, never skipped: a single eps reports whatever rank survives
-    eps = _single_eps(params)
-    t1 = params["t1"]
-    (row,) = _window_rows(params["H"], lambda window: window(t1), params["t2"], (eps,), params["n"], min_rank=0.0)
+    h, n = params["H"], params["n"]
+    (eps,) = _scan_schedule(h, (_single_eps(params),), None)
+    row = _make_row(eps, _window(params["t1"], eps, h, n), _window(params["t2"], eps, h, n), h)
     return row, ["ill-conditioned whitening"] if row.ill_conditioned else []
 
 

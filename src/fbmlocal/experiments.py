@@ -234,16 +234,12 @@ def graded_points(a: float, b: float, npts: int, decades: float = 8.0, toward: s
     raise ValueError("toward must be 'a' or 'b'")
 
 
-def _make_row(eps, a: IncrementBasis, b: IncrementBasis, h, min_rank=0.0, fa=None, fb=None) -> ScanRow:
-    """The one route from two increment bases to a row: side factors,
-    whitening, angle and MI with its HS bounds; skipped when either side
-    keeps fewer than min_rank directions.  fa and fb are the sides'
-    factors when the scan made them once for many rows; a missing one is
-    made here from its basis's Gram."""
-    if fa is None:
-        fa = _pivoted_factor(gram(a, h))
-    if fb is None:
-        fb = _pivoted_factor(gram(b, h))
+def _make_row(eps, side_a, side_b, h, min_rank=0.0) -> ScanRow:
+    """The one route from two sides to a row: whitening, angle and MI with
+    its HS bounds; skipped when either side keeps fewer than min_rank
+    directions.  A side is an (IncrementBasis, factor) pair made by _side
+    or _window, so a scan factors a side once for all its rows."""
+    (a, fa), (b, fb) = side_a, side_b
     # the row's flags carry the ill-conditioning; the warning would only
     # repeat it once per row
     with warnings.catch_warnings():
@@ -289,10 +285,6 @@ def _eps_meta(eps: tuple) -> str:
     return ",".join(repr(e) for e in eps)
 
 
-def _window_basis(center: float, eps: float, grid_n: int) -> IncrementBasis:
-    return IncrementBasis.from_grid(TimeGrid(center - eps, center + eps, grid_n))
-
-
 @functools.lru_cache(maxsize=64)
 def _uniform_factor(h, grid_n):
     """Factor of the Gram every grid_n-point uniform window shares up to
@@ -308,31 +300,17 @@ def _uniform_factor(h, grid_n):
     return factor
 
 
-def _window_rows(h, side, t, eps, grid_n, min_rank=None) -> tuple:
-    """One row per eps: side(window) against window(t), where window(c)
-    is the grid_n-point window of half-width eps around c with its factor.
-    The uniform-window factor is made once for all rows; side returns a
-    (basis, factor) pair.  Rows are skipped below grid_n/2 kept
-    directions unless min_rank says otherwise."""
-    unit = _uniform_factor(h, grid_n)
-    if min_rank is None:
-        min_rank = grid_n * _MIN_RANK_FRACTION
-    rows = []
-    for e in eps:
-        scaled = unit.scaled((2.0 * e / (grid_n - 1)) ** -h)
-
-        def window(center):
-            return _window_basis(center, e, grid_n), scaled
-
-        (a, fa), (b, fb) = side(window), window(t)
-        rows.append(_make_row(e, a, b, h, min_rank, fa, fb))
-    return tuple(rows)
+def _side(basis: IncrementBasis, h):
+    """A side for _make_row: the basis with the factor of its Gram."""
+    return basis, _pivoted_factor(gram(basis, h))
 
 
-def _fixed_side(basis: IncrementBasis, h):
-    """A side that stays put across eps, factored once: for _window_rows."""
-    factored = basis, _pivoted_factor(gram(basis, h))
-    return lambda window: factored
+def _window(center: float, eps: float, h, grid_n: int):
+    """The side of the grid_n-point uniform window of half-width eps around
+    center.  Its Gram is dt^(2H) times the shared unit-spacing one, so its
+    factor is _uniform_factor's scaled by dt^-H."""
+    basis = IncrementBasis.from_grid(TimeGrid(center - eps, center + eps, grid_n))
+    return basis, _uniform_factor(h, grid_n).scaled((2.0 * eps / (grid_n - 1)) ** -h)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +336,10 @@ def local_independence_scan(
         raise ValueError("t1 and t2 must differ")
     if eps[0] >= abs(t2 - t1) / 2.0:
         raise ValueError("max eps must keep the windows disjoint: eps < |t1-t2|/2")
-    rows = _window_rows(h, lambda window: window(t1), t2, eps, grid_n)
+    rows = tuple(
+        _make_row(e, _window(t1, e, h, grid_n), _window(t2, e, h, grid_n), h, grid_n * _MIN_RANK_FRACTION)
+        for e in eps
+    )
     meta = {
         "experiment": "scan",
         "H": h,
@@ -521,8 +502,8 @@ def past_window_scan(
         raise ValueError("truncation must satisfy T >= 16 t")
     decades = grading_depth(h, grid_n - 1)
 
-    past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, grid_n, decades, toward="b"))
-    rows = _window_rows(h, _fixed_side(past, h), t, eps, grid_n)
+    past = _side(IncrementBasis.from_points(graded_points(-truncation_t, 0.0, grid_n, decades, toward="b")), h)
+    rows = tuple(_make_row(e, past, _window(t, e, h, grid_n), h, grid_n * _MIN_RANK_FRACTION) for e in eps)
     meta = {
         "experiment": "past-window",
         "H": h,
@@ -610,11 +591,10 @@ def adjacency_mi_table(
     for n in n_schedule:
         if n < 2:
             raise ValueError("grid sizes must be at least 2")
-        a = IncrementBasis.from_grid(TimeGrid(-eps, 0.0, int(n) + 1))
-        b = IncrementBasis.from_grid(TimeGrid(0.0, eps, int(n) + 1))
-        # both sides are uniform windows of spacing eps/n: one factor
-        f = _uniform_factor(h, int(n) + 1).scaled((eps / int(n)) ** -h)
-        mi = _make_row(eps, a, b, h, 0.0, f, f).mi
+        # (-eps, 0) and (0, eps) as windows of half-width eps/2: halving is
+        # exact, so the ends are -eps, 0 and eps and the spacing is eps/n
+        half = eps / 2.0
+        mi = _make_row(eps, _window(-half, half, h, int(n) + 1), _window(half, half, h, int(n) + 1), h).mi
         out.append(math.inf if mi is None else mi)
     return out
 
@@ -679,7 +659,7 @@ def past_future_angle(
     decades = grading_depth(h, int(n))
     past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, int(n) + 1, decades, toward="b"))
     future = IncrementBasis.from_points(graded_points(0.0, truncation_t, int(n) + 1, decades, toward="a"))
-    return _make_row(truncation_t, past, future, h).cos
+    return _make_row(truncation_t, _side(past, h), _side(future, h), h).cos
 
 
 @dataclass(frozen=True)
@@ -737,11 +717,8 @@ def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n):
     decades = grading_depth(h, grid_n - 1)
     left = IncrementBasis.from_points(graded_points(t1 - truncation_t, t1, grid_n, decades, toward="b"))
     right = IncrementBasis.from_points(graded_points(t2, t2 + truncation_t, grid_n, decades, toward="a"))
-    comp = IncrementBasis(
-        s=np.concatenate([left.s, right.s]),
-        t=np.concatenate([left.t, right.t]),
-    )
-    rows = _window_rows(h, _fixed_side(comp, h), t, eps, grid_n)
+    comp = _side(IncrementBasis(s=np.concatenate([left.s, right.s]), t=np.concatenate([left.t, right.t])), h)
+    rows = tuple(_make_row(e, comp, _window(t, e, h, grid_n), h, grid_n * _MIN_RANK_FRACTION) for e in eps)
     meta = {
         "experiment": "complement-window",
         "H": h,
@@ -845,12 +822,11 @@ def levy2d_scan(
 
     rows = []
     for e in eps:
-        a = _ball_basis(c1, e, grid_per_axis)
-        b = _ball_basis(c2, e, grid_per_axis)
         # the field's increments are translation-invariant: both balls
         # have one Gram, factored once
-        f = _pivoted_factor(gram(a, h))
-        rows.append(_make_row(e, a, b, h, len(a) * _MIN_RANK_FRACTION, f, f))
+        a, f = _side(_ball_basis(c1, e, grid_per_axis), h)
+        b = _ball_basis(c2, e, grid_per_axis)
+        rows.append(_make_row(e, (a, f), (b, f), h, len(a) * _MIN_RANK_FRACTION))
     meta = {
         "experiment": "levy2d",
         "H": h,

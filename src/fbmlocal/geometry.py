@@ -171,7 +171,8 @@ def _whitened_cross_gram(fa: _Factor, fb: _Factor, c: np.ndarray) -> np.ndarray:
 
 def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpectrum:
     """Canonical correlations from two side factors and the full cross-Gram
-    C: the singular values of the whitened cross-Gram, clamped to [0, 1].
+    C: the singular values of the whitened cross-Gram, clamped to [0, 1],
+    in the descending order LAPACK returns them.
     Warns (IllConditionedWarning) when a singular value lands above
     1 + 1e-8 before clamping.
     """
@@ -186,9 +187,8 @@ def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpec
             IllConditionedWarning,
             stacklevel=3,
         )
-    sigmas = np.clip(sigmas, 0.0, 1.0)
     return CanonicalSpectrum(
-        sigmas=np.sort(sigmas)[::-1],
+        sigmas=np.clip(sigmas, 0.0, 1.0),
         rank_a=len(fa.keep),
         rank_b=len(fb.keep),
         cond=cond,
@@ -245,7 +245,7 @@ def mi_bounds_hs(spec: CanonicalSpectrum):
 def mutual_information_gy(spec: CanonicalSpectrum) -> MiResult:
     """Mutual information from the canonical spectrum (eigenvalue route)."""
     lower, upper = mi_bounds_hs(spec)
-    if spec.sigmas.size and float(spec.sigmas[0]) >= 1.0 - SIGMA_ONE_TOL:
+    if upper is None:  # sigma_1 at 1
         return MiResult(value=None, lower=lower, upper=upper)
     value = -0.5 * float(np.sum(np.log1p(-spec.sigmas**2)))
     return MiResult(value=value, lower=lower, upper=upper)

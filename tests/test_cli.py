@@ -75,6 +75,22 @@ def test_validation_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["angle", "mi"])
+@pytest.mark.parametrize("flags, message", [
+    (["--H", "0.7", "--eps", "0"], "eps values must be positive"),
+    (["--H", "0.7", "--eps", "-0.1"], "eps values must be positive"),
+    (["--H", "0.7", "--n", "0"], "need at least 2 grid points, got n=0"),
+    (["--H", "0.7", "--n", "1"], "need at least 2 grid points, got n=1"),
+    (["--H", "1.5", "--eps", "-0.1"], "Hurst index must lie in (1e-09, 0.999999999), got 1.5"),
+], ids=["eps-0", "eps-negative", "n-0", "n-1", "hurst-first"])
+def test_window_commands_name_a_bad_eps_or_grid(command, flags, message, capsys):
+    # the window is validated before any spacing is raised to -H
+    assert main([command, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"fbmlocal: error: {message}\n"
+
+
 @pytest.mark.parametrize("n", ["1", "3"])
 def test_complement_rejects_grid_below_4(n, capsys):
     assert main(["complement", "--H", "0.75", "--n", n]) == 1

@@ -235,14 +235,14 @@ def _solve_route(ga, gb, c):
 
 
 def _row_spectra(monkeypatch, run):
-    """[a, b, h, spectrum] for every row run() builds: the bases _make_row
-    received and the spectrum its whitening step returned."""
+    """[a, b, h, spectrum] for every row run() builds: the bases of the
+    sides _make_row received and the spectrum its whitening step returned."""
     rows = []
     make_row, whiten = experiments._make_row, experiments._whitened_spectrum
 
-    def recording_make_row(eps, a, b, h, *args):
-        rows.append([a, b, h])
-        return make_row(eps, a, b, h, *args)
+    def recording_make_row(eps, side_a, side_b, h, *args):
+        rows.append([side_a[0], side_b[0], h])
+        return make_row(eps, side_a, side_b, h, *args)
 
     def recording_whiten(fa, fb, c):
         spec = whiten(fa, fb, c)
@@ -319,6 +319,8 @@ def test_whitening_matches_50_digit_oracle(h, grid_n):
     ("past-window", 2),  # the past once, the window once
     ("complement", 3),  # each table its complement, one uniform window factor for both
     ("adjacency", 3),  # one per grid size
+    ("levy2d", 6),  # one per row, shared by both balls
+    ("past-future", 2),  # the past once, the future once
 ])
 def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
     experiments._uniform_factor.cache_clear()
@@ -335,6 +337,8 @@ def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
         "past-window": lambda: experiments.past_window_scan(0.75, 1.0),
         "complement": lambda: experiments.complement_window_scan(0.75),
         "adjacency": lambda: experiments.adjacency_mi_table(0.8, n_schedule=(4, 8, 16)),
+        "levy2d": lambda: experiments.levy2d_scan(0.75),
+        "past-future": lambda: experiments.past_future_angle(0.2, n=32),
     }[family]
     run()
     assert len(calls) == factors
