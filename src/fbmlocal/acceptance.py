@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fbmlocal.kernels import TimeGrid, IncrementBasis, gram, cross_gram
+from fbmlocal.kernels import IncrementBasis, gram, cross_gram
 from fbmlocal.geometry import (
     CanonicalSpectrum,
     canonical_correlations,

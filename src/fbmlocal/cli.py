@@ -21,6 +21,7 @@ from fbmlocal.experiments import (
     DEFAULT_EPS,
     DEFAULT_GRID_N,
     DEFAULT_TRUNCATION,
+    _check_off_half,
     _csv_text,
     _json_val,
     _make_row,
@@ -269,6 +270,7 @@ def _cmd_scan(params):
     table = local_independence_scan(params["H"], params["t1"], params["t2"], params["eps"], params["n"])
     theory = 2.0 - 2.0 * params["H"]
     try:
+        _check_off_half(params["H"], "rate fit")
         fit = fit_exponent(table, "cos", theory=theory, correction_order=min(1.0, theory))
         summary = f"cos slope {fit.slope:.4f} vs theory {theory:.4f} (gap {fit.slope - theory:+.4f}, r2 {fit.r2:.5f})"
         extra = {"fit_cos_slope": fit.slope, "fit_cos_theory": theory, "fit_cos_r2": fit.r2}

@@ -313,6 +313,46 @@ def _window(center: float, eps: float, h, grid_n: int):
     return basis, _uniform_factor(h, grid_n).scaled((2.0 * eps / (grid_n - 1)) ** -h)
 
 
+def _graded_basis(h, regions, n_cells: int):
+    """The increments of truncated regions (a, b, toward), in order: each
+    region gets n_cells cells graded toward its singular end over
+    grading_depth(h, n_cells) decades.  Returns the basis and the depth."""
+    decades = grading_depth(h, n_cells)
+    pts = [graded_points(a, b, n_cells + 1, decades, toward) for a, b, toward in regions]
+    return IncrementBasis(s=np.concatenate([p[:-1] for p in pts]), t=np.concatenate([p[1:] for p in pts])), decades
+
+
+def _graded_scan(h, regions, t: float, eps: tuple, grid_n: int, meta: dict) -> ScanTable:
+    """Rows of the grid_n-point window around t against the regions'
+    _graded_basis (grid_n - 1 cells each), factored once; the meta tail
+    every truncated scan shares follows the given meta."""
+    basis, decades = _graded_basis(h, regions, grid_n - 1)
+    fixed = _side(basis, h)
+    rows = tuple(_make_row(e, fixed, _window(t, e, h, grid_n), h, grid_n * _MIN_RANK_FRACTION) for e in eps)
+    meta = {**meta, "eps": _eps_meta(eps), "grid_n": grid_n, "grading_decades": decades, "rtol": RANK_RTOL}
+    return ScanTable(rows=rows, meta=meta)
+
+
+def _check_off_half(h: float, purpose: str) -> None:
+    """check_hurst, then refuse |2H-1| < 0.1: the correlations a rate or
+    constant is read from vanish at H = 1/2, so near it a fit would see
+    only round-off."""
+    if abs(2.0 * check_hurst(h) - 1.0) < 0.1:
+        raise ValueError(f"{purpose} needs |2H-1| >= 0.1")
+
+
+def _truncation_rerun(report, h, scan, truncation_t: float, fits):
+    """The T/2T study: scan(T) and scan(2T) are each fitted per (column,
+    theory, correction_order) in fits; the largest slope move is the
+    truncation sensitivity, flagged above 0.02.  Returns report(fits at T,
+    fits at 2T, sensitivity, flag, table, table_2t)."""
+    _check_off_half(h, "rate fit")
+    tables = scan(truncation_t), scan(2.0 * truncation_t)
+    fitted = [[fit_exponent(table, *fit) for fit in fits] for table in tables]
+    sens = max(abs(a.slope - b.slope) for a, b in zip(*fitted))
+    return report(*fitted[0], *fitted[1], float(sens), sens > 0.02, *tables)
+
+
 # ---------------------------------------------------------------------------
 # two shrinking windows (the basic local-independence scan)
 
@@ -441,9 +481,7 @@ def theorem21_check(
     zero-extension diagnostic r_h_spectral ride along.  Also reports
     MI / (0.5 cos^2), which tends to 1 in the small-eps limit.
     """
-    check_hurst(h)
-    if abs(2.0 * h - 1.0) < 0.1:
-        raise ValueError("constant comparison needs |2H-1| >= 0.1")
+    _check_off_half(h, "constant comparison")
     table = local_independence_scan(h, t1, t2, eps, grid_n)
     delta = min(1.0, 2.0 - 2.0 * h)
     fit_cos = fit_exponent(table, "cos", theory=2.0 - 2.0 * h, correction_order=delta)
@@ -500,21 +538,8 @@ def past_window_scan(
         raise ValueError("max eps must keep the window inside (0, inf): eps < t")
     if truncation_t < 16.0 * t:
         raise ValueError("truncation must satisfy T >= 16 t")
-    decades = grading_depth(h, grid_n - 1)
-
-    past = _side(IncrementBasis.from_points(graded_points(-truncation_t, 0.0, grid_n, decades, toward="b")), h)
-    rows = tuple(_make_row(e, past, _window(t, e, h, grid_n), h, grid_n * _MIN_RANK_FRACTION) for e in eps)
-    meta = {
-        "experiment": "past-window",
-        "H": h,
-        "t": t,
-        "T": truncation_t,
-        "eps": _eps_meta(eps),
-        "grid_n": grid_n,
-        "grading_decades": decades,
-        "rtol": RANK_RTOL,
-    }
-    return ScanTable(rows=rows, meta=meta)
+    meta = {"experiment": "past-window", "H": h, "t": t, "T": truncation_t}
+    return _graded_scan(h, ((-truncation_t, 0.0, "b"),), t, eps, grid_n, meta)
 
 
 @dataclass(frozen=True)
@@ -541,24 +566,10 @@ def theorem22_check(
     Reruns at 2T; the report is flagged truncation-dominated when either
     slope moves by more than 0.02.
     """
-    table = past_window_scan(h, t, truncation_t, eps, grid_n)
-    table2 = past_window_scan(h, t, 2.0 * truncation_t, eps, grid_n)
     # next term is O(eps^(2-H)), one full power of eps beyond the lead
-    fit_cos = fit_exponent(table, "cos", theory=1.0 - h, correction_order=1.0)
-    fit_mi = fit_exponent(table, "mi", theory=2.0 - 2.0 * h, correction_order=1.0)
-    fit_cos2 = fit_exponent(table2, "cos", theory=1.0 - h, correction_order=1.0)
-    fit_mi2 = fit_exponent(table2, "mi", theory=2.0 - 2.0 * h, correction_order=1.0)
-    sens = max(abs(fit_cos.slope - fit_cos2.slope), abs(fit_mi.slope - fit_mi2.slope))
-    return Theorem22Report(
-        fit_cos=fit_cos,
-        fit_mi=fit_mi,
-        fit_cos_2t=fit_cos2,
-        fit_mi_2t=fit_mi2,
-        truncation_sensitivity=float(sens),
-        truncation_dominated=sens > 0.02,
-        table=table,
-        table_2t=table2,
-    )
+    fits = (("cos", 1.0 - h, 1.0), ("mi", 2.0 - 2.0 * h, 1.0))
+    scan = functools.partial(past_window_scan, h, t, eps=eps, grid_n=grid_n)
+    return _truncation_rerun(Theorem22Report, h, scan, truncation_t, fits)
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +621,7 @@ def adjacency_divergence(
     and show no plateau (>= 2% per doubling is the acceptance bar), while
     being invariant under eps by self-similarity.
     """
-    if abs(2.0 * h - 1.0) < 0.1:
-        raise ValueError("divergence check needs |2H-1| >= 0.1")
+    _check_off_half(h, "divergence check")
     ns = tuple(int(n) for n in n_schedule)
     if len(ns) < 2:
         raise ValueError(f"n schedule needs at least 2 grid sizes, got {len(ns)}")
@@ -656,9 +666,8 @@ def past_future_angle(
         raise ValueError("truncation_t must be positive")
     if n < 2:
         raise ValueError("n must be at least 2")
-    decades = grading_depth(h, int(n))
-    past = IncrementBasis.from_points(graded_points(-truncation_t, 0.0, int(n) + 1, decades, toward="b"))
-    future = IncrementBasis.from_points(graded_points(0.0, truncation_t, int(n) + 1, decades, toward="a"))
+    past, _ = _graded_basis(h, ((-truncation_t, 0.0, "b"),), int(n))
+    future, _ = _graded_basis(h, ((0.0, truncation_t, "a"),), int(n))
     return _make_row(truncation_t, _side(past, h), _side(future, h), h).cos
 
 
@@ -713,27 +722,6 @@ class ComplementReport(_Record):
     table_2t: ScanTable
 
 
-def _complement_table(h, t1, t, t2, eps, truncation_t, grid_n):
-    decades = grading_depth(h, grid_n - 1)
-    left = IncrementBasis.from_points(graded_points(t1 - truncation_t, t1, grid_n, decades, toward="b"))
-    right = IncrementBasis.from_points(graded_points(t2, t2 + truncation_t, grid_n, decades, toward="a"))
-    comp = _side(IncrementBasis(s=np.concatenate([left.s, right.s]), t=np.concatenate([left.t, right.t])), h)
-    rows = tuple(_make_row(e, comp, _window(t, e, h, grid_n), h, grid_n * _MIN_RANK_FRACTION) for e in eps)
-    meta = {
-        "experiment": "complement-window",
-        "H": h,
-        "t1": t1,
-        "t": t,
-        "t2": t2,
-        "T": truncation_t,
-        "eps": _eps_meta(eps),
-        "grid_n": grid_n,
-        "grading_decades": decades,
-        "rtol": RANK_RTOL,
-    }
-    return ScanTable(rows=rows, meta=meta)
-
-
 def complement_window_scan(
     h: float,
     t1: float = 0.0,
@@ -759,19 +747,11 @@ def complement_window_scan(
     if truncation_t <= (t2 - t1):
         raise ValueError("truncation_t must exceed the inner interval length")
 
-    table = _complement_table(h, t1, t, t2, eps, truncation_t, grid_n)
-    table2 = _complement_table(h, t1, t, t2, eps, 2.0 * truncation_t, grid_n)
-    fit = fit_exponent(table, "hs", theory=1.0 - h, correction_order=math.nan)
-    fit2 = fit_exponent(table2, "hs", theory=1.0 - h, correction_order=math.nan)
-    sens = abs(fit.slope - fit2.slope)
-    return ComplementReport(
-        fit_hs=fit,
-        fit_hs_2t=fit2,
-        truncation_sensitivity=float(sens),
-        truncation_dominated=sens > 0.02,
-        table=table,
-        table_2t=table2,
-    )
+    def scan(big_t):
+        meta = {"experiment": "complement-window", "H": h, "t1": t1, "t": t, "t2": t2, "T": big_t}
+        return _graded_scan(h, ((t1 - big_t, t1, "b"), (t2, t2 + big_t, "a")), t, eps, grid_n, meta)
+
+    return _truncation_rerun(ComplementReport, h, scan, truncation_t, (("hs", 1.0 - h, math.nan),))
 
 
 # ---------------------------------------------------------------------------

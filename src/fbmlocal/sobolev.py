@@ -160,23 +160,32 @@ class TestFunction:
     def fourier(self, xi) -> np.ndarray:
         """Closed-form transform, (2pi)^(-1/2) integral exp(-i x xi) f(x) dx.
 
-        One (hat element, xi) array; where |xi| times the element's wider
-        half-width is at most 1e-2, a five-term series replaces the exact
-        factor, which divides by xi^2.
+        A hat's half-element of width h transforms to h phi2(+-i h xi)
+        (+ on the left), phi2(z) = (e^z - 1 - z) / z^2: a ten-term Taylor
+        series where |h xi| <= 0.1, else expm1(z) / z^2 without the -1/z
+        term, which a hat's two halves carry with opposite signs. One
+        (hat element, xi) array.
         """
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         width = np.diff(self.nodes)[:, None]
-        hl, hr = width[:-1], width[1:]
-        big = np.abs(xi) * np.maximum(hl, hr) > 1e-2
-        x2 = xi * xi
-        exact = -(
-            np.exp(1j * hl * xi) / hl - (1.0 / hl + 1.0 / hr) + np.exp(-1j * hr * xi) / hr
-        ) / np.where(big, x2, 1.0)
-        # the series' even and odd terms in xi, each by Horner in xi^2
-        even = 0.5 * (hl + hr) - x2 * ((hl**3 + hr**3) / 24.0 - x2 * (hl**5 + hr**5) / 720.0)
-        odd = xi * ((hl**2 - hr**2) / 6.0 - x2 * (hl**4 - hr**4) / 120.0)
-        shape = np.where(big, exact, even + 1j * odd)
+        # one value per cell: phi2(conj z) = conj phi2(z) gives the other half
+        z = 1j * width * xi
+        big = np.abs(z) > 0.1
+        half = np.empty_like(z)
+        acc = np.zeros_like(z[~big])
+        for c in _PHI2_SERIES:
+            acc = acc * z[~big] + c
+        half[~big] = acc
+        half[big] = np.expm1(z[big]) / z[big] ** 2
+        half *= width
+        # a hat with one half on each branch gets its -1/z term back
+        step = big[:-1].astype(float) - big[1:]
+        shape = half[:-1] + np.conj(half[1:]) + 1j * step / np.where(step == 0.0, 1.0, xi)
         return self.values @ (np.exp(-1j * self.nodes[1:-1, None] * xi) * shape) / _SQRT_2PI
+
+
+# fourier's phi2 series: 1/(k+2)! for k = 9, ..., 0, Horner order
+_PHI2_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(9, -1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,24 @@ def test_window_commands_name_a_bad_eps_or_grid(command, flags, message, capsys)
     assert err == f"fbmlocal: error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["thm22", "complement"])
+def test_truncation_reports_refuse_h_near_one_half(command, capsys):
+    # the CLI default H = 0.5 leaves nothing but round-off to fit a rate to
+    assert main([command, "--H", "0.5", "--n", "8", "--eps", "0.125,0.0625,0.03125,0.015625"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "fbmlocal: error: rate fit needs |2H-1| >= 0.1\n"
+
+
+def test_scan_keeps_its_table_but_fits_no_slope_near_one_half(capsys):
+    assert main(["scan", "--H", "0.5", "--n", "8", "--eps", "0.125,0.0625,0.03125,0.015625"]) == 0
+    out, err = capsys.readouterr()
+    assert "# summary = no slope fit (rate fit needs |2H-1| >= 0.1)\n" in out
+    assert "fit_cos_slope" not in out
+    assert len([line for line in out.splitlines() if not line.startswith("#")]) == 5  # header + 4 rows
+    assert err == ""
+
+
 @pytest.mark.parametrize("n", ["1", "3"])
 def test_complement_rejects_grid_below_4(n, capsys):
     assert main(["complement", "--H", "0.75", "--n", n]) == 1

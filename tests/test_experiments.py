@@ -309,6 +309,42 @@ def test_adjacency_growth_small():
     assert rep.eps_invariance_gap <= 1e-9
 
 
+_TRUNCATION_STUDIES = {
+    "thm22": lambda h: theorem22_check(h, eps=(0.125,), grid_n=8),
+    "complement": lambda h: complement_window_scan(h, eps=(0.125,), grid_n=8),
+}
+
+
+@pytest.mark.parametrize("study", list(_TRUNCATION_STUDIES))
+@pytest.mark.parametrize("move, flagged", [(0.03, True), (0.01, False)])
+def test_truncation_flag_reads_the_largest_slope_move(study, move, flagged, monkeypatch):
+    # the fits are stubbed: at 2T the mi and hs slopes move by `move`, the
+    # cos slope by half of it, so the flag must come from the largest move
+    def fit(table, column, theory, correction_order):
+        at_2t = table.meta["T"] == 2.0 * experiments.DEFAULT_TRUNCATION
+        return SimpleNamespace(slope=0.25 + at_2t * {"cos": 0.5, "mi": 1.0, "hs": 1.0}[column] * move)
+
+    monkeypatch.setattr(experiments, "fit_exponent", fit)
+    rep = _TRUNCATION_STUDIES[study](0.7)
+    assert rep.table.meta["T"] == experiments.DEFAULT_TRUNCATION
+    assert rep.table_2t.meta["T"] == 2.0 * experiments.DEFAULT_TRUNCATION
+    assert rep.truncation_sensitivity == pytest.approx(move, rel=1e-12)
+    assert rep.truncation_dominated is flagged
+
+
+@pytest.mark.parametrize("study", list(_TRUNCATION_STUDIES))
+@pytest.mark.parametrize("h", [0.5, 0.46, 0.54])
+def test_truncation_studies_refuse_h_near_one_half(study, h, monkeypatch):
+    # at |2H-1| < 0.1 the rates would be fitted to round-off; refused
+    # before any row is built
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(experiments, "_make_row", no_rows)
+    with pytest.raises(ValueError, match=r"^rate fit needs \|2H-1\| >= 0\.1$"):
+        _TRUNCATION_STUDIES[study](h)
+
+
 def test_past_future_brownian_zero():
     assert past_future_angle(0.5, truncation_t=8.0, n=32) <= 1e-8
 

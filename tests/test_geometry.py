@@ -361,17 +361,9 @@ def _uniform_gram(h, n):
     return col[np.abs(lag[:, None] - lag)]
 
 
-def _graded_past_gram(h):
-    pts = experiments.graded_points(-64.0, 0.0, 64, experiments.grading_depth(h, 63), toward="b")
-    return gram(IncrementBasis.from_points(pts), h)
-
-
-def _complement_gram(h):
-    decades = experiments.grading_depth(h, 63)
-    left = experiments.graded_points(-64.0, 0.0, 64, decades, toward="b")
-    right = experiments.graded_points(1.0, 65.0, 64, decades, toward="a")
-    a, b = IncrementBasis.from_points(left), IncrementBasis.from_points(right)
-    return gram(IncrementBasis(s=np.concatenate([a.s, b.s]), t=np.concatenate([a.t, b.t])), h)
+def _graded_gram(h, regions):
+    # the Gram of a truncated scan's fixed side at grid_n = 64
+    return gram(experiments._graded_basis(h, regions, 63)[0], h)
 
 
 def _rank_deficient_gram(h):
@@ -383,8 +375,8 @@ def _rank_deficient_gram(h):
 
 _FACTOR_FAMILIES = {
     "uniform-63": lambda h: _uniform_gram(h, 63),
-    "graded-past-63": _graded_past_gram,
-    "complement-126": _complement_gram,
+    "graded-past-63": lambda h: _graded_gram(h, ((-64.0, 0.0, "b"),)),
+    "complement-126": lambda h: _graded_gram(h, ((-64.0, 0.0, "b"), (1.0, 65.0, "a"))),
     "adjacency-256": lambda h: _uniform_gram(h, 256),
     "levy2d-48": lambda h: gram(experiments._ball_basis(np.zeros(2), 0.125, 9), h),
     "rank-deficient-24": _rank_deficient_gram,

@@ -90,29 +90,34 @@ def test_fourier_at_zero_is_mass():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_fourier_matches_40_digit_integral_across_the_series_switch(sign):
-    # unequal elements; the per-element switch to the five-term series sits
-    # at |xi| max(hl, hr) = 1e-2, straddled here at the widest element
-    nodes, values = [-1.0, -0.2, 0.5, 0.6, 1.3, 2.0], [0.7, -0.4, 1.1, 0.3]
-    phi = TestFunction.from_samples(nodes, values)
-    h_max = max(np.diff(nodes))
-    xi = sign * np.array([0.0, 1e-6, 1e-3, 0.0099, 0.0101, 0.02, 1.0, 50.0, 400.0]) / h_max
-    got = phi.fourier(xi)
+    # each half-element switches to its series at |xi| h = 0.1, so a sweep
+    # of xi h_max over 1e-4 .. 10 straddles the switch of every width; two
+    # hats pair widths three and two decades apart
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        x, f = [mpmath.mpf(v) for v in nodes], [0] + [mpmath.mpf(v) for v in values] + [0]
-        for k, w in enumerate(map(mpmath.mpf, xi)):
-            total = mpmath.mpc(0)
-            for x0, x1, f0, f1 in zip(x[:-1], x[1:], f[:-1], f[1:]):
-                if w == 0:
-                    total += (x1 - x0) * (f0 + f1) / 2
-                    continue
-                # e^(-i w u) (i f(u) / w + m / w^2) is an antiderivative of
-                # e^(-i w u) f(u) for the linear piece f of slope m
-                m = (f1 - f0) / (x1 - x0)
-                total += mpmath.exp(-1j * w * x1) * (1j * f1 / w + m / w**2)
-                total -= mpmath.exp(-1j * w * x0) * (1j * f0 / w + m / w**2)
-            want = total / mpmath.sqrt(2 * mpmath.pi)
-            assert abs(float(abs(got[k] - want) / abs(want))) <= 1e-10, xi[k]
+    for nodes, values in (
+        ([-1.0, -0.2, 0.5, 0.6, 1.3, 2.0], [0.7, -0.4, 1.1, 0.3]),
+        ([0.0, 1.0, 1.001], [1.0]),
+        ([0.0, 0.01, 1.01], [1.0]),
+    ):
+        phi = TestFunction.from_samples(nodes, values)
+        h_max = max(np.diff(nodes))
+        xi = sign * np.concatenate([[0.0], np.geomspace(1e-4, 10.0, 41), [50.0, 400.0]]) / h_max
+        got = phi.fourier(xi)
+        with mpmath.workdps(40):
+            x, f = [mpmath.mpf(v) for v in nodes], [0] + [mpmath.mpf(v) for v in values] + [0]
+            for k, w in enumerate(map(mpmath.mpf, xi)):
+                total = mpmath.mpc(0)
+                for x0, x1, f0, f1 in zip(x[:-1], x[1:], f[:-1], f[1:]):
+                    if w == 0:
+                        total += (x1 - x0) * (f0 + f1) / 2
+                        continue
+                    # e^(-i w u) (i f(u) / w + m / w^2) is an antiderivative
+                    # of e^(-i w u) f(u) for the linear piece f of slope m
+                    m = (f1 - f0) / (x1 - x0)
+                    total += mpmath.exp(-1j * w * x1) * (1j * f1 / w + m / w**2)
+                    total -= mpmath.exp(-1j * w * x0) * (1j * f0 / w + m / w**2)
+                want = total / mpmath.sqrt(2 * mpmath.pi)
+                assert abs(float(abs(got[k] - want) / abs(want))) <= 1e-13, (nodes, xi[k])
 
 
 def test_s_zero_is_l2():
