@@ -65,9 +65,9 @@ def _thm21_report(h):
     time of that build; a later hit returns the build's time, not its own."""
     hit = _THM21_REPORTS.get(h)
     if hit is None:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = theorem21_check(h)
-        hit = _THM21_REPORTS[h] = (rep, time.time() - t0)
+        hit = _THM21_REPORTS[h] = (rep, time.perf_counter() - t0)
     return hit
 
 
@@ -343,12 +343,12 @@ def run_checks(only: str | None = None) -> list:
         raise ValueError(f"no check matches {only!r}; have {', '.join(CHECKS)}")
     out = []
     for name in names:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             passed, detail = CHECKS[name]()
         except Exception as exc:  # a crash is a failure with its reason
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         # individual checks may hand back numpy bools; normalize here so
         # downstream serialization never sees a numpy scalar
-        out.append(CheckResult(name=name, passed=bool(passed), detail=detail, seconds=time.time() - t0))
+        out.append(CheckResult(name=name, passed=bool(passed), detail=detail, seconds=time.perf_counter() - t0))
     return out

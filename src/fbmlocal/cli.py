@@ -13,6 +13,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, is_dataclass
+
+import numpy as np
 
 from fbmlocal.geometry import RANK_RTOL
 from fbmlocal.kernels import fbm_cov
@@ -21,9 +24,9 @@ from fbmlocal.experiments import (
     DEFAULT_EPS,
     DEFAULT_GRID_N,
     DEFAULT_TRUNCATION,
+    ScanRow,
+    ScanTable,
     _check_off_half,
-    _csv_text,
-    _json_val,
     _make_row,
     _scan_schedule,
     _window,
@@ -33,8 +36,6 @@ from fbmlocal.experiments import (
     levy2d_scan,
     local_independence_scan,
     past_future_report,
-    scan_csv_text,
-    scan_to_dict,
     theorem21_check,
     theorem22_check,
 )
@@ -178,23 +179,76 @@ def _fmt(x) -> str:
 _RUN_ONLY = frozenset(("format", "out", "strict", "only", "json", "config"))
 
 
-def _emit(params: dict, payload: dict, csv, summary: str) -> None:
+# -- artifact format --------------------------------------------------------
+# every value a run writes goes through _plain once; the CSV cell is a thin
+# layer over its result
+
+# a scan row's cells are its fields in declaration order; cos is written as
+# cos_angle
+_SCAN_COLUMNS = tuple("cos_angle" if f.name == "cos" else f.name for f in fields(ScanRow))
+
+
+def _plain(x):
+    """The artifact value of x, recursively: a ScanTable is its config and
+    rows, a ScanRow its _SCAN_COLUMNS cells, any other dataclass its fields
+    in order; None and +inf -> "inf", -inf -> "-inf", nan -> None (null),
+    numpy scalars to Python ones.  json.dumps would otherwise emit bare
+    NaN/Infinity, which is not valid JSON."""
+    if isinstance(x, ScanTable):
+        return {"config": _plain(x.meta), "rows": _plain(x.rows)}
+    if isinstance(x, ScanRow):
+        return {c: _plain(getattr(x, f.name)) for c, f in zip(_SCAN_COLUMNS, fields(x))}
+    if is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, np.generic):
+        x = x.item()
+    if x is None:
+        return "inf"
+    if isinstance(x, float) and not math.isfinite(x):
+        return None if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    return x
+
+
+def _cell(v) -> str:
+    """A CSV cell from a _plain value: booleans as 1/0, null as nan."""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if v is None:
+        return "nan"
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def _csv_text(header: dict, rows: list) -> str:
+    """CSV of _plain row dicts under '#'-prefixed header lines, LF endings,
+    '.' decimals."""
+    lines = [f"# {k} = {v}" for k, v in header.items()]
+    lines.append(",".join(rows[0]))
+    lines.extend(",".join(map(_cell, row.values())) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _emit(params: dict, payload, csv, summary: str) -> None:
     """Serialize the run: full text to stdout, or to --out with a summary line.
 
-    `csv` is finished CSV text, a {column: values} table written under the
-    run's '#' header, or None to write the payload as that table's one row.
+    The JSON document is the payload (a report or a dict) with the run's
+    config and the summary.  `csv` is None, for the payload as one row
+    under the run's config, or (header, rows): the '#' header, None for
+    the run's config, over ScanRows or dicts.
     """
     cfg = {k: _cfg_val(v) for k, v in params.items() if k not in _RUN_ONLY}
     if params["format"] == "json":
-        doc = dict(payload)
-        doc["config"] = {**doc.get("config", {}), **cfg}
+        doc = _plain(payload)
+        doc["config"] = {**doc.get("config", {}), **_plain(cfg)}
         doc["summary"] = summary
-        text = json.dumps(_json_val(doc), indent=2) + "\n"
-    elif isinstance(csv, str):
-        text = csv
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        columns = csv or {k: (v,) for k, v in payload.items()}
-        text = _csv_text({**cfg, "summary": summary}, columns, zip(*columns.values()))
+        header, rows = csv or (None, None)
+        rows = _plain([payload] if rows is None else rows)
+        text = _csv_text({**(cfg if header is None else header), "summary": summary}, rows)
     if params["out"]:
         with open(params["out"], "w", newline="") as fh:
             fh.write(text)
@@ -225,9 +279,15 @@ def _scan_flags(table) -> list:
     return flags
 
 
+def _table_csv(table, extra: dict):
+    """The csv of _emit for a scan table: its meta and extra over its rows."""
+    return {**table.meta, **extra}, table.rows
+
+
 # -- command handlers -------------------------------------------------------
 # each takes the resolved params and returns (payload, csv, summary,
-# quality_flags); a handler that prints its own output returns payload None
+# quality_flags) for _emit; a handler that prints its own output returns
+# payload None
 
 
 def _cmd_cov(params):
@@ -277,9 +337,8 @@ def _cmd_scan(params):
     except ValueError as exc:
         summary = f"no slope fit ({exc})"
         extra = {}
-    payload = scan_to_dict(table)
-    payload.update(extra)
-    return payload, scan_csv_text(table, {**extra, "summary": summary}), summary, _scan_flags(table)
+    payload = {"config": table.meta, "rows": table.rows, **extra}
+    return payload, _table_csv(table, extra), summary, _scan_flags(table)
 
 
 def _cmd_thm21(params):
@@ -299,9 +358,8 @@ def _cmd_thm21(params):
         "r_h_spectral": rep.r_h_spectral,
         "r_h_dual_gram": rep.r_h_dual_gram,
         "mi_cos_ratio": rep.mi_cos_ratio,
-        "summary": summary,
     }
-    return rep.as_dict(), scan_csv_text(rep.table, extra), summary, flags
+    return rep, _table_csv(rep.table, extra), summary, flags
 
 
 def _cmd_thm22(params):
@@ -318,9 +376,8 @@ def _cmd_thm22(params):
         "fit_cos_slope": rep.fit_cos.slope,
         "fit_mi_slope": rep.fit_mi.slope,
         "truncation_sensitivity": rep.truncation_sensitivity,
-        "summary": summary,
     }
-    return rep.as_dict(), scan_csv_text(rep.table, extra), summary, flags
+    return rep, _table_csv(rep.table, extra), summary, flags
 
 
 def _cmd_adjacency(params):
@@ -329,8 +386,8 @@ def _cmd_adjacency(params):
         f"MI strictly increasing: {rep.strictly_increasing}, min growth/doubling "
         f"{rep.min_doubling_growth:.2%}, eps-invariance gap {rep.eps_invariance_gap:.2e}"
     )
-    columns = {"n": rep.n_schedule, "mi": rep.mi, "mi_alt_eps": rep.mi_alt_eps}
-    return rep.as_dict(), columns, summary, []
+    rows = [{"n": n, "mi": mi, "mi_alt_eps": alt} for n, mi, alt in zip(rep.n_schedule, rep.mi, rep.mi_alt_eps)]
+    return rep, (None, rows), summary, []
 
 
 def _cmd_pastfuture(params):
@@ -339,7 +396,7 @@ def _cmd_pastfuture(params):
         f"cos = {rep.value:.6f} (2n: {rep.value_2n:.6f}, 2T: {rep.value_2t:.6f}), "
         f"drift n {rep.drift_n:.2%} T {rep.drift_t:.2%}, margin {rep.margin:.4f}"
     )
-    return rep.as_dict(), None, summary, []
+    return rep, None, summary, []
 
 
 def _cmd_complement(params):
@@ -354,16 +411,14 @@ def _cmd_complement(params):
     flags = _scan_flags(rep.table)
     if rep.truncation_dominated:
         flags.append("truncation-dominated (2T shifts the slope by > 0.02)")
-    extra = {"fit_hs_slope": rep.fit_hs.slope, "summary": summary}
-    return rep.as_dict(), scan_csv_text(rep.table, extra), summary, flags
+    return rep, _table_csv(rep.table, {"fit_hs_slope": rep.fit_hs.slope}), summary, flags
 
 
 def _cmd_levy2d(params):
     rep = levy2d_scan(params["H"], eps=params["eps"], grid_per_axis=params["n"])
     theory = 2.0 - 2.0 * params["H"]
     summary = f"cos slope {rep.fit_cos.slope:.4f} vs {theory:.4f} (gap {rep.fit_cos.slope - theory:+.4f})"
-    extra = {"fit_cos_slope": rep.fit_cos.slope, "summary": summary}
-    return rep.as_dict(), scan_csv_text(rep.table, extra), summary, _scan_flags(rep.table)
+    return rep, _table_csv(rep.table, {"fit_cos_slope": rep.fit_cos.slope}), summary, _scan_flags(rep.table)
 
 
 def _cmd_constants(params):
@@ -436,18 +491,18 @@ _COMMANDS = {
     "angle": ("cos angle between two windows at a single eps", _WINDOW, _cmd_angle),
     "mi": ("mutual information between two windows at a single eps", _WINDOW, _cmd_mi),
     "scan": ("angle/MI table over an eps schedule between two windows", _SCAN, _cmd_scan),
-    "thm21": ("two-window rate report: slopes and the leading constant", _SCAN, _cmd_thm21),
+    "thm21": ("two-window rate report: slopes and the leading constant", {**_SCAN, "H": 0.75}, _cmd_thm21),
     "thm22": (
         "past-vs-window rate report with truncation sensitivity",
         {
-            "H": 0.5, "t1": 1.0, "T": DEFAULT_TRUNCATION, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N,
+            "H": 0.75, "t1": 1.0, "T": DEFAULT_TRUNCATION, "eps": DEFAULT_EPS, "n": DEFAULT_GRID_N,
             "rtol": RANK_RTOL, "strict": False, **_OUTPUT,
         },
         _cmd_thm22,
     ),
     "adjacency": (
         "adjacent-interval MI growth under grid refinement",
-        {"H": 0.5, "eps": (1.0,), "rtol": RANK_RTOL, **_OUTPUT},
+        {"H": 0.75, "eps": (1.0,), "rtol": RANK_RTOL, **_OUTPUT},
         _cmd_adjacency,
     ),
     "pastfuture": (
@@ -458,7 +513,7 @@ _COMMANDS = {
     "complement": (
         "window against the two-sided complement",
         {
-            "H": 0.5, "t1": 0.0, "t2": 1.0, "eps": tuple(e for e in DEFAULT_EPS if e <= 0.125),
+            "H": 0.75, "t1": 0.0, "t2": 1.0, "eps": DEFAULT_EPS,
             "T": DEFAULT_TRUNCATION, "n": DEFAULT_GRID_N, "rtol": RANK_RTOL,
             "strict": False, **_OUTPUT,
         },

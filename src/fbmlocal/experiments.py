@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from fbmlocal.geometry import (
     RANK_RTOL,
-    IllConditionedWarning,
     MiResult,
     _pivoted_factor,
     _whitened_spectrum,
@@ -71,8 +69,6 @@ __all__ = [
     "past_future_report",
     "complement_window_scan",
     "levy2d_scan",
-    "scan_csv_text",
-    "scan_to_dict",
 ]
 
 DEFAULT_EPS = tuple(2.0**-k for k in range(3, 9))
@@ -124,25 +120,8 @@ class ScanTable:
     meta: dict
 
 
-class _Record:
-    """Report record serialized field by field in declaration order; a
-    ScanTable goes through scan_to_dict, a nested record through its own
-    as_dict."""
-
-    def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, ScanTable):
-                v = scan_to_dict(v)
-            elif isinstance(v, _Record):
-                v = v.as_dict()
-            out[f.name] = v
-        return out
-
-
 @dataclass(frozen=True)
-class ExponentFit(_Record):
+class ExponentFit:
     """Least-squares log-log fit of a scan column against eps (or of the
     lemma-2.2 dual norms against k).
 
@@ -240,11 +219,7 @@ def _make_row(eps, side_a, side_b, h, min_rank=0.0) -> ScanRow:
     directions.  A side is an (IncrementBasis, factor) pair made by _side
     or _window, so a scan factors a side once for all its rows."""
     (a, fa), (b, fb) = side_a, side_b
-    # the row's flags carry the ill-conditioning; the warning would only
-    # repeat it once per row
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        spec = _whitened_spectrum(fa, fb, cross_gram(a, b, h))
+    spec = _whitened_spectrum(fa, fb, cross_gram(a, b, h))
     skipped = min(spec.rank_a, spec.rank_b) < min_rank
     mi = MiResult(math.nan, math.nan, math.nan) if skipped else mutual_information_gy(spec)
     return ScanRow(
@@ -453,7 +428,7 @@ def r_h_dual_gram(h: float, n: int = 2048) -> float:
 
 
 @dataclass(frozen=True)
-class Theorem21Report(_Record):
+class Theorem21Report:
     fit_cos: ExponentFit
     fit_mi: ExponentFit
     r_h_extrapolated: float
@@ -543,7 +518,7 @@ def past_window_scan(
 
 
 @dataclass(frozen=True)
-class Theorem22Report(_Record):
+class Theorem22Report:
     fit_cos: ExponentFit
     fit_mi: ExponentFit
     fit_cos_2t: ExponentFit
@@ -577,7 +552,7 @@ def theorem22_check(
 
 
 @dataclass(frozen=True)
-class AdjacencyReport(_Record):
+class AdjacencyReport:
     n_schedule: tuple
     mi: tuple
     mi_alt_eps: tuple
@@ -672,7 +647,7 @@ def past_future_angle(
 
 
 @dataclass(frozen=True)
-class PastFutureReport(_Record):
+class PastFutureReport:
     value: float
     value_2n: float
     value_2t: float
@@ -713,7 +688,7 @@ def past_future_report(
 
 
 @dataclass(frozen=True)
-class ComplementReport(_Record):
+class ComplementReport:
     fit_hs: ExponentFit
     fit_hs_2t: ExponentFit
     truncation_sensitivity: float
@@ -759,7 +734,7 @@ def complement_window_scan(
 
 
 @dataclass(frozen=True)
-class Levy2dReport(_Record):
+class Levy2dReport:
     fit_cos: ExponentFit
     table: ScanTable
 
@@ -820,61 +795,3 @@ def levy2d_scan(
     fit = fit_exponent(table, "cos", theory=2.0 - 2.0 * h, correction_order=math.nan)
     return Levy2dReport(fit_cos=fit, table=table)
 
-
-# ---------------------------------------------------------------------------
-# serialization (CSV with '#' parameter header; JSON mirror)
-
-# a row's cells are its fields in declaration order (astuple); cos is
-# written as cos_angle
-_SCAN_COLUMNS = tuple("cos_angle" if f.name == "cos" else f.name for f in fields(ScanRow))
-
-
-def _fmt_csv(value) -> str:
-    if value is None:
-        return "inf"
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
-
-
-def _csv_text(meta: dict, columns, rows) -> str:
-    """CSV rows with '#'-prefixed parameter header, LF endings, '.' decimals."""
-    lines = [f"# {k} = {v}" for k, v in meta.items()]
-    lines.append(",".join(columns))
-    lines.extend(",".join(map(_fmt_csv, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def scan_csv_text(table: ScanTable, extra_meta: dict | None = None) -> str:
-    """A scan table as CSV under its parameter header, extra_meta appended."""
-    meta = {**table.meta, **(extra_meta or {})}
-    return _csv_text(meta, _SCAN_COLUMNS, map(astuple, table.rows))
-
-
-def _json_val(x):
-    """JSON-ready copy: None and +inf -> "inf", -inf -> "-inf", nan -> null,
-    numpy scalars to Python ones, recursively; json.dumps would otherwise
-    emit bare NaN/Infinity, which is not valid JSON."""
-    if isinstance(x, dict):
-        return {k: _json_val(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_val(v) for v in x]
-    if isinstance(x, np.generic):
-        x = x.item()
-    if x is None:
-        return "inf"
-    if isinstance(x, float) and not math.isfinite(x):
-        return None if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return x
-
-
-def scan_to_dict(table: ScanTable) -> dict:
-    rows = [dict(zip(_SCAN_COLUMNS, astuple(row))) for row in table.rows]
-    return _json_val({"config": dict(table.meta), "rows": rows})

@@ -173,26 +173,16 @@ def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpec
     """Canonical correlations from two side factors and the full cross-Gram
     C: the singular values of the whitened cross-Gram, clamped to [0, 1],
     in the descending order LAPACK returns them.
-    Warns (IllConditionedWarning) when a singular value lands above
-    1 + 1e-8 before clamping.
+    ill_conditioned is set when a singular value lands above 1 + 1e-8
+    before clamping.
     """
-    cond = max(fa.cond, fb.cond)
     sigmas = np.linalg.svd(_whitened_cross_gram(fa, fb, c), compute_uv=False)
-
-    overshoot = float(np.max(sigmas, initial=0.0)) - 1.0
-    ill = overshoot > CLAMP_TOL
-    if ill:
-        warnings.warn(
-            f"whitening is ill-conditioned (cond={cond:.3e}, max sigma overshoot={overshoot:.3e})",
-            IllConditionedWarning,
-            stacklevel=3,
-        )
     return CanonicalSpectrum(
         sigmas=np.clip(sigmas, 0.0, 1.0),
         rank_a=len(fa.keep),
         rank_b=len(fb.keep),
-        cond=cond,
-        ill_conditioned=ill,
+        cond=max(fa.cond, fb.cond),
+        ill_conditioned=float(np.max(sigmas, initial=0.0)) - 1.0 > CLAMP_TOL,
     )
 
 
@@ -214,7 +204,14 @@ def canonical_correlations(
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if c.shape != (ga.shape[0], gb.shape[0]):
         raise ValueError(f"cross-Gram shape {c.shape} incompatible with Grams")
-    return _whitened_spectrum(_pivoted_factor(ga), _pivoted_factor(gb), c)
+    spec = _whitened_spectrum(_pivoted_factor(ga), _pivoted_factor(gb), c)
+    if spec.ill_conditioned:
+        warnings.warn(
+            f"whitening is ill-conditioned (cond={spec.cond:.3e}, max sigma overshoot > {CLAMP_TOL:g})",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
+    return spec
 
 
 def cos_angle(spec: CanonicalSpectrum) -> float:

@@ -25,9 +25,9 @@ _spent = 0.0
 
 def _run(name):
     global _spent
-    t0 = time.time()
+    t0 = time.perf_counter()
     passed, detail = CHECKS[name]()
-    took = time.time() - t0
+    took = time.perf_counter() - t0
     _spent += took
     print(f"{'PASS' if passed else 'FAIL'}  {name} [{took:.1f}s]  {detail}")
     assert _spent < _TOTAL_BUDGET, f"acceptance suite exceeded {_TOTAL_BUDGET:.0f}s"

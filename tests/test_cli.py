@@ -5,12 +5,17 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fbmlocal
+from fbmlocal import cli
 from fbmlocal.cli import _ONLY_ALIASES, _build_parser, load_config, main, parse_eps
 from fbmlocal.acceptance import CHECKS
+from fbmlocal.experiments import ExponentFit, Levy2dReport, ScanRow, ScanTable, local_independence_scan
 from fbmlocal.sampler import load_samples
+
+EPS4 = (0.125, 0.0625, 0.03125, 0.015625)
 
 
 def test_parse_eps_forms():
@@ -93,7 +98,7 @@ def test_window_commands_name_a_bad_eps_or_grid(command, flags, message, capsys)
 
 @pytest.mark.parametrize("command", ["thm22", "complement"])
 def test_truncation_reports_refuse_h_near_one_half(command, capsys):
-    # the CLI default H = 0.5 leaves nothing but round-off to fit a rate to
+    # H = 0.5 leaves nothing but round-off to fit a rate to
     assert main([command, "--H", "0.5", "--n", "8", "--eps", "0.125,0.0625,0.03125,0.015625"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -374,6 +379,131 @@ def test_report_json_key_order(argv, keys, capsys):
     for key in keys:
         if key.startswith("fit_"):
             assert list(doc[key]) == _FIT_KEYS
+
+
+# the artifact forms of a scan table and of one value, each through the
+# CLI's one encoder as _emit applies it
+def scan_csv_text(table):
+    return cli._csv_text(table.meta, cli._plain(table.rows))
+
+
+scan_to_dict = _json_val = cli._plain
+
+
+def _fmt_csv(value):
+    return cli._cell(cli._plain(value))
+
+
+def test_csv_round_trip():
+    table = local_independence_scan(0.75, 0.0, 1.0, EPS4, 8)
+    text = scan_csv_text(table)
+    assert text.startswith("#")
+    assert "# H = 0.75" in text
+    lines = [l for l in text.strip().split("\n") if not l.startswith("#")]
+    assert lines[0].split(",")[:3] == ["eps", "cos_angle", "mi"]
+    assert len(lines) == 1 + len(table.rows)
+    # values survive a parse
+    got = [float(l.split(",")[1]) for l in lines[1:]]
+    assert got == [r.cos for r in table.rows]
+
+
+def test_csv_inf_and_nan_literals(tmp_path):
+    rows = (
+        ScanRow(eps=0.5, cos=1.0, mi=None, hs_lower=1.0, hs_upper=None, rank_a=3, rank_b=3,
+                cond=1.0, ill_conditioned=False),
+        ScanRow(eps=0.25, cos=math.nan, mi=math.nan, hs_lower=math.nan, hs_upper=math.nan,
+                rank_a=1, rank_b=1, cond=1e15, ill_conditioned=True, skipped=True),
+    )
+    table = ScanTable(rows=rows, meta={"experiment": "synthetic"})
+    text = scan_csv_text(table)
+    data = [l for l in text.strip().split("\n") if not l.startswith("#")][1:]
+    assert data[0].split(",")[2] == "inf"
+    assert data[0].split(",")[4] == "inf"
+    assert data[1].split(",")[1] == "nan"
+    assert data[1].split(",")[8:] == ["1", "1"]
+
+
+def test_json_document():
+    table = local_independence_scan(0.75, 0.0, 1.0, EPS4, 8)
+    doc = scan_to_dict(table)
+    assert doc["config"]["H"] == 0.75
+    assert len(doc["rows"]) == len(table.rows)
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+    # infinite MI serializes as the string "inf"
+    rows = (
+        ScanRow(eps=0.5, cos=1.0, mi=None, hs_lower=1.0, hs_upper=None, rank_a=3, rank_b=3,
+                cond=1.0, ill_conditioned=False),
+    )
+    d = scan_to_dict(ScanTable(rows=rows, meta={}))
+    assert d["rows"][0]["mi"] == "inf"
+    assert d["rows"][0]["hs_upper"] == "inf"
+
+
+@pytest.mark.parametrize("value, cell, json_value", [
+    (math.inf, "inf", "inf"),
+    (-math.inf, "-inf", "-inf"),
+    (math.nan, "nan", None),
+    (None, "inf", "inf"),
+    (np.float64(-math.inf), "-inf", "-inf"),
+], ids=["+inf", "-inf", "nan", "None", "np-inf"])
+def test_serializers_agree_on_non_finite(value, cell, json_value):
+    assert _fmt_csv(value) == cell
+    assert _json_val(value) == json_value
+    json.dumps(_json_val(value), allow_nan=False)
+
+
+def test_exponent_fit_dataclass():
+    fit = ExponentFit(slope=0.5, intercept=0.1, r2=0.999, theory_slope=0.5, theory_gap=0.0,
+                      correction_order=0.5, eps_lo=0.01, eps_hi=0.1, n_used=5)
+    d = cli._plain(fit)
+    assert d["slope"] == 0.5 and d["n_used"] == 5
+
+
+def _table_with_skipped_row():
+    # a real scan with its second row replaced by a rank-loss skip
+    table = local_independence_scan(0.75, 0.0, 1.0, EPS4, 8)
+    rows = list(table.rows)
+    rows[1] = ScanRow(eps=rows[1].eps, cos=math.nan, mi=math.nan, hs_lower=math.nan, hs_upper=math.nan,
+                      rank_a=1, rank_b=1, cond=1e15, ill_conditioned=False, skipped=True)
+    return ScanTable(rows=tuple(rows), meta=table.meta)
+
+
+def _skipped_row_artifacts(argv, json_rows, capsys):
+    # the skipped row's paper quantities are JSON null and CSV nan: a
+    # skipped row has no cosine, no information and no bounds
+    assert main(argv + ["--format", "json"]) == 0
+    row = json_rows(json.loads(capsys.readouterr().out))[1]
+    assert [row[k] for k in ("cos_angle", "mi", "hs_lower", "hs_upper")] == [None] * 4
+    assert row["skipped"] is True
+    assert main(argv) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    cells = dict(zip(lines[0].split(","), lines[2].split(",")))
+    assert [cells[k] for k in ("cos_angle", "mi", "hs_lower", "hs_upper")] == ["nan"] * 4
+    assert cells["skipped"] == "1"
+
+
+def test_skipped_scan_row_is_null_in_json_and_nan_in_csv(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "local_independence_scan", lambda *args: _table_with_skipped_row())
+    _skipped_row_artifacts(["scan", "--H", "0.75"], lambda doc: doc["rows"], capsys)
+
+
+def test_skipped_report_row_is_null_in_json_and_nan_in_csv(monkeypatch, capsys):
+    fit = ExponentFit(slope=0.5, intercept=0.1, r2=0.999, theory_slope=0.5, theory_gap=0.0,
+                      correction_order=math.nan, eps_lo=0.01, eps_hi=0.1, n_used=3)
+    rep = Levy2dReport(fit_cos=fit, table=_table_with_skipped_row())
+    monkeypatch.setattr(cli, "levy2d_scan", lambda *args, **kwargs: rep)
+    _skipped_row_artifacts(["levy2d", "--H", "0.75"], lambda doc: doc["table"]["rows"], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm21"], ["thm22"], ["complement"], ["adjacency"],
+], ids=["thm21", "thm22", "complement", "adjacency"])
+def test_rate_reports_run_at_their_default_h(argv, capsys):
+    # H = 0.5 is refused by all four (|2H-1| < 0.1); their default is 0.75
+    assert main(argv) == 0
+    bare = capsys.readouterr()
+    assert main(argv + ["--H", "0.75"]) == 0
+    assert capsys.readouterr() == bare
 
 
 @pytest.mark.parametrize("argv", [
