@@ -105,21 +105,6 @@ def parse_eps(text: str) -> tuple:
     return vals
 
 
-def load_config(path: str) -> dict:
-    """Flat key=value file, '#' comments; values stay strings."""
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
-    return out
-
-
 def csv_or_json(text: str) -> str:
     """The --format value; argparse names this function in its error."""
     if text not in ("csv", "json"):
@@ -127,12 +112,7 @@ def csv_or_json(text: str) -> str:
     return text
 
 
-def _truthy(text) -> bool:
-    return str(text).lower() in ("1", "true", "yes", "on")
-
-
-# every flag: the cast shared by argparse and the config file, and its help;
-# _truthy marks a switch
+# every flag: its argparse type and help; a None type marks a switch
 _FLAGS = {
     "H": (finite_float, "Hurst index in (0, 1)"),
     "t1": (finite_float, None),
@@ -142,30 +122,13 @@ _FLAGS = {
     "T": (finite_float, "truncation horizon"),
     "seed": (int, None),
     "m": (int, "number of paths"),
-    "dt": (finite_float, "grid spacing (default T/n, else 1)"),
+    "dt": (finite_float, "grid spacing (default 1.0)"),
     "format": (csv_or_json, "csv (default) or json"),
     "out": (str, "output file (default: stdout)"),
-    "strict": (_truthy, "exit 2 when numerical-quality flags are raised"),
+    "strict": (None, "exit 2 when numerical-quality flags are raised"),
     "only": (str, "run only checks matching a name or family"),
     "json": (str, "write a machine-readable report here"),
-    "config": (str, "key=value file, overridden by explicit flags"),
 }
-
-
-def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """CLI flag > config-file entry > built-in default; a default with no
-    flag (rtol) is fixed."""
-    params = {}
-    for key, default in defaults.items():
-        if key not in _FLAGS:
-            params[key] = default
-        elif (cli_val := getattr(args, key)) is not None:
-            params[key] = cli_val
-        elif key in config:
-            params[key] = _FLAGS[key][0](config[key])
-        else:
-            params[key] = default
-    return params
 
 
 def _fmt(x) -> str:
@@ -176,7 +139,7 @@ def _fmt(x) -> str:
 
 # run-routing keys; everything else is part of the reproducible config,
 # and keeping these out keeps output byte-identical across --out
-_RUN_ONLY = frozenset(("format", "out", "strict", "only", "json", "config"))
+_RUN_ONLY = frozenset(("format", "out", "strict", "only", "json"))
 
 
 # -- artifact format --------------------------------------------------------
@@ -416,9 +379,9 @@ def _cmd_complement(params):
 
 def _cmd_levy2d(params):
     rep = levy2d_scan(params["H"], eps=params["eps"], grid_per_axis=params["n"])
-    theory = 2.0 - 2.0 * params["H"]
-    summary = f"cos slope {rep.fit_cos.slope:.4f} vs {theory:.4f} (gap {rep.fit_cos.slope - theory:+.4f})"
-    return rep, _table_csv(rep.table, {"fit_cos_slope": rep.fit_cos.slope}), summary, _scan_flags(rep.table)
+    fit = rep.fit_cos
+    summary = f"cos slope {fit.slope:.4f} vs {fit.theory_slope:.4f} (gap {fit.slope - fit.theory_slope:+.4f})"
+    return rep, _table_csv(rep.table, {"fit_cos_slope": fit.slope}), summary, _scan_flags(rep.table)
 
 
 def _cmd_constants(params):
@@ -431,16 +394,10 @@ def _cmd_constants(params):
 def _cmd_sample(params):
     if params["out"] is None:
         raise ValueError("sample requires --out PATH for the binary dump")
-    dt, horizon = params["dt"], params["T"]
-    if dt is not None and horizon is not None:
-        raise ValueError("sample takes --dt or --T, not both")
-    if dt is None:
-        # an n below 1 is the sampler's to reject, before it reads dt
-        dt = 1.0 if horizon is None else horizon / max(params["n"], 1)
-    paths = sampler.sample_fbm_increments(params["n"], dt, params["H"], params["m"], params["seed"])
+    paths = sampler.sample_fbm_increments(params["n"], params["dt"], params["H"], params["m"], params["seed"])
     sampler.write_samples(paths, params["out"])
     print(
-        f"wrote {paths.m} x {paths.n} increments (dt={dt:g}, method={paths.method}) "
+        f"wrote {paths.m} x {paths.n} increments (dt={params['dt']:g}, method={paths.method}) "
         f"to {params['out']} (+ .json sidecar)"
     )
     return None, None, None, []
@@ -472,10 +429,10 @@ def _cmd_check_all(params):
     return None, None, None, []
 
 
-# each command: help, then its defaults, which name every flag it reads
-# (and nothing else: --config aside, a flag not named here is rejected);
-# a whitening command's defaults also carry the fixed rank tolerance, no
-# flag, so that its output records it
+# each command: help, then its defaults, which are the argparse defaults of
+# every flag it reads (any other flag is rejected); a whitening command's
+# defaults also carry the fixed rank tolerance, no flag, so that its output
+# records it
 _OUTPUT = {"format": "csv", "out": None}
 _WINDOW = {"H": 0.5, "t1": 0.0, "t2": 1.0, "eps": (0.125,), "n": 32, "rtol": RANK_RTOL, "strict": False, **_OUTPUT}
 _SCAN = {
@@ -527,7 +484,7 @@ _COMMANDS = {
     "constants": ("a_H and r_H for a given H", {"H": 0.5, **_OUTPUT}, _cmd_constants),
     "sample": (
         "draw increment paths and export them",
-        {"H": 0.5, "n": 1024, "m": 1, "dt": None, "T": None, "seed": 0, "out": None},
+        {"H": 0.5, "n": 1024, "m": 1, "dt": 1.0, "seed": 0, "out": None},
         _cmd_sample,
     ),
     "check-all": ("run the acceptance suite", {"only": None, "json": None}, _cmd_check_all),
@@ -539,12 +496,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (text, defaults, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text, description=text)
-        for key in (*defaults, "config"):
+        for key, default in defaults.items():
             if key not in _FLAGS:
                 continue
             cast, flag_help = _FLAGS[key]
-            kind = {"action": "store_true"} if cast is _truthy else {"type": cast}
-            p.add_argument(f"--{key}", default=None, help=flag_help, **kind)
+            kind = {"action": "store_true"} if cast is None else {"type": cast}
+            p.add_argument(f"--{key}", default=default, help=flag_help, **kind)
     return parser
 
 
@@ -555,9 +512,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     _, defaults, handler = _COMMANDS[args.command]
+    # a default with no flag (rtol) is fixed
+    params = {key: getattr(args, key, default) for key, default in defaults.items()}
     try:
-        config = load_config(args.config) if args.config else {}
-        params = _resolve(args, config, defaults)
         payload, csv, summary, flags = handler(params)
     except (OSError, ValueError) as exc:
         print(f"fbmlocal: error: {exc}", file=sys.stderr)

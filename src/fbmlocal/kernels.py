@@ -130,7 +130,11 @@ def fbm_cov(u, v, h: float) -> float:
     if u.shape != v.shape or u.ndim > 1:
         raise ValueError(f"need two times or two points of equal dimension, got {u.shape} and {v.shape}")
     two_h = 2.0 * h
-    return 0.5 * float(_norm(u, u.ndim) ** two_h + _norm(v, u.ndim) ** two_h - _norm(u - v, u.ndim) ** two_h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 0.5 * float(_norm(u, u.ndim) ** two_h + _norm(v, u.ndim) ** two_h - _norm(u - v, u.ndim) ** two_h)
+    if not np.isfinite(c):
+        raise ValueError(f"covariance overflows float64: |u|, |v| or |u-v| to the power 2H = {two_h:g}")
+    return c
 
 
 def _second_difference(sa, ta, sb, tb, power: float) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 import fbmlocal
 from fbmlocal import cli
-from fbmlocal.cli import _ONLY_ALIASES, _build_parser, load_config, main, parse_eps
+from fbmlocal.cli import _ONLY_ALIASES, _build_parser, main, parse_eps
 from fbmlocal.acceptance import CHECKS
 from fbmlocal.experiments import ExponentFit, Levy2dReport, ScanRow, ScanTable, local_independence_scan
 from fbmlocal.sampler import load_samples
@@ -25,15 +25,6 @@ def test_parse_eps_forms():
     for bad in ("", "1:2:0.5", "0.1:0.2:0.5:0.9", "0.1:0.01:2.0"):
         with pytest.raises(ValueError):
             parse_eps(bad)
-
-
-def test_load_config(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("H = 0.8   # hurst\n\n# comment line\nn=32\n")
-    assert load_config(p) == {"H": "0.8", "n": "32"}
-    p.write_text("just a line\n")
-    with pytest.raises(ValueError):
-        load_config(p)
 
 
 def test_constants_output(capsys):
@@ -66,6 +57,15 @@ def test_cov_command(capsys):
     out = capsys.readouterr().out
     val = float([l for l in out.strip().split("\n") if not l.startswith("#")][1])
     assert val == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("h, t1, t2, fmt", [("0.9", "1e300", "2e300", "csv"), ("0.99", "1e160", "1e160", "json")])
+def test_cov_refuses_an_overflowed_value(h, t1, t2, fmt, capsys):
+    # once nan, once inf; neither is written (inf means infinite information)
+    assert main(["cov", "--H", h, "--t1", t1, "--t2", t2, "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fbmlocal: error: covariance overflows float64")
 
 
 def test_angle_rejects_eps_schedule(capsys):
@@ -164,21 +164,6 @@ def test_csv_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_file_precedence(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("H = 0.3\nt2 = 2.0\n")
-    assert main(["cov", "--config", str(cfg), "--t1", "0", "--t2", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "# H = 0.3" in out  # from file
-    assert "# t2 = 1.0" in out  # flag wins over file
-    assert main(["cov", "--config", str(tmp_path / "missing.cfg")]) == 1
-    cfg.write_text("H = abc\n")  # a file value goes through the flag's cast
-    assert main(["cov", "--config", str(cfg)]) == 1
-    cfg.write_text("format = xml\n")
-    assert main(["cov", "--config", str(cfg)]) == 1
-    capsys.readouterr()
-
-
 def test_strict_escalates_quality_flags(capsys):
     args = ["scan", "--H", "0.95", "--eps", "0.0001,0.00001,0.000001", "--n", "48"]
     assert main(args) == 0
@@ -209,48 +194,28 @@ def test_sample_command(tmp_path, capsys):
     assert "wrote 4 x 64" in capsys.readouterr().out
     p = load_samples(target)
     assert p.data.shape == (4, 64)
+    assert p.dt == 1.0
+    assert main(["sample", "--n", "32", "--dt", "0.25", "--out", str(target)]) == 0
+    assert load_samples(target).dt == 0.25
     assert main(["sample", "--H", "0.75", "--n", "64"]) == 1  # --out required
     capsys.readouterr()
 
 
-def test_sample_dt_from_horizon(tmp_path, capsys):
-    target = tmp_path / "paths.bin"
-    assert main(["sample", "--H", "0.6", "--n", "32", "--m", "2", "--seed", "1",
-                 "--T", "8", "--out", str(target)]) == 0
-    capsys.readouterr()
-    assert load_samples(target).dt == pytest.approx(0.25)
-
-
-def test_sample_rejects_dt_with_horizon(tmp_path, capsys):
-    target = tmp_path / "paths.bin"
-    assert main(["sample", "--n", "32", "--T", "8", "--dt", "0.5", "--out", str(target)]) == 1
-    err = capsys.readouterr().err
-    assert err == "fbmlocal: error: sample takes --dt or --T, not both\n"
-    assert not target.exists()
-
-
 @pytest.mark.parametrize("n", ["0", "-4"])
 def test_sample_rejects_empty_grid_with_horizon(n, tmp_path, capsys):
-    # the spacing T/n is not formed from an n the sampler rejects
+    # the sampler rejects the grid before anything is written
     target = tmp_path / "paths.bin"
-    assert main(["sample", "--n", n, "--T", "8", "--out", str(target)]) == 1
+    assert main(["sample", "--n", n, "--out", str(target)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "fbmlocal: error: n and m must be at least 1\n"
     assert not target.exists()
 
 
-def test_rank_tolerance_is_fixed(tmp_path, capsys):
-    # no flag sets it and a config file's rtol is ignored like any key the
-    # command does not read; the output still records it
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("rtol = 1e-8\n")
-    argv = ["angle", "--H", "0.8", "--eps", "0.0625", "--n", "64"]
-    assert main(argv) == 0
-    want = capsys.readouterr().out
-    assert "# rtol = 1e-10\n" in want
-    assert main(argv + ["--config", str(cfg)]) == 0
-    assert capsys.readouterr().out == want
+def test_rank_tolerance_is_fixed(capsys):
+    # no flag sets it (see angle-rtol below); the output still records it
+    assert main(["angle", "--H", "0.8", "--eps", "0.0625", "--n", "64"]) == 0
+    assert "# rtol = 1e-10\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -263,11 +228,9 @@ def test_rank_tolerance_is_fixed(tmp_path, capsys):
     (["pastfuture", "--H", "0.7", "--T=-inf"], "'-inf'"),
     (["complement", "--H", "0.7", "--T", "nan"], "'nan'"),
     (["sample", "--n", "4096", "--dt", "nan", "--out", "{tmp}/paths.bin"], "'nan'"),
-    (["cov", "--config", "{tmp}/run.cfg"], "'inf'"),
 ], ids=["cov-t1", "scan-eps-list", "scan-eps-range", "levy2d-eps", "thm22-T-nan", "thm22-T-inf",
-        "pastfuture-T", "complement-T", "sample-dt", "config-file"])
+        "pastfuture-T", "complement-T", "sample-dt"])
 def test_non_finite_flags_are_rejected(argv, bad, tmp_path, capsys):
-    (tmp_path / "run.cfg").write_text("t2 = inf\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     try:
         code = main(argv)
@@ -515,8 +478,10 @@ def test_rate_reports_run_at_their_default_h(argv, capsys):
     ["check-all", "--threads", "2"],
     ["angle", "--rtol", "1e-8"],
     ["sample", "--threads", "2"],
+    ["cov", "--config", "run.cfg"],
+    ["sample", "--T", "8"],
 ], ids=["cov-seed", "constants-eps", "sample-strict", "check-all-format", "scan-threads", "check-all-threads",
-        "angle-rtol", "sample-threads"])
+        "angle-rtol", "sample-threads", "cov-config", "sample-T"])
 def test_flag_a_command_does_not_read_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -543,10 +508,10 @@ def _readme_flag_table():
 
 def test_readme_flag_table_matches_the_parser():
     # each row lists exactly the flags the command's subparser accepts, in
-    # its order, --config and --help aside
+    # its order, --help aside
     (sub,) = (a for a in _build_parser()._actions if a.dest == "command")
     accepted = {
-        name: [a.option_strings[0] for a in p._actions if a.option_strings[0] not in ("-h", "--config")]
+        name: [a.option_strings[0] for a in p._actions if a.option_strings[0] != "-h"]
         for name, p in sub.choices.items()
     }
     assert _readme_flag_table() == accepted
@@ -566,6 +531,9 @@ _WORKLOADS = _load_bench_workloads()
 @pytest.mark.parametrize("name", list(_WORKLOADS.README_CLI))
 def test_readme_commands_match_golden(name, tmp_path):
     # the benchmark's own judgement: exit code, numbers against the golden
-    # artifact, and for sample the sidecar and the data size
+    # artifact, and for sample the sidecar and the data size; these three
+    # write the golden's bytes exactly
     out = _WORKLOADS._run_cli(name, fbmlocal, _WORKLOADS.load_golden(), 1, tmp_path)
     assert out["ok"], out["output"]
+    if name in ("constants", "cov", "sample"):
+        assert out["exact"], out["output"]

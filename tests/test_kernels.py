@@ -232,6 +232,13 @@ def test_kernels_reject_non_finite_inputs(call, name):
         call()
 
 
+@pytest.mark.parametrize("u, v, h", [(1e300, 2e300, 0.9), (1e160, 1e160, 0.99)])
+def test_fbm_cov_refuses_overflow(u, v, h):
+    # once nan (inf - inf) and once inf; either would pass for a value
+    with pytest.raises(ValueError, match="^covariance overflows float64"):
+        fbm_cov(u, v, h)
+
+
 def _disjoint_kernel(u, v, h):
     # cross-covariance density H(2H-1)|u-v|^{2H-2} of increments on disjoint cells
     return h * (2.0 * h - 1.0) * abs(u - v) ** (2.0 * h - 2.0)
