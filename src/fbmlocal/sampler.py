@@ -150,8 +150,9 @@ def lag1_increment_correlation(paths: SamplePaths):
     x = paths.data
     if paths.n < 2:
         raise ValueError("need at least 2 increments per path")
-    num = np.sum(x[:, :-1] * x[:, 1:], axis=1)
-    den = np.sum(x * x, axis=1)
+    # row sums without an m x n product temporary
+    num = np.einsum("ij,ij->i", x[:, :-1], x[:, 1:])
+    den = np.einsum("ij,ij->i", x, x)
     r = num.sum() / den.sum()
     resid, m = num - r * den, paths.m
     se = math.sqrt(resid @ resid / (m * (m - 1))) / den.mean() if m > 1 else math.inf
@@ -181,7 +182,7 @@ def empirical_mi_check(paths: SamplePaths, split: int):
 
 def write_samples(paths: SamplePaths, data_path) -> None:
     """Row-major little-endian float64 dump plus the JSON sidecar <data>.json."""
-    paths.data.astype("<f8").tofile(data_path)
+    np.asarray(paths.data, "<f8").tofile(data_path)  # no copy on a little-endian host
     meta = {
         "n": paths.n,
         "m": paths.m,

@@ -20,6 +20,13 @@ Each rule is checked against the same panels with twice the nodes.
 Every Gauss rule comes from one Golub-Welsch generator (_jacobi): numpy's
 symmetric eigensolver, one Newton step and Christoffel weights.
 
+sobolev_inner takes one s or a 1-D sequence of s (and the pairing
+functions one H or a sequence of H).  A sequence costs one quadrature
+pass per pair: only the Jacobi nodes on [0, min(1, 1/span)] and the
+weights xi^(2s) and (1 + it)^(2s-4) depend on s, so the transforms, the
+panels and the e^(-delta t) sums are shared, and each s gets the value
+a call with that s alone gives.
+
 The lemma-2.2 dual norm needs no quadrature: its hat Gram row is the
 kernels' lattice series (fourth difference) and its quadratic form the
 same guarded Toeplitz solve as r_h_dual_gram.  The indicator norm is a
@@ -172,9 +179,10 @@ class TestFunction:
         z = 1j * width * xi
         big = np.abs(z) > 0.1
         half = np.empty_like(z)
-        acc = np.zeros_like(z[~big])
+        near = z[~big]
+        acc = np.zeros_like(near)
         for c in _PHI2_SERIES:
-            acc = acc * z[~big] + c
+            acc = acc * near + c
         half[~big] = acc
         half[big] = np.expm1(z[big]) / z[big] ** 2
         half *= width
@@ -246,19 +254,19 @@ def _panel_rule(edges: np.ndarray, n: int):
 
 
 def _checked_sum(
-    f: np.ndarray, size: np.ndarray, w_n: np.ndarray, w_2n: np.ndarray, n: int, what: str, error: type
-) -> float:
-    """The 2n-node sum of a panel rule whose values f hold the n-node
-    nodes first.  It is trusted only if the n-node sum agrees with it to
-    _RULE_REL of the sum of |weight| * size, else error is raised; size
-    bounds the terms each value was summed from, so a value that cancels
-    to round-off (an inner product that is zero by symmetry) does not
-    trip the check."""
-    k = w_n.size
-    fine = float(np.sum(w_2n * f[k:]))
-    gap = abs(float(w_n @ f[:k]) - fine)
-    if gap > _RULE_REL * float(np.abs(w_2n) @ size[k:]):
-        raise error(f"{n}- and {2 * n}-node {what} rules differ by {gap:.3e} ({what} {fine:.6e})")
+    coarse: np.ndarray, fine: np.ndarray, bound: np.ndarray, s: np.ndarray, n: int, what: str, error: type
+) -> np.ndarray:
+    """fine, the 2n-node sums of a panel rule, one per smoothness index in
+    s.  Each is trusted only if the n-node sum in coarse agrees with it to
+    _RULE_REL of bound, the 2n-node sum of weight * size, else error is
+    raised naming its s; size bounds the terms each value was summed from
+    (the weights are positive), so a value that cancels to round-off (an
+    inner product that is zero by symmetry) does not trip the check."""
+    gap = np.abs(coarse - fine)
+    bad = np.flatnonzero(gap > _RULE_REL * bound)
+    if bad.size:
+        i = bad[0]
+        raise error(f"{n}- and {2 * n}-node {what} rules differ by {gap[i]:.3e} at s = {s[i]} ({what} {fine[i]:.6e})")
     return fine
 
 
@@ -273,8 +281,9 @@ def _head_edges(a: float, span: float) -> np.ndarray:
     return np.concatenate(cuts + [[1.0]])
 
 
-def _head(phi: TestFunction, psi: TestFunction, s: float, n: int = _PANEL_NODES) -> float:
-    """Integral over [0, 1] of Re(phihat * conj(psihat)) xi^(2s).
+def _head(phi: TestFunction, psi: TestFunction, s, n: int = _PANEL_NODES) -> np.ndarray:
+    """Integral over [0, 1] of Re(phihat * conj(psihat)) xi^(2s), one value
+    per entry of s.
 
     The integrand's phases are node differences, at most the joint
     support span L.  On [0, a], a = min(1, 1/L), an n-node Gauss-Jacobi
@@ -285,27 +294,41 @@ def _head(phi: TestFunction, psi: TestFunction, s: float, n: int = _PANEL_NODES)
     Jacobi nodes accurate at any span and any |s| < 1/2.  The same panels
     with 2n nodes each give the returned value; if the two rules differ
     by more than _RULE_REL of the sum of |weight| |phihat| |psihat|, the
-    call raises HeadNotConvergedError.
+    call raises HeadNotConvergedError.  Only the Jacobi nodes and the
+    weights depend on s: each transform is evaluated once, on the panel
+    nodes and every s's Jacobi nodes together.
     """
+    s = np.atleast_1d(s)
     span = max(phi.nodes[-1], psi.nodes[-1]) - min(phi.nodes[0], psi.nodes[0])
     a = min(1.0, 1.0 / span)
     edges = _head_edges(a, span)
-    xi, weights = [], []
+    # per rule size: panel nodes and weights on [a, 1], and one row of
+    # Jacobi nodes and weights per s, mapped by xi = a (1 + x) / 2 onto [0, a]
+    rules = []
     for m in (n, 2 * n):
-        # xi = a (1 + x) / 2 maps the Jacobi rule's [-1, 1] onto [0, a]
-        x, w = _jacobi(m, 2.0 * s)
         y, v = _panel_rule(edges, m)
-        xi += [0.5 * a * (1.0 + x), y]
-        weights.append(np.concatenate([(0.5 * a) ** (1.0 + 2.0 * s) * w, v * y ** (2.0 * s)]))
-    xi = np.concatenate(xi)
-    phat, psihat = phi.fourier(xi), psi.fourier(xi)
-    f = np.real(phat * np.conj(psihat))
-    return _checked_sum(f, np.abs(phat) * np.abs(psihat), *weights, n, "head", HeadNotConvergedError)
+        x, w = map(np.array, zip(*(_jacobi(m, b) for b in 2.0 * s)))
+        rules.append((y, v, 0.5 * a * (1.0 + x), (0.5 * a) ** (1.0 + 2.0 * s[:, None]) * w))
+    xi = np.concatenate([part.ravel() for y, _, x, _ in rules for part in (y, x)])
+    phat = phi.fourier(xi)
+    psihat = phat if psi is phi else psi.fourier(xi)
+    # per rule size, the weighted sums of the values and of their size
+    # bounds, one per s; row-wise pairwise sums, so no value depends on
+    # which other s share the call
+    both = np.stack([np.real(phat * np.conj(psihat)), np.abs(phat) * np.abs(psihat)])
+    sums, at = [], 0
+    for y, v, x, w in rules:
+        jac = slice(at + y.size, at + y.size + x.size)
+        panel = np.sum(v * y ** (2.0 * s[:, None]) * both[:, None, at : jac.start], axis=-1)
+        sums.append(np.sum(w * both[:, jac].reshape(2, *x.shape), axis=-1) + panel)
+        at = jac.stop
+    (coarse, _), (fine, bound) = sums
+    return _checked_sum(coarse, fine, bound, s, n, "head", HeadNotConvergedError)
 
 
-def _tail(delta: np.ndarray, weight: np.ndarray, s: float, scale: float, n: int = _PANEL_NODES) -> float:
+def _tail(delta: np.ndarray, weight: np.ndarray, s, scale, n: int = _PANEL_NODES) -> np.ndarray:
     """(1/2pi) sum_k W_k integral over [1, inf) of x^(2s-4) cos(delta_k x) dx,
-    for phases delta_k > 0.
+    for phases delta_k > 0, one value per entry of s (and of scale).
 
     Rotating the contour to x = 1 + it (the arc vanishes since 2s - 4 < -3)
     turns each integral into Re[i e^(i delta) integral over [0, inf) of
@@ -313,56 +336,85 @@ def _tail(delta: np.ndarray, weight: np.ndarray, s: float, scale: float, n: int 
     rule in t serves every term: geometric panels from [0, a],
     a = min(1/2, 1/max delta), doubling up to t_max, with n Gauss-Legendre
     nodes each.  Past t_max, |(1 + it)^(2s-4)| <= t^(2s-4) bounds the
-    dropped part by sum |W_k| t_max^(2s-3) / (2 pi (3 - 2s)), and t_max
-    is the first panel edge that puts this below _TAIL_REL of scale.
-    The 2n-node value is returned after the n-node check of _checked_sum
+    dropped part by sum |W_k| t_max^(2s-3) / (2 pi (3 - 2s)), and t_max is
+    the first panel edge that puts this below _TAIL_REL of scale.  The
+    grid reaches the largest t_max of the call and each s sums its own
+    panels only, so a value does not depend on the other s; the
+    e^(-delta t) node sums are computed once for all of them.  The 2n-node
+    value is returned after the n-node check of _checked_sum
     (TailNotConvergedError).
     """
+    s = np.atleast_1d(s)
     if delta.size == 0:
-        return 0.0
+        return np.zeros(s.size)
     power = 3.0 - 2.0 * s
     a = min(0.5, 1.0 / float(delta.max()))
-    t_max = (float(np.sum(np.abs(weight))) / (2.0 * math.pi * power * _TAIL_REL * scale)) ** (1.0 / power)
-    edges = np.append(0.0, a * 2.0 ** np.arange(max(1, math.ceil(math.log2(t_max / a))) + 1))
+    t_max = (np.sum(np.abs(weight)) / (2.0 * math.pi * power * _TAIL_REL * scale)) ** (1.0 / power)
+    # the last panel edge a 2^j of each s; the grid is the longest of them
+    last = np.maximum(1.0, np.ceil(np.log2(t_max / a)))
+    edges = np.append(0.0, a * 2.0 ** np.arange(last.max() + 1.0))
     (t_n, w_n), (t_2n, w_2n) = (_panel_rule(edges, m) for m in (n, 2 * n))
     t = np.concatenate([t_n, t_2n])
     # e^(-delta t) per node and term, exponents clipped so no subnormal appears
     decay = np.multiply.outer(t, -delta)
     np.exp(np.maximum(decay, -700.0, out=decay), out=decay)
-    sin_part = np.einsum("ij,j->i", decay, weight * np.sin(delta))
-    cos_part = np.einsum("ij,j->i", decay, weight * np.cos(delta))
+    # the three node sums of every term, from one product
+    terms = np.stack([weight * np.sin(delta), weight * np.cos(delta), np.abs(weight)])
+    sin_part, cos_part, abs_part = terms @ decay.T
     # (1 + it)^beta = (1 + t^2)^(beta/2) e^(i beta arctan t), and
     # Re[i e^(i delta) (C + iS)] = -sin(delta) C - cos(delta) S
-    beta = 2.0 * s - 4.0
+    beta = 2.0 * s[:, None] - 4.0
     angle = beta * np.arctan(t)
     radius = (1.0 + t * t) ** (0.5 * beta) / (2.0 * math.pi)
     f = radius * (-np.cos(angle) * sin_part - np.sin(angle) * cos_part)
-    size = radius * np.einsum("ij,j->i", decay, np.abs(weight))
-    return _checked_sum(f, size, w_n, w_2n, n, "tail", TailNotConvergedError)
+    # row-wise pairwise sums as in _head, each s over its own panels only
+    end = a * 2.0 ** last[:, None]
+    w_n, w_2n, k = w_n * (t_n < end), w_2n * (t_2n < end), t_n.size
+    coarse, fine = np.sum(w_n * f[:, :k], axis=-1), np.sum(w_2n * f[:, k:], axis=-1)
+    bound = np.sum(w_2n * radius[:, k:] * abs_part[k:], axis=-1)
+    return _checked_sum(coarse, fine, bound, s, n, "tail", TailNotConvergedError)
 
 
-def sobolev_inner(phi: TestFunction, psi: TestFunction, s: float) -> float:
+def _batch(values, check) -> tuple:
+    """values as a 1-D float array, each entry passed through check, and
+    whether they came as one scalar."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"need a scalar or a non-empty 1-D sequence, got shape {np.shape(values)}")
+    return np.array([check(v) for v in arr]), np.ndim(values) == 0
+
+
+def _unbatch(out: np.ndarray, scalar: bool):
+    """A Python float for a scalar input, else the array."""
+    return float(out[0]) if scalar else out
+
+
+def sobolev_inner(phi: TestFunction, psi: TestFunction, s):
     """Homogeneous Sobolev inner product of order s, |s| < 1/2.
 
+    s is a scalar (the result is a float) or a 1-D sequence (an array, one
+    value per s); every s is checked before any quadrature runs, and the
+    pair's transforms and tail sums are computed once for all of them.
     Twice the integral over xi > 0 of Re(phihat * conj(psihat)) xi^(2s):
     the head on [0, 1] by _head's panel rule, and [1, inf) in the
     cosine-sum form sum W xi^(2s-4) cos(delta xi) / (2 pi) with no cutoff,
     the delta = 0 terms in closed form (1 / (3 - 2s)) and every other term
     through _tail's rotated contour.  Both rules are checked
     against their doubling and raise HeadNotConvergedError or
-    TailNotConvergedError.
+    TailNotConvergedError naming the s that failed.
     """
-    s = check_smoothness(s)
+    s, scalar = _batch(s, check_smoothness)
     delta, weight = _cross_spectrum(phi, psi)
     head = _head(phi, psi, s)
     flat = float(np.sum(weight[delta == 0.0])) / (2.0 * math.pi * (3.0 - 2.0 * s))
     live = (delta > 0.0) & (weight != 0.0)
-    tail = _tail(delta[live], weight[live], s, max(abs(head), 1e-16 * float(np.sum(np.abs(weight)))))
-    return 2.0 * (head + flat + tail)
+    tail = _tail(delta[live], weight[live], s, np.maximum(np.abs(head), 1e-16 * float(np.sum(np.abs(weight)))))
+    return _unbatch(2.0 * (head + flat + tail), scalar)
 
 
-def sobolev_norm(phi: TestFunction, s: float) -> float:
-    return math.sqrt(max(sobolev_inner(phi, phi, s), 0.0))
+def sobolev_norm(phi: TestFunction, s):
+    """sqrt of sobolev_inner(phi, phi, s), clipped at 0; s as there."""
+    return _unbatch(np.sqrt(np.maximum(np.atleast_1d(sobolev_inner(phi, phi, s)), 0.0)), np.ndim(s) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +497,23 @@ def fbm_pairing_time(phi1: TestFunction, phi2: TestFunction, h: float) -> float:
     return -float(phi1.slopes() @ rect @ phi2.slopes()) / ((two_h + 1.0) * (two_h + 2.0))
 
 
-def fbm_pairing_spectral(phi1: TestFunction, phi2: TestFunction, h: float) -> float:
-    """Same pairing through the frequency side: a_H (phi1, phi2)_{1/2 - H}."""
-    return a_h_constant(h) * sobolev_inner(phi1, phi2, 0.5 - h)
+def fbm_pairing_spectral(phi1: TestFunction, phi2: TestFunction, h):
+    """Same pairing through the frequency side: a_H (phi1, phi2)_{1/2 - H}.
+
+    h is a scalar or a 1-D sequence, as s in sobolev_inner: one quadrature
+    pass serves every H."""
+    h, scalar = _batch(h, check_hurst)
+    a_h = np.array([a_h_constant(v) for v in h])
+    return _unbatch(a_h * sobolev_inner(phi1, phi2, 0.5 - h), scalar)
 
 
-def pairing_identity_check(phi1: TestFunction, phi2: TestFunction, h: float) -> float:
-    """Relative discrepancy between the two pairing routes."""
-    t = fbm_pairing_time(phi1, phi2, h)
+def pairing_identity_check(phi1: TestFunction, phi2: TestFunction, h):
+    """Relative discrepancy between the two pairing routes; h as in
+    fbm_pairing_spectral."""
+    h, scalar = _batch(h, check_hurst)
+    t = np.array([fbm_pairing_time(phi1, phi2, v) for v in h])
     f = fbm_pairing_spectral(phi1, phi2, h)
-    return abs(t - f) / max(abs(f), np.finfo(float).eps)
+    return _unbatch(np.abs(t - f) / np.maximum(np.abs(f), np.finfo(float).eps), scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ constant"). The zero-extension value r_h_spectral is a diagnostic only.
 import re
 import time
 
+import numpy as np
 import pytest
 
 from fbmlocal.acceptance import CHECKS
@@ -134,3 +135,42 @@ def test_angle_rate_clause_reads_the_stored_build_time(monkeypatch):
     passed, detail = CHECKS["two-window-angle-rate"]()
     assert not passed
     assert "H=0.7:" in detail and "(12.0s)" in detail
+
+
+def test_pairing_identity_makes_one_sobolev_pass_per_pair(monkeypatch):
+    # the suite is built once and each of its 10 pairs asks for all four H
+    # in one sobolev_inner call; the detail is the one the check gives alone
+    from fbmlocal import acceptance, sobolev
+
+    want = CHECKS["pairing-identity"]()
+    inner, suite, calls, builds = sobolev.sobolev_inner, acceptance._pairing_suite, [], []
+
+    def counted_inner(phi, psi, s):
+        calls.append(np.shape(s))
+        return inner(phi, psi, s)
+
+    def counted_suite():
+        builds.append(None)
+        return suite()
+
+    monkeypatch.setattr(sobolev, "sobolev_inner", counted_inner)
+    monkeypatch.setattr(acceptance, "_pairing_suite", counted_suite)
+    assert CHECKS["pairing-identity"]() == want
+    assert calls == [(4,)] * 10 and len(builds) == 1
+
+
+def test_dilation_clause_makes_one_norm_call_per_function(monkeypatch):
+    # the base function and its three dilations, each at all three s
+    from fbmlocal import acceptance
+
+    norm, calls = acceptance.sobolev_norm, []
+
+    def counted(phi, s):
+        calls.append(np.shape(s))
+        return norm(phi, s)
+
+    monkeypatch.setattr(acceptance, "sobolev_norm", counted)
+    passed, detail = CHECKS["sobolev-scaling"]()
+    assert passed
+    assert calls == [(3,)] * 4
+    assert float(re.search(r"dilation worst rel (\S+) ", detail).group(1)) <= 1e-11

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,26 @@ def test_lag1_statistic_is_unbiased_at_high_h():
     assert abs(np.mean(z)) <= 1.0
 
 
+def test_lag1_statistic_builds_no_path_sized_temporary():
+    # the sampler-consistency draw, 256 paths of 4096 increments (8.4 MB):
+    # the row sums make no m x n product, and pooling gives the estimate
+    # the product form gave
+    p = sample_fbm_increments(4096, 1.0, 0.75, 256, seed=11)
+    tracemalloc.start()
+    try:
+        est, se = lag1_increment_correlation(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    x = p.data
+    num, den = np.sum(x[:, :-1] * x[:, 1:], axis=1), np.sum(x * x, axis=1)
+    r = num.sum() / den.sum()
+    resid = num - r * den
+    assert est == pytest.approx(r, rel=1e-14, abs=0.0)
+    assert se == pytest.approx(math.sqrt(resid @ resid / (256 * 255)) / den.mean(), rel=1e-13, abs=0.0)
+
+
 def test_empirical_mi_basic():
     p = sample_fbm_increments(6, 1.0, 0.75, 30_000, seed=8)
     emp, ana, gap = empirical_mi_check(p, split=3)
@@ -256,6 +277,7 @@ def test_round_trip(tmp_path):
     p = sample_fbm_increments(32, 0.5, 0.3, 5, seed=42)
     path = tmp_path / "paths.bin"
     write_samples(p, path)
+    assert path.read_bytes() == p.data.astype("<f8").tobytes()
     sidecar = json.loads((tmp_path / "paths.bin.json").read_text())
     assert sidecar["n"] == 32 and sidecar["m"] == 5
     assert sidecar["H"] == 0.3 and sidecar["seed"] == 42

@@ -327,6 +327,67 @@ def test_pairing_identity_on_pairing_suite():
             assert pairing_identity_check(phi, psi, h) <= 1e-11
 
 
+_BATCH_S = (-0.49, -0.25, -0.1, 0.0, 0.1, 0.25, 0.49)
+
+
+def test_batched_inner_matches_one_s_at_a_time_on_pairing_suite():
+    # one quadrature pass for all s gives what a call per s gives: each s
+    # sums the nodes and panels a call with that s alone sums
+    s = np.array(_BATCH_S)
+    for phi, psi in acceptance._pairing_suite():
+        got = sobolev_inner(phi, psi, s)
+        norms = sobolev_norm(phi, s) * sobolev_norm(psi, s)
+        for v, g, nrm in zip(s, got, norms):
+            assert abs(g - sobolev_inner(phi, psi, float(v))) <= 1e-14 * nrm
+
+
+def test_scalar_s_returns_a_python_float_and_a_sequence_an_array():
+    phi, psi = TestFunction.hat(0.0, 1.0), TestFunction.hat(0.7, 0.5)
+    for value in (sobolev_inner(phi, psi, 0.25), sobolev_inner(phi, psi, np.float64(0.25)), sobolev_norm(phi, -0.25),
+                  fbm_pairing_spectral(phi, psi, 0.6), pairing_identity_check(phi, psi, 0.6)):
+        assert type(value) is float
+    got = sobolev_inner(phi, psi, [0.25])
+    assert isinstance(got, np.ndarray) and got.shape == (1,) and got[0] == sobolev_inner(phi, psi, 0.25)
+    hs = (0.25, 0.4, 0.6, 0.75)
+    for batched, one in ((fbm_pairing_spectral(phi, psi, hs), fbm_pairing_spectral),
+                         (pairing_identity_check(phi, psi, hs), pairing_identity_check)):
+        assert batched.shape == (4,)
+        for h, b in zip(hs, batched):
+            assert b == pytest.approx(one(phi, psi, h), rel=1e-14, abs=1e-16)
+
+
+def test_batch_guard_names_the_unresolved_head_rule():
+    # at 3 nodes the head of this pair resolves s = 0 and 0.45, not -0.45
+    phi = TestFunction.from_samples([0.0, 0.3, 0.7, 1.0], [1.0, -0.4])
+    psi = TestFunction.hat(0.0, 0.5)
+    _head(phi, psi, [0.0, 0.45], 3)
+    with pytest.raises(HeadNotConvergedError, match=r"3- and 6-node head rules differ by \S+ at s = -0.45 "):
+        _head(phi, psi, [0.0, 0.45, -0.45], 3)
+
+
+def test_batch_guard_names_the_unresolved_tail_rule():
+    # at 2 nodes per panel the tail of this pair resolves s = 0.45, not -0.45
+    phi = TestFunction.from_samples([0.0, 0.3, 0.7, 1.0], [1.0, -0.4])
+    delta, weight = _cross_spectrum(phi, TestFunction.hat(3.0, 0.5))
+    live = delta > 0.0
+    _tail(delta[live], weight[live], [0.45], 1e-3, 2)
+    with pytest.raises(TailNotConvergedError, match=r"2- and 4-node tail rules differ by \S+ at s = -0.45 "):
+        _tail(delta[live], weight[live], [0.45, -0.45], 1e-3, 2)
+
+
+@pytest.mark.parametrize(
+    "s", [[0.1, 0.5], [-0.5, 0.25], [0.25, math.nan], [], [[0.1, 0.2]]], ids=["half", "minus-half", "nan", "empty", "2d"]
+)
+def test_batch_is_checked_before_any_quadrature(monkeypatch, s):
+    ran = []
+    monkeypatch.setattr(sobolev, "_cross_spectrum", lambda *a: ran.append(a))
+    monkeypatch.setattr(sobolev, "_head", lambda *a: ran.append(a))
+    hat = TestFunction.hat(0.0, 1.0)
+    with pytest.raises(ValueError):
+        sobolev_inner(hat, hat.shifted(0.5), s)
+    assert ran == []
+
+
 def test_commands_load_no_scipy_module():
     # in a fresh interpreter (this module imports scipy itself): the dual
     # Grams, sobolev_inner, a scan and the thm21, angle and pastfuture
