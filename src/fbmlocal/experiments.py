@@ -12,13 +12,21 @@ for two windows at distance d, and (eps/t)^(1-H) rates against the
 infinite past.  Semi-infinite regions are truncated at T with graded
 grids (polynomially finer toward the singular endpoint) and mandatory
 2T sensitivity reruns.
+
+Two families use their structure instead of whitening dense Grams of
+their own.  Adjacent intervals are two halves of one stationary
+sequence, so their MI is a weighted sum of the sequence's partial
+autocorrelations, one Durbin-Levinson pass for a whole n schedule.  The
+graded future is the mirror image of the graded past and the graded
+grid dilates exactly with T, so both past-future sides share one
+factor per (H, n).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +41,7 @@ from fbmlocal.geometry import (
 from fbmlocal.kernels import (
     IncrementBasis,
     TimeGrid,
+    _partial_autocorrelations,
     _toeplitz_quadratic_form,
     check_finite,
     check_hurst,
@@ -271,6 +280,17 @@ def _uniform_factor(h, grid_n):
     lag = np.arange(grid_n - 1)
     col = increment_autocov(lag, h, 1.0)
     factor = _pivoted_factor(col[np.abs(lag[:, None] - lag)])
+    factor.keep.flags.writeable = factor.inv.flags.writeable = False
+    return factor
+
+
+@functools.lru_cache(maxsize=64)
+def _graded_past_factor(h, n):
+    """Factor of the Gram of the unit-T graded past, the n cells of
+    _graded_basis(h, ((-1, 0, "b"),), n), which past_future_angle shares
+    between both sides at every T.  Made once per process for each
+    (h, n); its arrays are read-only because every caller shares them."""
+    factor = _pivoted_factor(gram(_graded_basis(h, ((-1.0, 0.0, "b"),), n)[0], h))
     factor.keep.flags.writeable = factor.inv.flags.writeable = False
     return factor
 
@@ -568,20 +588,36 @@ def adjacency_mi_table(
     eps: float = 1.0,
     n_schedule: tuple = (4, 8, 16, 32, 64, 128, 256),
 ) -> list:
-    """MI between increment bases on (-eps, 0) and (0, eps) per grid size n."""
+    """MI between the n increments of (-eps, 0) and the n of (0, eps), per
+    grid size n.
+
+    The 2n cells are one stationary sequence, so with G_m its m x m
+    Toeplitz Gram the MI is log det G_n - 0.5 log det G_2n, which the
+    partial autocorrelations phi_jj give as
+
+        -0.5 sum_{j=1}^{2n-1} min(j, 2n - j) log(1 - phi_jj^2),
+
+    a sum of non-negative terms.  One Durbin-Levinson pass
+    (kernels._partial_autocorrelations) over the autocovariance at the
+    finest spacing, eps / max n, serves every n: phi_jj does not depend
+    on the spacing.  No Gram is formed or factored.
+    """
     check_hurst(h)
     check_finite("eps", eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    if any(n < 2 for n in n_schedule):
+        raise ValueError("grid sizes must be at least 2")
+    ns = [int(n) for n in n_schedule]
+    if not ns:
+        return []
+    top = max(ns)
+    phi = _partial_autocorrelations(increment_autocov(np.arange(2 * top), h, eps / top), f"H={h}, n={top}")
+    terms = -0.5 * np.log1p(-phi * phi)
     out = []
-    for n in n_schedule:
-        if n < 2:
-            raise ValueError("grid sizes must be at least 2")
-        # (-eps, 0) and (0, eps) as windows of half-width eps/2: halving is
-        # exact, so the ends are -eps, 0 and eps and the spacing is eps/n
-        half = eps / 2.0
-        mi = _make_row(eps, _window(-half, half, h, int(n) + 1), _window(half, half, h, int(n) + 1), h).mi
-        out.append(math.inf if mi is None else mi)
+    for n in ns:
+        j = np.arange(1, 2 * n)
+        out.append(float(np.minimum(j, 2 * n - j) @ terms[: 2 * n - 1]))
     return out
 
 
@@ -633,7 +669,11 @@ def past_future_angle(
 
     The grading depth does not depend on T, so the grid dilates exactly
     when T changes and by self-similarity the value depends on T only
-    through rounding; n is the real refinement knob.
+    through rounding; n is the real refinement knob.  Both sides take
+    _graded_past_factor(h, n): the past's Gram at T is T^(2H) times the
+    unit-T one, so its factor is that one scaled by T^-H, and the
+    reflection t -> -t maps past cell n-1-k onto future cell k, so the
+    future's factor is the past's with its pivots k -> n-1-k.
     """
     check_hurst(h)
     check_finite("truncation_t", truncation_t)
@@ -641,9 +681,12 @@ def past_future_angle(
         raise ValueError("truncation_t must be positive")
     if n < 2:
         raise ValueError("n must be at least 2")
-    past, _ = _graded_basis(h, ((-truncation_t, 0.0, "b"),), int(n))
-    future, _ = _graded_basis(h, ((0.0, truncation_t, "a"),), int(n))
-    return _make_row(truncation_t, _side(past, h), _side(future, h), h).cos
+    n = int(n)
+    past, _ = _graded_basis(h, ((-truncation_t, 0.0, "b"),), n)
+    future, _ = _graded_basis(h, ((0.0, truncation_t, "a"),), n)
+    factor = _graded_past_factor(h, n).scaled(truncation_t**-h)
+    mirrored = replace(factor, keep=n - 1 - factor.keep)
+    return _make_row(truncation_t, (past, factor), (future, mirrored), h).cos
 
 
 @dataclass(frozen=True)
@@ -666,7 +709,10 @@ def past_future_report(
     The angle must stay bounded away from zero (cos below 1); the margin
     is reported, no universal constant is asserted. Drifts are relative
     except near zero (the Brownian case), where that would divide noise
-    by noise.
+    by noise.  Two factors are made, one per n (past_future_angle shares
+    each between the past and its mirror image, the future).  The 2T
+    rerun reuses the T factor scaled: the grid dilates exactly, so
+    drift_t reads round-off and cannot fail the 1% drift bar.
     """
     v = past_future_angle(h, truncation_t, n)
     v2n = past_future_angle(h, truncation_t, 2 * n)

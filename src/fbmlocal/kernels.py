@@ -10,10 +10,11 @@ covariances of increments X_t - X_s and the (cross-)Gram matrices of
 finite families of increments, all through one second difference of
 |.|^p between the increments' endpoints. Uniform lattices add one
 cancellation-free lattice series (increment_autocov and the lemma-2.2
-hat Gram row, its binomial coefficients by a product recurrence) and one
-guarded Toeplitz solve (both dual Grams): conjugate gradients with
+hat Gram row, its binomial coefficients by a product recurrence), one
+guarded Toeplitz solve for both dual Grams (conjugate gradients with
 T. Chan's optimal circulant preconditioner, every product on numpy's FFT,
-its residual checked by one more product.  Nothing beyond numpy is
+its residual checked by one more product) and one guarded Durbin-Levinson
+recursion for the adjacent-interval MI.  Nothing beyond numpy is
 imported.
 """
 
@@ -260,6 +261,34 @@ def _toeplitz_solve(col: np.ndarray, w: np.ndarray) -> tuple:
         rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
     return x, n
+
+
+def _partial_autocorrelations(col: np.ndarray, where: str) -> np.ndarray:
+    """phi_kk, k = 1 .. n - 1, of the stationary sequence whose
+    autocovariance is col (length n), by the Durbin-Levinson recursion
+    (Durbin, Rev. Int. Stat. Inst. 28 (1960) 233-244): O(n^2) work and
+    O(n) memory, no matrix.  The k x k Toeplitz Gram T_k of col has
+    log det T_k = k log col[0] + sum_{j < k} (k - j) log(1 - phi_jj^2).
+    LinAlgError naming where once some |phi_kk| >= 1 or an innovation
+    variance the recursion divides by is not positive or is nan: T is
+    then not positive definite to working precision."""
+    col = np.asarray(col, dtype=float)
+    n = len(col)
+    phi = np.empty(n - 1)
+    a = np.empty(n - 1)  # a[:k] holds phi_k1 .. phi_kk after step k
+    v = float(col[0])
+    for k in range(1, n):
+        if not v > 0.0:
+            raise np.linalg.LinAlgError(f"Durbin-Levinson recursion rejected at {where}: "
+                                        f"innovation variance {v:.3g} at lag {k - 1}")
+        kk = float(col[k] - a[: k - 1] @ col[k - 1 : 0 : -1]) / v
+        if not abs(kk) < 1.0:
+            raise np.linalg.LinAlgError(f"Durbin-Levinson recursion rejected at {where}: "
+                                        f"partial autocorrelation {kk:.3g} at lag {k}")
+        a[: k - 1] -= kk * a[: k - 1][::-1]
+        a[k - 1] = phi[k - 1] = kk
+        v *= (1.0 - kk) * (1.0 + kk)
+    return phi
 
 
 def _toeplitz_quadratic_form(col: np.ndarray, w: np.ndarray, where: str) -> float:

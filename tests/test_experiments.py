@@ -318,6 +318,60 @@ def test_adjacency_growth_small():
     assert rep.eps_invariance_gap <= 1e-9
 
 
+def test_adjacency_table_validates_the_whole_schedule_first(monkeypatch):
+    # a bad size late in the schedule is refused before any work is done
+    def no_work(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(experiments, "_partial_autocorrelations", no_work)
+    with pytest.raises(ValueError, match="^grid sizes must be at least 2$"):
+        adjacency_mi_table(0.8, 1.0, (4, 8, 1))
+    assert adjacency_mi_table(0.8, 1.0, ()) == []
+
+
+def test_adjacency_table_names_h_and_n_when_the_column_is_not_positive_definite(monkeypatch):
+    # a column that is no autocovariance (|phi_11| = 1.5) is refused, never
+    # turned into an MI
+    monkeypatch.setattr(experiments, "increment_autocov", lambda k, h, dt: np.r_[1.0, -1.5, np.zeros(len(k) - 2)])
+    with pytest.raises(np.linalg.LinAlgError, match=r"^Durbin-Levinson recursion rejected at H=0\.7, n=8: "):
+        adjacency_mi_table(0.7, 1.0, (4, 8))
+
+
+@pytest.mark.parametrize("h", [0.05, 0.2, 0.8, 0.95])
+def test_adjacency_table_matches_50_digit_log_determinants(h):
+    # log det G_n - 0.5 log det G_2n from the exact increment Toeplitz Gram
+    # (unit spacing; MI does not depend on it), Cholesky at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    ns = (4, 8, 16)
+    with mpmath.workdps(50):
+        p = 2 * mpmath.mpf(h)
+        gamma = [((k + 1) ** p + abs(k - 1) ** p - 2 * mpmath.mpf(k) ** p) / 2 for k in range(2 * max(ns))]
+
+        def logdet(m):
+            chol = mpmath.cholesky(mpmath.matrix([[gamma[abs(i - j)] for j in range(m)] for i in range(m)]))
+            return 2 * mpmath.fsum(mpmath.log(chol[i, i]) for i in range(m))
+
+        want = [float(logdet(n) - logdet(2 * n) / 2) for n in ns]
+    np.testing.assert_allclose(adjacency_mi_table(h, 1.0, ns), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.3, 0.4, 0.6, 0.8])
+def test_adjacency_doubling_increment_approaches_log2_law(h):
+    # MI(2n) - MI(n) -> (ln 2 / 2)(H - 1/2)^2 (ROADMAP item 4); at
+    # n = 256 -> 512 the measured worst gap is 9.0e-5, at H = 0.2
+    mi = adjacency_mi_table(h, 1.0, (256, 512))
+    assert mi[1] - mi[0] == pytest.approx(0.5 * math.log(2.0) * (h - 0.5) ** 2, rel=0.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("delta", [1e-3, -1e-3])
+def test_adjacency_doubling_increment_first_order_at_h_half(delta):
+    # the adjacent-interval operator is convolution with 1/(2 cosh(t/2)) in
+    # log coordinates: MI grows by 0.5 delta^2 ln 2 per doubling (measured
+    # within 8e-7 relative at n = 256 -> 512)
+    mi = adjacency_mi_table(0.5 + delta, 1.0, (256, 512))
+    assert mi[1] - mi[0] == pytest.approx(0.5 * delta**2 * math.log(2.0), rel=1e-5, abs=0.0)
+
+
 _TRUNCATION_STUDIES = {
     "thm22": lambda h: theorem22_check(h, eps=(0.125,), grid_n=8),
     "complement": lambda h: complement_window_scan(h, eps=(0.125,), grid_n=8),

@@ -264,7 +264,6 @@ for _h in (0.25, 0.75):
 for _h in (0.2, 0.8):
     for _n in (128, 256):
         _ROUTE_CASES[f"past-future-H{_h}-n{_n}"] = lambda h=_h, n=_n: experiments.past_future_angle(h, n=n)
-_ROUTE_CASES["adjacency-H0.8"] = lambda: experiments.adjacency_mi_table(0.8)
 
 
 @pytest.mark.parametrize("case", list(_ROUTE_CASES))
@@ -281,6 +280,21 @@ def test_product_route_matches_triangular_solves(case, monkeypatch):
         np.testing.assert_allclose(got.sigmas[:k], want.sigmas[:k], rtol=1e-10, atol=0.0)
         mi_got, mi_want = mutual_information_gy(got).value, mutual_information_gy(want).value
         assert mi_got == pytest.approx(mi_want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.8])
+def test_adjacency_table_matches_dense_route(h):
+    # the Durbin-Levinson table against the dense route it replaced: the
+    # two adjacent uniform windows whitened and their canonical spectrum's MI
+    ns = (4, 8, 16, 32, 64, 128, 256)
+
+    def dense(n):
+        return experiments._make_row(
+            1.0, experiments._window(-0.5, 0.5, h, n + 1), experiments._window(0.5, 0.5, h, n + 1), h
+        ).mi
+
+    got = experiments.adjacency_mi_table(h, 1.0, ns)
+    np.testing.assert_allclose(got, [dense(n) for n in ns], rtol=1e-10, atol=0.0)
 
 
 def _mp_cross_gram(mpmath, a, b, h):
@@ -318,12 +332,14 @@ def test_whitening_matches_50_digit_oracle(h, grid_n):
     ("scan", 1),  # both windows share one factor per (H, grid_n)
     ("past-window", 2),  # the past once, the window once
     ("complement", 3),  # each table its complement, one uniform window factor for both
-    ("adjacency", 3),  # one per grid size
+    ("adjacency", 0),  # partial autocorrelations, no Gram
     ("levy2d", 6),  # one per row, shared by both balls
-    ("past-future", 2),  # the past once, the future once
+    ("past-future", 1),  # the past once; the future is its mirror image
+    ("past-future-report", 2),  # one per n; the 2T rerun reuses the T factor
 ])
 def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
     experiments._uniform_factor.cache_clear()
+    experiments._graded_past_factor.cache_clear()
     calls = []
     factor = experiments._pivoted_factor
 
@@ -339,6 +355,7 @@ def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
         "adjacency": lambda: experiments.adjacency_mi_table(0.8, n_schedule=(4, 8, 16)),
         "levy2d": lambda: experiments.levy2d_scan(0.75),
         "past-future": lambda: experiments.past_future_angle(0.2, n=32),
+        "past-future-report": lambda: experiments.past_future_report(0.2, n=32),
     }[family]
     run()
     assert len(calls) == factors

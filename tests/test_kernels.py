@@ -12,6 +12,7 @@ from scipy.integrate import dblquad
 from fbmlocal.kernels import (
     IncrementBasis,
     TimeGrid,
+    _partial_autocorrelations,
     _toeplitz_operator,
     _toeplitz_quadratic_form,
     _toeplitz_solve,
@@ -209,6 +210,52 @@ def test_lemma22_toeplitz_form_matches_levinson(alpha, s, t, n, k):
     col, w = _hat_gram_row(pts, s), _hat_pairings(alpha, k, pts)
     want = float(w @ solve_toeplitz(col, w))
     assert _toeplitz_quadratic_form(col, w, "test") == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 16, 257])
+@pytest.mark.parametrize("h", [0.05, 0.25, 0.75, 0.95])
+def test_partial_autocorrelations_give_toeplitz_log_determinants(h, n):
+    # log det T_m = m log col[0] + sum_{j < m} (m - j) log(1 - phi_jj^2) for
+    # leading m x m blocks, against LAPACK's LU determinant and, for the
+    # last phi, against scipy's Levinson solve of the Yule-Walker system
+    from scipy.linalg import solve_toeplitz
+
+    col = increment_autocov(np.arange(n), h, 0.5)
+    phi = _partial_autocorrelations(col, "test")
+    assert phi.shape == (n - 1,)
+    assert np.all(np.abs(phi) < 1.0)
+    terms = np.log1p(-phi * phi)
+    for m in {1, 2, n // 2, n}:
+        want = np.linalg.slogdet(col[np.abs(np.arange(m)[:, None] - np.arange(m))])
+        got = m * math.log(col[0]) + float((m - np.arange(1, m)) @ terms[: m - 1])
+        assert want[0] == 1.0 and got == pytest.approx(want[1], rel=1e-12, abs=1e-12)
+    if n > 2:
+        assert phi[-1] == pytest.approx(solve_toeplitz(col[:-1], col[1:])[-1], rel=1e-10, abs=1e-15)
+
+
+def test_partial_autocorrelations_of_ar1_and_white_noise():
+    # an AR(1) autocovariance rho^k has phi_11 = rho and no later partial
+    # autocorrelation; white noise has none at all
+    rho = -0.6
+    phi = _partial_autocorrelations(rho ** np.arange(12.0), "test")
+    assert phi[0] == pytest.approx(rho, rel=1e-15)
+    assert np.max(np.abs(phi[1:])) <= 1e-15
+    assert not np.any(_partial_autocorrelations(np.r_[2.0, np.zeros(9)], "test"))
+
+
+@pytest.mark.parametrize("col, message", [
+    # 1, 0.9, 0.9, 0.1: positive definite through 3 x 3, not 4 x 4
+    ([1.0, 0.9, 0.9, 0.1], r"partial autocorrelation -[0-9.e+]+ at lag 3$"),
+    ([1.0, 1.0, 0.5], r"partial autocorrelation 1 at lag 1$"),
+    ([1.0, -1.5, 0.5], r"partial autocorrelation -1\.5 at lag 1$"),
+    ([0.0, 0.0, 0.0], r"innovation variance 0 at lag 0$"),
+    ([-1.0, 0.0], r"innovation variance -1 at lag 0$"),
+    ([math.nan, 0.0], r"innovation variance nan at lag 0$"),
+    ([1.0, math.nan, 0.0], r"partial autocorrelation nan at lag 1$"),
+])
+def test_partial_autocorrelations_reject_non_positive_definite_columns(col, message):
+    with pytest.raises(np.linalg.LinAlgError, match=r"^Durbin-Levinson recursion rejected at H=0\.7, n=4: " + message):
+        _partial_autocorrelations(np.array(col), "H=0.7, n=4")
 
 
 @pytest.mark.parametrize("h", sorted(_AUTOCOV_RECORDED))
