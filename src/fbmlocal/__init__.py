@@ -1,106 +1,3 @@
 """Angles and mutual information between FBM increment subspaces."""
 
-from fbmlocal.geometry import (
-    CanonicalSpectrum,
-    DegenerateCovarianceError,
-    IllConditionedWarning,
-    MiResult,
-    canonical_correlations,
-    cos_angle,
-    mi_bounds_hs,
-    mutual_information_det,
-    mutual_information_gy,
-)
-from fbmlocal.kernels import (
-    IncrementBasis,
-    TimeGrid,
-    check_hurst,
-    cross_gram,
-    fbm_cov,
-    gram,
-    increment_autocov,
-)
-from fbmlocal.sobolev import (
-    TestFunction,
-    a_h_constant,
-    fbm_pairing_spectral,
-    fbm_pairing_time,
-    indicator_sq_norm,
-    lemma22_dual_norm,
-    pairing_identity_check,
-    r_h_constant,
-    r_h_spectral,
-    sobolev_inner,
-)
-from fbmlocal.experiments import (
-    DEFAULT_EPS,
-    ScanTable,
-    adjacency_divergence,
-    complement_window_scan,
-    fit_exponent,
-    levy2d_scan,
-    local_independence_scan,
-    past_future_report,
-    past_window_scan,
-    r_h_dual_gram,
-    theorem21_check,
-    theorem22_check,
-)
-from fbmlocal.sampler import (
-    SamplePaths,
-    empirical_mi_check,
-    lag1_increment_correlation,
-    load_samples,
-    sample_fbm_increments,
-    write_samples,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CanonicalSpectrum",
-    "DEFAULT_EPS",
-    "DegenerateCovarianceError",
-    "IllConditionedWarning",
-    "IncrementBasis",
-    "MiResult",
-    "SamplePaths",
-    "ScanTable",
-    "TestFunction",
-    "TimeGrid",
-    "a_h_constant",
-    "adjacency_divergence",
-    "canonical_correlations",
-    "check_hurst",
-    "complement_window_scan",
-    "cos_angle",
-    "cross_gram",
-    "empirical_mi_check",
-    "fbm_cov",
-    "fbm_pairing_spectral",
-    "fbm_pairing_time",
-    "fit_exponent",
-    "gram",
-    "increment_autocov",
-    "indicator_sq_norm",
-    "lag1_increment_correlation",
-    "lemma22_dual_norm",
-    "levy2d_scan",
-    "load_samples",
-    "local_independence_scan",
-    "mi_bounds_hs",
-    "mutual_information_det",
-    "mutual_information_gy",
-    "pairing_identity_check",
-    "past_future_report",
-    "past_window_scan",
-    "r_h_constant",
-    "r_h_dual_gram",
-    "r_h_spectral",
-    "sample_fbm_increments",
-    "sobolev_inner",
-    "theorem21_check",
-    "theorem22_check",
-    "write_samples",
-    "__version__",
-]

@@ -155,10 +155,10 @@ def _second_difference(sa, ta, sb, tb, power: float) -> np.ndarray:
 
 
 def gram(basis: IncrementBasis, h: float) -> np.ndarray:
-    """Symmetric PSD Gram matrix of an increment basis."""
+    """Symmetric PSD Gram matrix of an increment basis, exactly symmetric as
+    built: transposing the second difference swaps its two cross terms."""
     h = check_hurst(h)
-    g = _second_difference(basis.s, basis.t, basis.s, basis.t, 2.0 * h)
-    return 0.5 * (g + g.T)
+    return _second_difference(basis.s, basis.t, basis.s, basis.t, 2.0 * h)
 
 
 # even binomial terms C(p, 2), C(p, 4), ... of the lattice series; at the
@@ -206,7 +206,11 @@ def increment_autocov(k, h: float, dt: float = 1.0) -> np.ndarray:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     k = np.abs(np.asarray(check_finite("k", k), dtype=float))
-    return dt**p * _even_difference(k, p, (-2.0, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = np.float64(dt) ** p * _even_difference(k, p, (-2.0, 1.0))
+    if not np.all(np.isfinite(col)):
+        raise ValueError(f"increment autocovariance overflows float64: dt = {dt:g} or a lag k to the power 2H = {p:g}")
+    return col
 
 
 # the solve stops at this relative residual; the guard below accepts 1e-8

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from fbmlocal.geometry import mutual_information_det
-from fbmlocal.kernels import TimeGrid, IncrementBasis, check_finite, check_hurst, gram, increment_autocov
+from fbmlocal.kernels import check_finite, check_hurst, increment_autocov
 
 __all__ = [
     "SamplePaths",
@@ -164,7 +164,8 @@ def empirical_mi_check(paths: SamplePaths, split: int):
 
     The sample covariance uses the known zero mean (divide by m); the
     plug-in estimate carries the usual ~dim^2/m bias, which is the
-    caller's concern. Returns (empirical, analytic, gap).
+    caller's concern. The analytic covariance is the Toeplitz matrix of
+    the column the paths are drawn from. Returns (empirical, analytic, gap).
     """
     if not 1 <= split <= paths.n - 1:
         raise ValueError("split must leave both sides nonempty")
@@ -174,8 +175,8 @@ def empirical_mi_check(paths: SamplePaths, split: int):
     s = x.T @ x / paths.m
     emp = mutual_information_det(s[:split, :split], s[split:, split:], s[:split, split:])
 
-    basis = IncrementBasis.from_grid(TimeGrid(0.0, paths.n * paths.dt, paths.n + 1))
-    g = gram(basis, paths.h)
+    lag = np.arange(paths.n)
+    g = increment_autocov(lag, paths.h, paths.dt)[np.abs(lag[:, None] - lag)]
     ana = mutual_information_det(g[:split, :split], g[split:, split:], g[:split, split:])
     return float(emp), float(ana), float(abs(emp - ana))
 

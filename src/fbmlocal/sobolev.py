@@ -53,6 +53,7 @@ __all__ = [
     "check_smoothness",
     "TestFunction",
     "sobolev_inner",
+    "sobolev_norm",
     "indicator_sq_norm",
     "a_h_constant",
     "r_h_constant",

@@ -212,6 +212,20 @@ def test_sample_rejects_empty_grid_with_horizon(n, tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--H", "0.7", "--n", "4", "--dt", "1e300", "--out", "{tmp}/x.bin"],
+    ["adjacency", "--H", "0.8", "--eps", "1e300", "--out", "{tmp}/x.csv"],
+], ids=["sample", "adjacency"])
+def test_an_overflowing_spacing_is_a_named_error(argv, tmp_path, capsys):
+    # dt^2H overflowed as a Python float and ended in a traceback
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fbmlocal: error: increment autocovariance overflows float64")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rank_tolerance_is_fixed(capsys):
     # no flag sets it (see angle-rtol below); the output still records it
     assert main(["angle", "--H", "0.8", "--eps", "0.0625", "--n", "64"]) == 0
@@ -245,7 +259,7 @@ def test_non_finite_flags_are_rejected(argv, bad, tmp_path, capsys):
 
 @pytest.mark.parametrize("h, t2, eps, n", [(0.8, 1.0, 0.0625, 64), (0.3, 0.5, 0.1, 9), (0.75, 2.0, 0.25, 17)])
 def test_angle_and_mi_equal_the_scan_row(h, t2, eps, n, capsys):
-    row = fbmlocal.local_independence_scan(h, 0.0, t2, (eps,), n).rows[0]
+    row = local_independence_scan(h, 0.0, t2, (eps,), n).rows[0]
     args = ["--H", str(h), "--t1", "0", "--t2", str(t2), "--eps", str(eps), "--n", str(n), "--format", "json"]
     assert main(["angle", *args]) == 0
     angle = json.loads(capsys.readouterr().out)

@@ -485,6 +485,20 @@ def test_bisected_window_grids_never_lower_cos_or_mi(h):
         prev = rows
 
 
+@pytest.mark.parametrize("h", [0.25, 0.75])
+@pytest.mark.parametrize("eps_a, eps_b", [(2.0**-6, 2.0**-9), (2.0**-7, 2.0**-11), (2.0**-8, 2.0**-12)])
+def test_unequal_windows_obey_the_product_law(h, eps_a, eps_b):
+    # the far-field cross-covariance factorizes, so to leading order
+    # cos(eps_a, eps_b)^2 = cos(eps_a, eps_a) cos(eps_b, eps_b); wider
+    # windows carry a real correction (2.5e-5 at (2^-4, 2^-8), H = 0.25)
+    def cos(ea, eb):
+        row = experiments._make_row(ea, experiments._window(0.0, ea, h, 64), experiments._window(1.0, eb, h, 64), h)
+        assert not (row.skipped or row.ill_conditioned)
+        return row.cos
+
+    assert abs(cos(eps_a, eps_b) ** 2 / (cos(eps_a, eps_a) * cos(eps_b, eps_b)) - 1.0) <= 1e-6
+
+
 # first order in delta = H - 1/2: the disjoint-cell kernel is
 # delta/|u - v| + O(delta^2) and both Grams are white up to O(delta), so
 # sigma_k = |delta| s_k + O(delta^2) with s_k the singular values of the

@@ -279,6 +279,14 @@ def test_kernels_reject_non_finite_inputs(call, name):
         call()
 
 
+@pytest.mark.parametrize("k, h, dt", [(np.arange(4), 0.7, 1e300), (np.arange(4), 0.99, 1e160), ([3.0, 1e200], 0.9, 1.0)],
+                         ids=["dt-1e300", "dt-1e160", "lag-1e200"])
+def test_increment_autocov_refuses_overflow(k, h, dt):
+    # dt^2H raised OverflowError; a lag past the series' range gave nan
+    with pytest.raises(ValueError, match="^increment autocovariance overflows float64"):
+        increment_autocov(k, h, dt)
+
+
 @pytest.mark.parametrize("u, v, h", [(1e300, 2e300, 0.9), (1e160, 1e160, 0.99)])
 def test_fbm_cov_refuses_overflow(u, v, h):
     # once nan (inf - inf) and once inf; either would pass for a value
@@ -319,6 +327,18 @@ def test_gram_hand_values_h075():
     assert np.allclose(np.diag(g), diag, atol=1e-14)
     assert g[0, 1] == pytest.approx(off, abs=1e-14)
     assert g[1, 0] == pytest.approx(off, abs=1e-14)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_gram_is_exactly_symmetric(dim):
+    # times (dim 0) or points of R^dim at arbitrary, off-lattice positions
+    rng = np.random.default_rng(dim)
+    for _ in range(75):
+        m = int(rng.integers(1, 40))
+        shape = (m,) if dim == 0 else (m, dim)
+        s = rng.uniform(-5.0, 5.0, shape)
+        g = gram(IncrementBasis(s=s, t=s + rng.uniform(0.01, 3.0, shape)), rng.uniform(0.01, 0.99))
+        assert np.array_equal(g, g.T)
 
 
 def test_gram_psd_random_grids():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fbmlocal import sampler
+from fbmlocal.experiments import adjacency_mi_table
 from fbmlocal.kernels import IncrementBasis, TimeGrid, gram
 from fbmlocal.sampler import (
     SamplePaths,
@@ -211,6 +212,15 @@ def test_empirical_mi_basic():
     p2 = sample_fbm_increments(6, 1.0, 0.75, 30_000, seed=9)
     _, ana2, _ = empirical_mi_check(p2, split=3)
     assert ana2 == ana
+
+
+@pytest.mark.parametrize("h, n, dt", [(0.75, 8, 1.0), (0.3, 16, 0.5), (0.1, 32, 3.0), (0.95, 6, 1e-3)])
+def test_analytic_mi_equals_the_adjacency_table_at_an_even_split(h, n, dt):
+    # the Toeplitz Gram of the sampler's column against the partial
+    # autocorrelations of the same column
+    p = sample_fbm_increments(n, dt, h, 4 * n, seed=3)
+    _, ana, _ = empirical_mi_check(p, split=n // 2)
+    assert ana == pytest.approx(adjacency_mi_table(h, (n // 2) * dt, (n // 2,))[0], rel=1e-13, abs=0.0)
 
 
 def test_empirical_mi_validation():

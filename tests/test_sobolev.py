@@ -395,13 +395,12 @@ def test_commands_load_no_scipy_module():
     src = str(Path(sobolev.__file__).resolve().parents[1])
     code = """
 import contextlib, io, sys
-import fbmlocal
-from fbmlocal import acceptance, cli
-fbmlocal.r_h_dual_gram(0.7, n=64)
-fbmlocal.lemma22_dual_norm(2.0, 0.25, 2.0, 16.0, 64)
+from fbmlocal import acceptance, cli, experiments, sobolev
+experiments.r_h_dual_gram(0.7, n=64)
+sobolev.lemma22_dual_norm(2.0, 0.25, 2.0, 16.0, 64)
 phi, psi = acceptance._pairing_suite()[-1]
-fbmlocal.sobolev_inner(phi, psi, 0.25)
-fbmlocal.local_independence_scan(0.25)
+sobolev.sobolev_inner(phi, psi, 0.25)
+experiments.local_independence_scan(0.25)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["thm21", "--H", "0.75"]) == 0
     assert cli.main(["angle", "--H", "0.8", "--t1", "0", "--t2", "1", "--eps", "0.0625", "--n", "64"]) == 0
