@@ -18,7 +18,7 @@ from fbmlocal.kernels import IncrementBasis, gram, cross_gram
 from fbmlocal.geometry import (
     CanonicalSpectrum,
     canonical_correlations,
-    mi_bounds_hs,
+    cos_angle,
     mutual_information_det,
     mutual_information_gy,
 )
@@ -32,8 +32,6 @@ from fbmlocal.sobolev import (
 from fbmlocal.experiments import (
     DEFAULT_EPS,
     ExponentFit,
-    _make_row,
-    _side,
     adjacency_divergence,
     levy2d_scan,
     local_independence_scan,
@@ -43,7 +41,7 @@ from fbmlocal.experiments import (
 )
 from fbmlocal import sampler
 
-__all__ = ["CheckResult", "CHECKS", "run_checks"]
+__all__ = ["CheckResult", "CHECKS", "FAMILIES", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -135,9 +133,10 @@ def check_brownian_exactness():
         la, lb = rng.uniform(0.1, 3.0, size=2)
         a = IncrementBasis.from_points(np.sort(rng.uniform(-la, 0.0, size=6)) - gap / 2)
         b = IncrementBasis.from_points(np.sort(rng.uniform(0.0, lb, size=6)) + gap / 2)
-        row = _make_row(math.nan, _side(a, 0.5), _side(b, 0.5), 0.5)
-        worst_cos = max(worst_cos, row.cos)
-        worst_mi = max(worst_mi, math.inf if row.mi is None else row.mi)
+        spec = canonical_correlations(gram(a, 0.5), gram(b, 0.5), cross_gram(a, b, 0.5))
+        mi = mutual_information_gy(spec).value
+        worst_cos = max(worst_cos, cos_angle(spec))
+        worst_mi = max(worst_mi, math.inf if mi is None else mi)
     ok = worst_cos <= 1e-10 and worst_mi <= 1e-10
     return ok, f"worst cos {worst_cos:.2e}, worst MI {worst_mi:.2e} over scan + 25 random configs, tol 1e-10"
 
@@ -171,10 +170,9 @@ def check_mi_bound_sandwich():
         k = int(rng.integers(1, 30))
         sig = np.sort(rng.uniform(0.0, 0.9, size=k))[::-1]
         spec = CanonicalSpectrum(sigmas=sig, rank_a=k, rank_b=k, cond=1.0, ill_conditioned=False)
-        mi = -0.5 * float(np.sum(np.log1p(-sig**2)))
-        lo, hi = mi_bounds_hs(spec)
-        ok &= lo <= mi <= hi
-        worst_slack = min(worst_slack, mi - lo, hi - mi)
+        mi = mutual_information_gy(spec)
+        ok &= mi.lower <= mi.value <= mi.upper
+        worst_slack = min(worst_slack, mi.value - mi.lower, mi.upper - mi.value)
     return ok, f"sandwich held on {len(table.rows)} scan rows + 1000 spectra (min slack {worst_slack:.2e})"
 
 
@@ -337,8 +335,22 @@ CHECKS = {
 }
 
 
+# the check families run_checks accepts next to substrings of check names
+FAMILIES = {
+    "thm21": ("two-window-angle-rate", "two-window-mi-rate", "leading-constant"),
+    "thm22": ("past-window-rates",),
+    "adjacency": ("adjacent-divergence",),
+    "pastfuture": ("past-future-angle",),
+    "levy2d": ("levy2d-rate",),
+    "sample": ("sampler-consistency",),
+    "sobolev": ("sobolev-scaling", "pairing-identity"),
+}
+
+
 def run_checks(only: str | None = None) -> list:
-    names = [n for n in CHECKS if only is None or only in n]
+    """Run every check, or those of the family only names (in the family's
+    order), or else those whose names contain only."""
+    names = FAMILIES.get(only) or [n for n in CHECKS if only is None or only in n]
     if not names:
         raise ValueError(f"no check matches {only!r}; have {', '.join(CHECKS)}")
     out = []

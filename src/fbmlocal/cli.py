@@ -44,17 +44,6 @@ from fbmlocal.acceptance import run_checks
 
 __all__ = ["main"]
 
-# check-all --only accepts these family names next to literal check names
-_ONLY_ALIASES = {
-    "thm21": ("two-window-angle-rate", "two-window-mi-rate", "leading-constant"),
-    "thm22": ("past-window-rates",),
-    "adjacency": ("adjacent-divergence",),
-    "pastfuture": ("past-future-angle",),
-    "levy2d": ("levy2d-rate",),
-    "sample": ("sampler-consistency",),
-    "sobolev": ("sobolev-scaling", "pairing-identity"),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # the contract reserves exit status 2 for numerical-quality failures,
@@ -405,9 +394,7 @@ def _cmd_sample(params):
 
 def _cmd_check_all(params):
     only = params["only"]
-    results = []
-    for token in _ONLY_ALIASES.get(only, (only,)):
-        results.extend(run_checks(only=token))
+    results = run_checks(only)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:26s} [{r.seconds:6.1f}s]  {r.detail}")
     npass = sum(r.passed for r in results)

@@ -9,8 +9,8 @@ independent paths. increment_autocov sums its lattice series, so the
 column carries no cancellation and the spectrum stays clear of the PSD
 boundary even near H = 1: lambda_min / lambda_max is at least +1.3e-12
 on n in {2000, 32768, 65536} x H in {0.9991, 0.9995, 0.99985, 1 - 1e-7}.
-A spectrum below -1e-12 of its largest eigenvalue raises RuntimeError;
-there is no other route.
+A spectrum below -1e-12 of its largest eigenvalue raises RuntimeError
+and a non-finite one ValueError; there is no other route.
 
 The m paths are cut into blocks of one FFT call each, 2 * max(1,
 _FFT_ELEMENTS // 2n) paths. Block b draws from the b-th Philox stream
@@ -70,10 +70,14 @@ class SamplePaths:
 def _embedding_spectrum(n: int, h: float, dt: float) -> np.ndarray:
     """Eigenvalues of the size-2n circulant extension of gamma(0..n).
 
-    Raises RuntimeError when the extension is not PSD.
+    Raises ValueError when the transform overflows float64 and
+    RuntimeError when the extension is not PSD.
     """
     g = increment_autocov(np.arange(n + 1), h, dt)
-    lam = np.fft.fft(np.concatenate([g, g[-2:0:-1]])).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.fft.fft(np.concatenate([g, g[-2:0:-1]])).real
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"circulant spectrum overflows float64 at n={n}, H={h}, dt={dt:g}")
     # exact spectrum is real; tolerate rounding at the PSD boundary
     if lam.min() < -1e-12 * abs(lam).max():
         raise RuntimeError(f"circulant embedding not PSD at n={n}, H={h}: "

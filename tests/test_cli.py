@@ -10,8 +10,8 @@ import pytest
 
 import fbmlocal
 from fbmlocal import cli
-from fbmlocal.cli import _ONLY_ALIASES, _build_parser, main, parse_eps
-from fbmlocal.acceptance import CHECKS
+from fbmlocal.cli import _build_parser, main, parse_eps
+from fbmlocal.acceptance import CHECKS, FAMILIES
 from fbmlocal.experiments import ExponentFit, Levy2dReport, ScanRow, ScanTable, local_independence_scan
 from fbmlocal.sampler import load_samples
 
@@ -212,16 +212,21 @@ def test_sample_rejects_empty_grid_with_horizon(n, tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sample", "--H", "0.7", "--n", "4", "--dt", "1e300", "--out", "{tmp}/x.bin"],
-    ["adjacency", "--H", "0.8", "--eps", "1e300", "--out", "{tmp}/x.csv"],
-], ids=["sample", "adjacency"])
-def test_an_overflowing_spacing_is_a_named_error(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--H", "0.7", "--n", "4", "--dt", "1e300", "--out", "{tmp}/x.bin"],
+     "increment autocovariance overflows float64"),
+    (["adjacency", "--H", "0.8", "--eps", "1e300", "--out", "{tmp}/x.csv"],
+     "increment autocovariance overflows float64"),
+    # a finite increment column whose circulant transform overflows
+    (["sample", "--H", "0.99", "--n", "4096", "--m", "4", "--dt", "1e155", "--out", "{tmp}/x.bin"],
+     "circulant spectrum overflows float64 at n=4096, H=0.99, dt=1e+155\n"),
+], ids=["sample", "adjacency", "sample-spectrum"])
+def test_an_overflowing_spacing_is_a_named_error(argv, message, tmp_path, capsys):
     # dt^2H overflowed as a Python float and ended in a traceback
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("fbmlocal: error: increment autocovariance overflows float64")
+    assert err.startswith(f"fbmlocal: error: {message}")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -310,7 +315,7 @@ def test_check_all_failing_check_exits_1(capsys, monkeypatch):
 
 
 def test_only_aliases_cover_known_checks():
-    for names in _ONLY_ALIASES.values():
+    for names in FAMILIES.values():
         for name in names:
             assert name in CHECKS
 

@@ -1,6 +1,7 @@
 """Public names: each module's __all__ is its one export list, every
 export resolves and every import is used, so a deletion leaves none
-stale; the package itself imports nothing."""
+stale; the package itself imports nothing, and the gate and the sampler
+import no private name."""
 
 import ast
 import importlib
@@ -64,3 +65,14 @@ def test_importing_a_module_loads_no_other_fbmlocal_module(module):
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == repr(sorted({"fbmlocal", module}))
+
+
+@pytest.mark.parametrize("module", ["acceptance", "sampler"])
+def test_module_imports_no_private_name(module):
+    # the gate and the sampler reach the other modules through their
+    # public routes only
+    tree = ast.parse((_SRC / f"{module}.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fbmlocal"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

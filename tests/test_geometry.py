@@ -13,7 +13,6 @@ from fbmlocal.geometry import (
     IllConditionedWarning,
     canonical_correlations,
     cos_angle,
-    mi_bounds_hs,
     mutual_information_det,
     mutual_information_gy,
 )
@@ -60,7 +59,6 @@ def test_mi_gy_values():
         assert mi.value == pytest.approx(-0.5 * math.log(1.0 - rho**2), rel=1e-14)
         assert mi.lower <= mi.value <= mi.upper
     inf = mutual_information_gy(_spec([1.0]))
-    assert inf.infinite
     assert inf.value is None
     assert inf.upper is None
 
@@ -95,15 +93,20 @@ def test_route_equivalence_random():
         assert gy == pytest.approx(det, rel=1e-8, abs=1e-12)
 
 
+def _bounds(spec):
+    mi = mutual_information_gy(spec)
+    return mi.lower, mi.upper
+
+
 def test_mi_bounds_values():
-    lo, hi = mi_bounds_hs(_spec([0.0]))
+    lo, hi = _bounds(_spec([0.0]))
     assert lo == 0.0 and hi == 0.0
-    lo, hi = mi_bounds_hs(_spec([0.1]))
+    lo, hi = _bounds(_spec([0.1]))
     assert lo == pytest.approx(0.005, abs=1e-15)
     assert hi == pytest.approx(0.005 * (1.0 + 0.1 / 1.8), rel=1e-12)
     mi = -0.5 * math.log(1.0 - 0.01)
     assert lo <= mi <= hi
-    lo, hi = mi_bounds_hs(_spec([1.0 - 1e-13]))
+    lo, hi = _bounds(_spec([1.0 - 1e-13]))
     assert hi is None
 
 
@@ -114,7 +117,7 @@ def test_mi_bounds_sandwich_random():
         sig = np.sort(rng.uniform(0.0, 0.9, size=k))[::-1]
         spec = _spec(sig)
         mi = -0.5 * float(np.sum(np.log1p(-(sig**2))))
-        lo, hi = mi_bounds_hs(spec)
+        lo, hi = _bounds(spec)
         assert lo <= mi <= hi + 1e-15
 
 
@@ -434,20 +437,44 @@ def test_factor_cond_stays_below_inverse_rank_rtol(family, h):
     assert _pivoted_factor(_FACTOR_FAMILIES[family](h)).cond < _COND_BOUND
 
 
-def test_gate_rows_cond_stays_below_inverse_rank_rtol(monkeypatch):
-    # every spectrum the 14 checks whiten, scan rows and direct
-    # canonical_correlations calls alike, with no report reused from an
-    # earlier test
-    conds = []
-    whiten = geometry._whitened_spectrum
+@pytest.fixture(scope="module")
+def gate_run():
+    """One run of the 14 checks, with no report reused from an earlier
+    test: their results, the cond of every spectrum they whiten (scan rows
+    and direct canonical_correlations calls alike) and every
+    mutual_information_gy result they compute."""
+    conds, mis = [], []
+    whiten, gy = geometry._whitened_spectrum, geometry.mutual_information_gy
 
-    def recording(fa, fb, c):
+    def recording_whiten(fa, fb, c):
         spec = whiten(fa, fb, c)
         conds.append(spec.cond)
         return spec
 
-    monkeypatch.setattr(geometry, "_whitened_spectrum", recording)
-    monkeypatch.setattr(experiments, "_whitened_spectrum", recording)
-    monkeypatch.setattr(acceptance, "_THM21_REPORTS", {})
-    assert all(r.passed for r in acceptance.run_checks())
+    def recording_gy(spec):
+        mi = gy(spec)
+        mis.append(mi)
+        return mi
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (geometry, experiments):
+            mp.setattr(module, "_whitened_spectrum", recording_whiten)
+        for module in (experiments, acceptance):
+            mp.setattr(module, "mutual_information_gy", recording_gy)
+        mp.setattr(acceptance, "_THM21_REPORTS", {})
+        results = acceptance.run_checks()
+    return results, conds, mis
+
+
+def test_gate_rows_cond_stays_below_inverse_rank_rtol(gate_run):
+    results, conds, _ = gate_run
+    assert all(r.passed for r in results)
     assert conds and max(conds) < _COND_BOUND
+
+
+def test_gate_mi_lies_in_its_hs_sandwich(gate_run):
+    # scan rows, past-future, brownian pairs, route instances and the
+    # sandwich's spectra: HS lower <= MI <= HS upper with no tolerance
+    _, _, mis = gate_run
+    outside = [mi for mi in mis if mi.value is not None and not mi.lower <= mi.value <= mi.upper]
+    assert mis and outside == []

@@ -283,6 +283,13 @@ def test_non_psd_embedding_raises(monkeypatch):
         sample_fbm_increments(8, 1.0, 0.7, 4, seed=0)
 
 
+def test_an_overflowing_spectrum_is_a_named_error():
+    # the column is finite (largest entry 7.9e306) but its FFT is not: no
+    # RuntimeWarning escapes, and a nan spectrum is not taken for a PSD one
+    with pytest.raises(ValueError, match=r"circulant spectrum overflows float64 at n=4096, H=0.99, dt=1e\+155"):
+        sample_fbm_increments(4096, 1e155, 0.99, 4, seed=0)
+
+
 def test_round_trip(tmp_path):
     p = sample_fbm_increments(32, 0.5, 0.3, 5, seed=42)
     path = tmp_path / "paths.bin"
