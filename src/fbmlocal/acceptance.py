@@ -136,7 +136,7 @@ def check_brownian_exactness():
         spec = canonical_correlations(gram(a, 0.5), gram(b, 0.5), cross_gram(a, b, 0.5))
         mi = mutual_information_gy(spec).value
         worst_cos = max(worst_cos, cos_angle(spec))
-        worst_mi = max(worst_mi, math.inf if mi is None else mi)
+        worst_mi = max(worst_mi, mi)
     ok = worst_cos <= 1e-10 and worst_mi <= 1e-10
     return ok, f"worst cos {worst_cos:.2e}, worst MI {worst_mi:.2e} over scan + 25 random configs, tol 1e-10"
 

@@ -121,8 +121,6 @@ _FLAGS = {
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "inf"
     return f"{x:.6g}"
 
 
@@ -143,7 +141,7 @@ _SCAN_COLUMNS = tuple("cos_angle" if f.name == "cos" else f.name for f in fields
 def _plain(x):
     """The artifact value of x, recursively: a ScanTable is its config and
     rows, a ScanRow its _SCAN_COLUMNS cells, any other dataclass its fields
-    in order; None and +inf -> "inf", -inf -> "-inf", nan -> None (null),
+    in order; +inf -> "inf", -inf -> "-inf", nan -> None (null),
     numpy scalars to Python ones.  json.dumps would otherwise emit bare
     NaN/Infinity, which is not valid JSON."""
     if isinstance(x, ScanTable):
@@ -158,8 +156,6 @@ def _plain(x):
         return [_plain(v) for v in x]
     if isinstance(x, np.generic):
         x = x.item()
-    if x is None:
-        return "inf"
     if isinstance(x, float) and not math.isfinite(x):
         return None if math.isnan(x) else ("inf" if x > 0 else "-inf")
     return x

@@ -100,15 +100,15 @@ _ALT_EPS_FACTOR = 0.25
 class ScanRow:
     """One eps of a scan.
 
-    mi is None when the information is infinite and nan when the row was
-    skipped for rank loss; hs_upper is None when the bound diverges.
+    mi is inf when the information is infinite and nan when the row was
+    skipped for rank loss; hs_upper is inf when the bound diverges.
     """
 
     eps: float
     cos: float
-    mi: float | None
+    mi: float
     hs_lower: float
-    hs_upper: float | None
+    hs_upper: float
     rank_a: int
     rank_b: int
     cond: float
@@ -405,7 +405,7 @@ def fit_exponent(
     """
     if column not in _FIT_COLUMNS:
         raise ValueError(f"unknown column {column!r}")
-    finite = [r for r in table.rows if not r.skipped and r.mi is not None]
+    finite = [r for r in table.rows if math.isfinite(r.mi)]
     if len(finite) < 4:
         raise ValueError("need at least 4 finite rows to fit an exponent")
     rows = sorted(table.rows, key=lambda r: -r.eps)[1:]
@@ -413,7 +413,7 @@ def fit_exponent(
     for r in kept:
         if r.skipped:
             raise ValueError(f"skipped row at eps={r.eps} inside the fit range")
-        if r.mi is None and column == "mi":
+        if r.mi == math.inf and column == "mi":
             raise ValueError(f"infinite MI at eps={r.eps} inside the fit range")
     if len(kept) < 3:
         raise ValueError("fewer than 3 usable rows after dropping flagged ones")
@@ -490,7 +490,7 @@ def theorem21_check(
     r_extrap = last.cos * (last.eps / d) ** (2.0 * h - 2.0)
     r_theory = r_h_constant(h)
     rel_gap = abs(r_extrap - r_theory) / r_theory
-    mi_cos_ratio = last.mi / (0.5 * last.cos**2) if last.mi is not None else math.inf
+    mi_cos_ratio = last.mi / (0.5 * last.cos**2)
     full_rank = grid_n - 1
     inconclusive = last.rank_a < full_rank or last.rank_b < full_rank
     return Theorem21Report(

@@ -79,16 +79,14 @@ class CanonicalSpectrum:
 
 @dataclass(frozen=True)
 class MiResult:
-    """Mutual information in nats with Hilbert-Schmidt bounds.
-
-    value is None when the information is infinite (some sigma_k at 1);
-    upper is None when the upper bound diverges.  When finite,
-    lower <= value <= upper.
+    """Mutual information in nats with Hilbert-Schmidt bounds,
+    lower <= value <= upper.  value and upper are inf once sigma_1
+    reaches 1, where the information is infinite.
     """
 
-    value: float | None
+    value: float
     lower: float
-    upper: float | None
+    upper: float
 
 
 @dataclass(frozen=True)
@@ -123,10 +121,7 @@ def _pivoted_factor(g: np.ndarray) -> _Factor:
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError("Gram matrix must be square")
-    max_diag = float(np.max(np.diag(g), initial=0.0))
-    if max_diag <= 0.0:
-        raise DegenerateCovarianceError("Gram matrix has effective rank 0")
-    stop = RANK_RTOL * max_diag
+    stop = RANK_RTOL * float(np.max(np.diag(g), initial=0.0))
     # row j of rows: [column j of L in original order | row j of L^-1];
     # rhs[i] is row i of G padded to the same width
     rows = np.zeros((n, 2 * n))
@@ -223,12 +218,12 @@ def mutual_information_gy(spec: CanonicalSpectrum) -> MiResult:
 
         h/2  <=  I  <=  (h/2) * (1 + m / (2 * (1 - m))),
 
-    value and upper being None (infinite) once sigma_1 reaches 1.
+    value and upper being inf once sigma_1 reaches 1.
     """
     lower = 0.5 * float(np.sum(spec.sigmas**2))
     m = cos_angle(spec)
     if m >= 1.0 - SIGMA_ONE_TOL:
-        return MiResult(value=None, lower=lower, upper=None)
+        return MiResult(value=math.inf, lower=lower, upper=math.inf)
     value = -0.5 * float(np.sum(np.log1p(-spec.sigmas**2)))
     return MiResult(value=value, lower=lower, upper=lower * (1.0 + m / (2.0 * (1.0 - m))))
 

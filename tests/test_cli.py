@@ -391,7 +391,7 @@ def test_csv_round_trip():
 
 def test_csv_inf_and_nan_literals(tmp_path):
     rows = (
-        ScanRow(eps=0.5, cos=1.0, mi=None, hs_lower=1.0, hs_upper=None, rank_a=3, rank_b=3,
+        ScanRow(eps=0.5, cos=1.0, mi=math.inf, hs_lower=1.0, hs_upper=math.inf, rank_a=3, rank_b=3,
                 cond=1.0, ill_conditioned=False),
         ScanRow(eps=0.25, cos=math.nan, mi=math.nan, hs_lower=math.nan, hs_upper=math.nan,
                 rank_a=1, rank_b=1, cond=1e15, ill_conditioned=True, skipped=True),
@@ -413,7 +413,7 @@ def test_json_document():
     assert json.loads(json.dumps(doc, allow_nan=False)) == doc
     # infinite MI serializes as the string "inf"
     rows = (
-        ScanRow(eps=0.5, cos=1.0, mi=None, hs_lower=1.0, hs_upper=None, rank_a=3, rank_b=3,
+        ScanRow(eps=0.5, cos=1.0, mi=math.inf, hs_lower=1.0, hs_upper=math.inf, rank_a=3, rank_b=3,
                 cond=1.0, ill_conditioned=False),
     )
     d = scan_to_dict(ScanTable(rows=rows, meta={}))
@@ -425,13 +425,20 @@ def test_json_document():
     (math.inf, "inf", "inf"),
     (-math.inf, "-inf", "-inf"),
     (math.nan, "nan", None),
-    (None, "inf", "inf"),
     (np.float64(-math.inf), "-inf", "-inf"),
-], ids=["+inf", "-inf", "nan", "None", "np-inf"])
+], ids=["+inf", "-inf", "nan", "np-inf"])
 def test_serializers_agree_on_non_finite(value, cell, json_value):
     assert _fmt_csv(value) == cell
     assert _json_val(value) == json_value
     json.dumps(_json_val(value), allow_nan=False)
+
+
+def test_plain_is_idempotent_on_non_finite():
+    # an encoded value encodes to itself, so a second pass cannot turn
+    # nan's null into "inf"
+    for value in (math.inf, -math.inf, math.nan, np.float64(math.nan)):
+        once = cli._plain(value)
+        assert cli._plain(once) == once, value
 
 
 def test_exponent_fit_dataclass():

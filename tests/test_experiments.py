@@ -10,6 +10,7 @@ import pytest
 
 from fbmlocal import experiments
 from fbmlocal.experiments import (
+    ExponentFit,
     ScanRow,
     ScanTable,
     adjacency_divergence,
@@ -28,7 +29,7 @@ from fbmlocal.experiments import (
     theorem22_check,
 )
 from fbmlocal.geometry import CanonicalSpectrum, _pivoted_factor
-from fbmlocal.kernels import IncrementBasis, TimeGrid, gram
+from fbmlocal.kernels import IncrementBasis, TimeGrid, cross_gram, gram
 from fbmlocal.sobolev import r_h_constant
 
 EPS4 = (0.125, 0.0625, 0.03125, 0.015625)
@@ -119,6 +120,15 @@ def test_overshooting_row_is_flagged_without_a_warning(monkeypatch):
         row = experiments._make_row(0.125, side, side, 0.75)
     assert row.ill_conditioned and (row.rank_a, row.rank_b) == (2, 2)
     assert row.cos == 1.0
+
+
+def test_shared_window_has_infinite_information():
+    # one window against itself shares every increment: sigma_1 = 1, and
+    # the information and its HS upper bound are the float inf
+    side = experiments._window(0.0, 0.125, 0.75, 8)
+    row = experiments._make_row(0.125, side, side, 0.75)
+    assert row.cos == 1.0
+    assert row.mi == row.hs_upper == math.inf
 
 
 def test_graded_points_shape():
@@ -424,6 +434,43 @@ def test_levy2d_brownian_small_but_fitted():
     assert rep.fit_cos.slope == pytest.approx(1.0, abs=0.2)
     for r in rep.table.rows:
         assert r.cos < 0.2
+
+
+def _levy2d_sigmas(h, eps):
+    # the 9x9-lattice balls at (0, 0) and (1, 0) sharing one factor, as
+    # levy2d_scan whitens them
+    a, f = experiments._side(experiments._ball_basis(np.array([0.0, 0.0]), eps, 9), h)
+    b = experiments._ball_basis(np.array([1.0, 0.0]), eps, 9)
+    return experiments._whitened_spectrum(f, f, cross_gram(a, b, h)).sigmas
+
+
+@pytest.mark.parametrize("h", [0.25, 0.4, 0.75])
+def test_levy2d_second_pair_ratio_is_two_h_minus_one(h):
+    # the far-field Hessian of |r|^(2H) is 2H(2H-1)|r|^(2H-2) along r and
+    # 2H|r|^(2H-2) across it, so the two leading sigmas are in ratio |2H-1|
+    sigmas = _levy2d_sigmas(h, 2.0**-7)
+    assert abs(sigmas[1] / sigmas[0] - abs(2.0 * h - 1.0)) <= 1e-3
+
+
+def test_levy2d_angle_at_h_half_settles_at_rate_one():
+    # the planar Levy Brownian field is not white: sigma_1 / eps settles
+    # at a positive constant, each step at least 10x below the last
+    ratios = [_levy2d_sigmas(0.5, 2.0**-k)[0] / 2.0**-k for k in (3, 5, 7, 9)]
+    steps = np.abs(np.diff(ratios))
+    assert all(1.12 <= r <= 1.14 for r in ratios)
+    assert np.all(steps[1:] <= steps[:-1] / 10.0)
+
+
+@pytest.mark.parametrize("h", [0.25, 0.75])
+def test_second_canonical_correlation_decays_at_four_minus_two_h(h):
+    # one multipole order past sigma_1 ~ eps^(2-2H): sigma_2 ~ eps^(4-2H)
+    eps = 2.0 ** -np.arange(4, 9)
+    sigma2 = []
+    for e in eps:
+        (a, fa), (b, fb) = experiments._window(0.0, e, h, 64), experiments._window(1.0, e, h, 64)
+        sigma2.append(experiments._whitened_spectrum(fa, fb, cross_gram(a, b, h)).sigmas[1])
+    fit = ExponentFit.least_squares(eps, sigma2)
+    assert fit.slope == pytest.approx(4.0 - 2.0 * h, abs=0.02)
 
 
 @pytest.mark.parametrize("h", [0.25, 0.75])

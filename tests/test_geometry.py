@@ -59,8 +59,8 @@ def test_mi_gy_values():
         assert mi.value == pytest.approx(-0.5 * math.log(1.0 - rho**2), rel=1e-14)
         assert mi.lower <= mi.value <= mi.upper
     inf = mutual_information_gy(_spec([1.0]))
-    assert inf.value is None
-    assert inf.upper is None
+    assert inf.value == math.inf
+    assert inf.upper == math.inf
 
 
 def test_mi_det_values():
@@ -107,7 +107,7 @@ def test_mi_bounds_values():
     mi = -0.5 * math.log(1.0 - 0.01)
     assert lo <= mi <= hi
     lo, hi = _bounds(_spec([1.0 - 1e-13]))
-    assert hi is None
+    assert hi == math.inf
 
 
 def test_mi_bounds_sandwich_random():
@@ -476,5 +476,5 @@ def test_gate_mi_lies_in_its_hs_sandwich(gate_run):
     # scan rows, past-future, brownian pairs, route instances and the
     # sandwich's spectra: HS lower <= MI <= HS upper with no tolerance
     _, _, mis = gate_run
-    outside = [mi for mi in mis if mi.value is not None and not mi.lower <= mi.value <= mi.upper]
+    outside = [mi for mi in mis if not mi.lower <= mi.value <= mi.upper]
     assert mis and outside == []
