@@ -48,6 +48,7 @@ from fbmlocal.kernels import (
     cross_gram,
     gram,
     increment_autocov,
+    uniform_gram,
 )
 from fbmlocal.sobolev import r_h_constant, r_h_spectral
 
@@ -272,14 +273,11 @@ def _eps_meta(eps: tuple) -> str:
 @functools.lru_cache(maxsize=64)
 def _uniform_factor(h, grid_n):
     """Factor of the Gram every grid_n-point uniform window shares up to
-    scale: the unit-spacing Toeplitz matrix T with first column
-    increment_autocov(arange(grid_n - 1), h, 1.0).  A window of spacing
-    dt has Gram dt^(2H) T, so its factor is this one scaled by dt^-H.
-    Made once per process for each (h, grid_n); its arrays are
-    read-only because every caller shares them."""
-    lag = np.arange(grid_n - 1)
-    col = increment_autocov(lag, h, 1.0)
-    factor = _pivoted_factor(col[np.abs(lag[:, None] - lag)])
+    scale: the unit-spacing Toeplitz matrix T = uniform_gram(grid_n - 1, h).
+    A window of spacing dt has Gram dt^(2H) T, so its factor is this one
+    scaled by dt^-H.  Made once per process for each (h, grid_n); its
+    arrays are read-only because every caller shares them."""
+    factor = _pivoted_factor(uniform_gram(grid_n - 1, h))
     factor.keep.flags.writeable = factor.inv.flags.writeable = False
     return factor
 
@@ -786,11 +784,11 @@ class Levy2dReport:
 
 
 def _ball_basis(center: np.ndarray, eps: float, grid_per_axis: int) -> IncrementBasis:
-    """Increments from center to the square-lattice points inside the
-    closed ball B(center, eps), center excluded."""
+    """Increments from center to the cubic-lattice points inside the
+    closed ball B(center, eps), center excluded, in as many dimensions
+    as center has."""
     offs = np.linspace(-eps, eps, grid_per_axis)
-    ox, oy = np.meshgrid(offs, offs, indexing="ij")
-    pts = np.column_stack([ox.ravel(), oy.ravel()])
+    pts = np.column_stack([ax.ravel() for ax in np.meshgrid(*[offs] * len(center), indexing="ij")])
     inside = np.einsum("ij,ij->i", pts, pts) <= eps * eps * (1.0 + 1e-12)
     nonzero = np.any(pts != 0.0, axis=1)
     pts = pts[inside & nonzero]

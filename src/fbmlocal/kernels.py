@@ -33,6 +33,7 @@ __all__ = [
     "fbm_cov",
     "gram",
     "increment_autocov",
+    "uniform_gram",
     "cross_gram",
 ]
 
@@ -199,7 +200,7 @@ def increment_autocov(k, h: float, dt: float = 1.0) -> np.ndarray:
     difference (unit moments) of _even_difference: |k| >= 2 sums the series
     and keeps a few ulps against 40-digit arithmetic, where the four-term
     form loses about k^2 ulps (2e-7 at lag 32767). On a uniform grid the
-    increment Gram is Toeplitz with first column increment_autocov(arange(n), h, dt).
+    increment Gram is the Toeplitz matrix of this column (uniform_gram).
     """
     p = 2.0 * check_hurst(h)
     check_finite("dt", dt)
@@ -211,6 +212,13 @@ def increment_autocov(k, h: float, dt: float = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(col)):
         raise ValueError(f"increment autocovariance overflows float64: dt = {dt:g} or a lag k to the power 2H = {p:g}")
     return col
+
+
+def uniform_gram(n: int, h: float, dt: float = 1.0) -> np.ndarray:
+    """Gram of n consecutive increments at spacing dt: the symmetric
+    Toeplitz matrix gamma(|i - j|) of increment_autocov(arange(n), h, dt)."""
+    lag = np.arange(n)
+    return increment_autocov(lag, h, dt)[np.abs(lag[:, None] - lag)]
 
 
 # the solve stops at this relative residual; the guard below accepts 1e-8

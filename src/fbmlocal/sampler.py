@@ -1,26 +1,37 @@
 """Exact Gaussian sampling of stationary-increment paths on uniform grids.
 
-Circulant embedding (Davies-Harte, Dietrich-Newsam): the increment
-autocovariance gamma(0), ..., gamma(n), mirrored into the minimal
-circulant of size 2n, has eigenvalues lambda, and the first n entries of
-the FFT of a white complex vector scaled by sqrt(lambda / 2n) have the
-exact joint law of n increments; the real and imaginary parts are two
-independent paths. increment_autocov sums its lattice series, so the
-column carries no cancellation and the spectrum stays clear of the PSD
-boundary even near H = 1: lambda_min / lambda_max is at least +1.3e-12
-on n in {2000, 32768, 65536} x H in {0.9991, 0.9995, 0.99985, 1 - 1e-7}.
-A spectrum below -1e-12 of its largest eigenvalue raises RuntimeError
-and a non-finite one ValueError; there is no other route.
+Two exact colourings of white normals, chosen from n alone:
 
-The m paths are cut into blocks of one FFT call each, 2 * max(1,
-_FFT_ELEMENTS // 2n) paths. Block b draws from the b-th Philox stream
-spawned from the seed, so the seed alone fixes the output, whatever the
-core count. Each worker owns one complex buffer, made before the
-thread pool starts, so peak memory does not depend on thread scheduling.
+- n <= _CHOLESKY_MAX_N ("cholesky"): n white normals per path times the
+  transposed lower Cholesky factor of the n x n increment Gram
+  (kernels.uniform_gram). A Gram that Cholesky rejects raises
+  RuntimeError.
+- larger n ("circulant"; Davies-Harte, Dietrich-Newsam): the increment
+  autocovariance gamma(0), ..., gamma(n), mirrored into the minimal
+  circulant of size 2n, has eigenvalues lambda, and the first n entries
+  of the FFT of a white complex vector scaled by sqrt(lambda / 2n) have
+  the exact joint law of n increments; the real and imaginary parts are
+  two independent paths. increment_autocov sums its lattice series, so
+  the column carries no cancellation and the spectrum stays clear of the
+  PSD boundary even near H = 1: lambda_min / lambda_max is at least
+  +1.3e-12 on n in {2000, 32768, 65536} x H in {0.9991, 0.9995, 0.99985,
+  1 - 1e-7}. A spectrum below -1e-12 of its largest eigenvalue raises
+  RuntimeError and a non-finite one ValueError.
+
+A Cholesky path costs n normals and n^2 multiply-adds, a circulant one 2n
+normals and an O(n log n) transform; below the bound the normals
+dominate. Neither route falls back to the other. The m paths are cut into
+blocks of 2 * max(1, _FFT_ELEMENTS // 2n) paths, one FFT call each on
+the circulant route. Block b draws from the b-th SFC64 stream spawned
+from the seed, so the seed alone fixes the output, whatever the core
+count. Each worker owns one buffer for a block's white normals, made
+before the thread pool starts, so peak memory does not depend on thread
+scheduling.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -31,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from fbmlocal.geometry import mutual_information_det
-from fbmlocal.kernels import check_finite, check_hurst, increment_autocov
+from fbmlocal.kernels import check_finite, check_hurst, increment_autocov, uniform_gram
 
 __all__ = [
     "SamplePaths",
@@ -42,12 +53,23 @@ __all__ = [
     "load_samples",
 ]
 
-# one worker per core: a block's draw and FFT are compute-bound
+# one worker per core: a block's draw and colouring are compute-bound
 _WORKERS = os.cpu_count() or 1
 
-# complex elements (rows x embedding size) of one FFT call, and so of one
-# block's draw; a block is at least one row
+# complex elements (rows x embedding size) of one FFT call on the circulant
+# route, and so of one block's draw; a block is at least one row
 _FFT_ELEMENTS = 1 << 16
+
+# largest n coloured by the Cholesky factor. On 2 vCPUs the Cholesky route
+# draws 800k or 2M increments about twice as fast as the circulant one at
+# n = 8 to 64; the circulant route is the faster from n = 128 (2M per
+# draw) or n = 256 (800k per draw) on, and 6x so at n = 1024
+_CHOLESKY_MAX_N = 64
+
+# multiply-adds of one colouring product: OpenBLAS runs a product of up to
+# 2^18 on the calling thread, and a larger one wakes its thread pool,
+# which then spins for ~0.13 s of CPU after the call
+_SERIAL_PRODUCT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -85,13 +107,43 @@ def _embedding_spectrum(n: int, h: float, dt: float) -> np.ndarray:
     return np.maximum(lam, 0.0)
 
 
-def _block_buffer(size: int, m: int) -> np.ndarray:
-    """One worker's transform buffer: the rows of one block, or of all m
-    paths if fewer."""
-    return np.empty((min(max(1, _FFT_ELEMENTS // size), (m + 1) // 2), size), complex)
+def _gram_factor(n: int, h: float, dt: float) -> np.ndarray:
+    """Lower Cholesky factor L of the increment Gram, L L' = uniform_gram(n, h, dt).
+
+    Raises RuntimeError when Cholesky rejects the Gram.
+    """
+    try:
+        return np.linalg.cholesky(uniform_gram(n, h, dt))
+    except np.linalg.LinAlgError:
+        raise RuntimeError(f"increment Gram not positive definite at n={n}, H={h}") from None
 
 
-def _draw_block(rng, scale, out, z):
+def _block_paths(n: int) -> int:
+    """Paths per block: those of one FFT call on the circulant route."""
+    return 2 * max(1, _FFT_ELEMENTS // (2 * n))
+
+
+def _block_buffer(n: int, m: int, method: str) -> np.ndarray:
+    """One worker's buffer for the white normals of one block, or of all m
+    paths if fewer: p x n reals on the Cholesky route, ceil(p/2) complex
+    rows of the size-2n embedding on the circulant one."""
+    paths = min(_block_paths(n), m)
+    if method == "cholesky":
+        return np.empty((paths, n))
+    return np.empty(((paths + 1) // 2, 2 * n), complex)
+
+
+def _draw_cholesky(upper, rng, out, z):
+    """Fill out (p x n) with exact samples from one stream: p rows of white
+    normals times upper = L', in products small enough to stay serial."""
+    zb = z[: len(out)]
+    rng.standard_normal(out=zb)
+    rows = max(1, _SERIAL_PRODUCT // upper.size)
+    for i in range(0, len(out), rows):
+        np.matmul(zb[i : i + rows], upper, out=out[i : i + rows])
+
+
+def _draw_circulant(scale, rng, out, z):
     """Fill out (p x n) with exact samples from one stream and one FFT call.
 
     rng fills the real and imaginary parts of the first ceil(p/2) rows
@@ -124,24 +176,27 @@ def sample_fbm_increments(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    lam = _embedding_spectrum(n, h, dt)
-    scale = np.repeat(np.sqrt(lam / lam.size), 2)
-    per = 2 * max(1, _FFT_ELEMENTS // lam.size)
+    if n <= _CHOLESKY_MAX_N:
+        method, draw = "cholesky", functools.partial(_draw_cholesky, _gram_factor(n, h, dt).T)
+    else:
+        lam = _embedding_spectrum(n, h, dt)
+        method, draw = "circulant", functools.partial(_draw_circulant, np.repeat(np.sqrt(lam / lam.size), 2))
+    per = _block_paths(n)
     blocks = -(-m // per)
-    streams = [np.random.Generator(np.random.Philox(s)) for s in np.random.SeedSequence(seed).spawn(blocks)]
+    streams = [np.random.Generator(np.random.SFC64(s)) for s in np.random.SeedSequence(seed).spawn(blocks)]
     data = np.empty((m, n))
     # worker k fills blocks k, k + workers, ... through its own buffer, all
     # made here, so memory in use does not depend on thread scheduling
     workers = min(_WORKERS, blocks)
-    bufs = [_block_buffer(lam.size, m) for _ in range(workers)]
+    bufs = [_block_buffer(n, m, method) for _ in range(workers)]
 
     def run(k):
         for b in range(k, blocks, workers):
-            _draw_block(streams[b], scale, data[b * per : (b + 1) * per], bufs[k])
+            draw(streams[b], data[b * per : (b + 1) * per], bufs[k])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, range(workers)))
-    return SamplePaths(m=m, n=n, dt=float(dt), h=h, seed=int(seed), method="circulant", data=data)
+    return SamplePaths(m=m, n=n, dt=float(dt), h=h, seed=int(seed), method=method, data=data)
 
 
 def lag1_increment_correlation(paths: SamplePaths):
@@ -179,8 +234,7 @@ def empirical_mi_check(paths: SamplePaths, split: int):
     s = x.T @ x / paths.m
     emp = mutual_information_det(s[:split, :split], s[split:, split:], s[:split, split:])
 
-    lag = np.arange(paths.n)
-    g = increment_autocov(lag, paths.h, paths.dt)[np.abs(lag[:, None] - lag)]
+    g = uniform_gram(paths.n, paths.h, paths.dt)
     ana = mutual_information_det(g[:split, :split], g[split:, split:], g[:split, split:])
     return float(emp), float(ana), float(abs(emp - ana))
 

@@ -201,6 +201,16 @@ def test_sample_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n, method", [("8", "cholesky"), ("64", "cholesky"), ("65", "circulant"), ("4096", "circulant")])
+def test_sample_reports_its_route(n, method, tmp_path, capsys):
+    # the route follows from n alone: stdout and the sidecar name it
+    target = tmp_path / "paths.bin"
+    assert main(["sample", "--n", n, "--m", "4", "--seed", "3", "--out", str(target)]) == 0
+    assert f"method={method})" in capsys.readouterr().out
+    assert json.loads((tmp_path / "paths.bin.json").read_text())["method"] == method
+    assert load_samples(target).method == method
+
+
 @pytest.mark.parametrize("n", ["0", "-4"])
 def test_sample_rejects_empty_grid_with_horizon(n, tmp_path, capsys):
     # the sampler rejects the grid before anything is written

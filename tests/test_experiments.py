@@ -452,6 +452,19 @@ def test_levy2d_second_pair_ratio_is_two_h_minus_one(h):
     assert abs(sigmas[1] / sigmas[0] - abs(2.0 * h - 1.0)) <= 1e-3
 
 
+@pytest.mark.parametrize("h", [0.25, 0.75])
+def test_levy_field_in_three_dimensions_has_a_degenerate_transverse_pair(h):
+    # in R^3 the two transverse gradients of the far-field Hessian give
+    # sigma_1 = sigma_2 up to round-off, and the longitudinal one sigma_3
+    # = |2H-1| sigma_1, on the 5x5x5-lattice balls at (0, 0, 0) and (1, 0, 0)
+    eps = 2.0**-7
+    a, f = experiments._side(experiments._ball_basis(np.zeros(3), eps, 5), h)
+    b = experiments._ball_basis(np.array([1.0, 0.0, 0.0]), eps, 5)
+    sigmas = experiments._whitened_spectrum(f, f, cross_gram(a, b, h)).sigmas
+    assert (sigmas[0] - sigmas[1]) / sigmas[0] <= 1e-12
+    assert abs(sigmas[2] / sigmas[0] - abs(2.0 * h - 1.0)) <= 1e-3
+
+
 def test_levy2d_angle_at_h_half_settles_at_rate_one():
     # the planar Levy Brownian field is not white: sigma_1 / eps settles
     # at a positive constant, each step at least 10x below the last

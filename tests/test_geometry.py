@@ -16,7 +16,7 @@ from fbmlocal.geometry import (
     mutual_information_det,
     mutual_information_gy,
 )
-from fbmlocal.kernels import IncrementBasis, TimeGrid, cross_gram, gram, increment_autocov
+from fbmlocal.kernels import IncrementBasis, TimeGrid, cross_gram, gram, uniform_gram
 
 SQRT2 = math.sqrt(2.0)
 
@@ -375,12 +375,6 @@ def _lapack_factor(g):
     return piv[:rank] - 1, inv, float((f[0, 0] / f[-1, -1]) ** 2)
 
 
-def _uniform_gram(h, n):
-    lag = np.arange(n)
-    col = increment_autocov(lag, h, 1.0)
-    return col[np.abs(lag[:, None] - lag)]
-
-
 def _graded_gram(h, regions):
     # the Gram of a truncated scan's fixed side at grid_n = 64
     return gram(experiments._graded_basis(h, regions, 63)[0], h)
@@ -394,10 +388,10 @@ def _rank_deficient_gram(h):
 
 
 _FACTOR_FAMILIES = {
-    "uniform-63": lambda h: _uniform_gram(h, 63),
+    "uniform-63": lambda h: uniform_gram(63, h),
     "graded-past-63": lambda h: _graded_gram(h, ((-64.0, 0.0, "b"),)),
     "complement-126": lambda h: _graded_gram(h, ((-64.0, 0.0, "b"), (1.0, 65.0, "a"))),
-    "adjacency-256": lambda h: _uniform_gram(h, 256),
+    "adjacency-256": lambda h: uniform_gram(256, h),
     "levy2d-48": lambda h: gram(experiments._ball_basis(np.zeros(2), 0.125, 9), h),
     "rank-deficient-24": _rank_deficient_gram,
 }

@@ -9,12 +9,14 @@ import pytest
 
 from fbmlocal import sampler
 from fbmlocal.experiments import adjacency_mi_table
-from fbmlocal.kernels import IncrementBasis, TimeGrid, gram
+from fbmlocal.kernels import IncrementBasis, TimeGrid, gram, uniform_gram
 from fbmlocal.sampler import (
     SamplePaths,
+    _CHOLESKY_MAX_N,
     _FFT_ELEMENTS,
     _block_buffer,
     _embedding_spectrum,
+    _gram_factor,
     empirical_mi_check,
     increment_autocov,
     lag1_increment_correlation,
@@ -64,41 +66,58 @@ def _increment_cov(n, h, dt):
     return gram(IncrementBasis.from_grid(TimeGrid(0.0, n * dt, n + 1)), h)
 
 
+def _block_streams(n, m, seed):
+    # (paths, stream) of each block: 2 * max(1, _FFT_ELEMENTS // 2n) paths
+    # from the block's own SFC64 stream, the last block the remainder
+    per = 2 * max(1, _FFT_ELEMENTS // (2 * n))
+    for i, s in enumerate(np.random.SeedSequence(seed).spawn(-(-m // per))):
+        yield min(per, m - per * i), np.random.Generator(np.random.SFC64(s))
+
+
 def test_buffered_blocks_match_whole_block_transform(monkeypatch):
-    # a block is the paths of one FFT call, 2 * max(1, _FFT_ELEMENTS // 2n),
-    # drawn from its own stream into a reused worker buffer; each block must
-    # equal one transform of the whole block, the real and imaginary parts
-    # of row i being paths 2i and 2i + 1. Cases: three blocks at n = 8 (the
-    # last an odd 37 paths); six 12-path blocks at n = 5000 ending in an odd
-    # 7, with workers fewer than blocks; one-row blocks at n = 40000, where
-    # the embedding alone exceeds _FFT_ELEMENTS
-    for n, dt, h, m, seed in ((8, 1.0, 0.75, 2 * 8192 + 37, 9),
-                              (5000, 0.5, 0.3, 5 * 12 + 7, 42),
-                              (40000, 1.0, 0.6, 5, 3)):
-        lam = _embedding_spectrum(n, h, dt)
-        size = 2 * n
-        assert lam.shape == (size,)
-        rows = max(1, _FFT_ELEMENTS // size)
+    # each block is drawn from its own stream into a reused worker buffer
+    # and must equal one colouring of the whole block. On the Cholesky
+    # route (n <= _CHOLESKY_MAX_N) that is the block's p x n normals times
+    # L', L the Gram's lower Cholesky factor: three blocks at n = 8 (the
+    # last an odd 37 paths) and at n = 64, where a block takes 16 serial
+    # products. On the circulant route it is one transform of the whole
+    # block, the real and imaginary parts of row i being paths 2i and
+    # 2i + 1: six 12-path blocks at n = 5000 ending in an odd 7, with
+    # workers fewer than blocks; one-row blocks at n = 40000, where the
+    # embedding alone exceeds _FFT_ELEMENTS
+    cases = ((8, 1.0, 0.75, 2 * 8192 + 37, 9),
+             (64, 0.5, 0.3, 2 * 1024 + 37, 4),
+             (5000, 0.5, 0.3, 5 * 12 + 7, 42),
+             (40000, 1.0, 0.6, 5, 3))
+    for n, dt, h, m, seed in cases:
         parts = []
-        for i, s in enumerate(np.random.SeedSequence(seed).spawn(-(-m // (2 * rows)))):
-            paths = min(2 * rows, m - 2 * rows * i)
-            draws = (paths + 1) // 2
-            w = np.random.Generator(np.random.Philox(s)).standard_normal((draws, 2 * size))
-            y = np.fft.fft((w[:, 0::2] + 1j * w[:, 1::2]) * np.sqrt(lam / size))[:, :n]
-            parts.append(np.stack([y.real, y.imag], axis=1).reshape(2 * draws, n)[:paths])
+        if n <= _CHOLESKY_MAX_N:
+            lower = np.linalg.cholesky(uniform_gram(n, h, dt))
+            for paths, rng in _block_streams(n, m, seed):
+                parts.append(rng.standard_normal((paths, n)) @ lower.T)
+        else:
+            lam = _embedding_spectrum(n, h, dt)
+            size = 2 * n
+            assert lam.shape == (size,)
+            for paths, rng in _block_streams(n, m, seed):
+                draws = (paths + 1) // 2
+                w = rng.standard_normal((draws, 2 * size))
+                y = np.fft.fft((w[:, 0::2] + 1j * w[:, 1::2]) * np.sqrt(lam / size))[:, :n]
+                parts.append(np.stack([y.real, y.imag], axis=1).reshape(2 * draws, n)[:paths])
         want = np.concatenate(parts)
         for workers in (1, 2, 3, 6):
             monkeypatch.setattr(sampler, "_WORKERS", workers)
-            got = sample_fbm_increments(n, dt, h, m, seed=seed).data
-            assert np.array_equal(got, want)
+            got = sample_fbm_increments(n, dt, h, m, seed=seed)
+            assert got.method == ("cholesky" if n <= _CHOLESKY_MAX_N else "circulant")
+            assert np.array_equal(got.data, want)
 
 
 def test_worker_buffers_stay_within_budget(monkeypatch):
     events = []
 
-    def record(size, m):
-        buf = _block_buffer(size, m)
-        events.append((size, buf.nbytes))
+    def record(n, m, method):
+        buf = _block_buffer(n, m, method)
+        events.append((method, buf.shape, buf.nbytes))
         return buf
 
     class Pool(sampler.ThreadPoolExecutor):
@@ -120,24 +139,28 @@ def test_worker_buffers_stay_within_budget(monkeypatch):
 
     for cores in (1, 2, 3, 6):
         monkeypatch.setattr(sampler, "_WORKERS", cores)
-        # each buffer is one FFT call: _FFT_ELEMENTS complex entries, or one
-        # row when the embedding alone is larger
+        # each buffer holds one block's white normals: on the circulant
+        # route one FFT call, _FFT_ELEMENTS complex entries or one row when
+        # the embedding alone is larger; on the Cholesky route the block's
+        # paths x n reals, half that
         for n, m, blocks in ((8, 100_000, 13), (4096, 256, 16), (40000, 6, 3)):
-            size, nbytes = per_worker(n, m, blocks)
-            assert size == 2 * n
-            assert nbytes <= 16 * max(_FFT_ELEMENTS, size)
-        assert per_worker(4096, 256, 16) == (8192, 16 * _FFT_ELEMENTS)
-        # a 2-path warm-up draws one row: a few hundred bytes
-        assert per_worker(16, 2, 1) == (32, 16 * 32)
+            method, shape, nbytes = per_worker(n, m, blocks)
+            assert shape[1] == (n if method == "cholesky" else 2 * n)
+            assert nbytes <= 16 * max(_FFT_ELEMENTS, 2 * n)
+        assert per_worker(8, 100_000, 13) == ("cholesky", (8192, 8), 8 * _FFT_ELEMENTS)
+        assert per_worker(4096, 256, 16) == ("circulant", (8, 8192), 16 * _FFT_ELEMENTS)
+        # a 2-path warm-up draws two rows of 16 reals: a few hundred bytes
+        assert per_worker(16, 2, 1) == ("cholesky", (2, 16), 8 * 32)
 
 
 def test_sampled_covariance_matches_gram():
-    # the sampled covariance targets the increment Gram of the grid, here
-    # at the smallest embeddings (size 2 and 4) as well
+    # the sampled covariance targets the increment Gram of the grid on
+    # both routes: n = 1, 2, 8 and _CHOLESKY_MAX_N by the Cholesky factor,
+    # the next n by circulant embedding
     m, h = 60_000, 0.75
-    for n in (1, 2, 8):
+    for n in (1, 2, 8, _CHOLESKY_MAX_N, _CHOLESKY_MAX_N + 1):
         p = sample_fbm_increments(n, 1.0, h, m, seed=77)
-        assert p.method == "circulant"
+        assert p.method == ("cholesky" if n <= _CHOLESKY_MAX_N else "circulant")
         target = _increment_cov(n, h, 1.0)
         emp = p.data.T @ p.data / m
         assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.05
@@ -274,13 +297,38 @@ def test_smallest_embeddings_are_psd():
 
 def test_non_psd_embedding_raises(monkeypatch):
     # a forced non-PSD column (gamma(0) = 1, gamma(1) = 0.9, zero beyond)
-    # gives eigenvalues 1 + 1.8 cos(pi j / n); nothing falls back
-    monkeypatch.setattr(sampler, "increment_autocov",
-                        lambda k, h, dt: np.where(k == 0, 1.0, np.where(k == 1, 0.9, 0.0)))
+    # gives circulant eigenvalues 1 + 1.8 cos(pi j / n) and a Toeplitz Gram
+    # with eigenvalues 1 + 1.8 cos(pi j / (n + 1)); neither route falls
+    # back to the other
+    def column(k, h, dt):
+        return np.where(k == 0, 1.0, np.where(k == 1, 0.9, 0.0))
+
+    def toeplitz(n, h, dt):
+        lag = np.arange(n)
+        return column(np.abs(lag[:, None] - lag), h, dt)
+
+    monkeypatch.setattr(sampler, "increment_autocov", column)
+    monkeypatch.setattr(sampler, "uniform_gram", toeplitz)
     with pytest.raises(RuntimeError, match="not PSD at n=8"):
         _embedding_spectrum(8, 0.7, 1.0)
-    with pytest.raises(RuntimeError, match="not PSD"):
+    n = 2 * _CHOLESKY_MAX_N
+    with pytest.raises(RuntimeError, match=f"circulant embedding not PSD at n={n}, H=0.7"):
+        sample_fbm_increments(n, 1.0, 0.7, 4, seed=0)
+    with pytest.raises(RuntimeError, match=r"^increment Gram not positive definite at n=8, H=0\.7$"):
         sample_fbm_increments(8, 1.0, 0.7, 4, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, _CHOLESKY_MAX_N])
+def test_cholesky_route_factors_near_both_hurst_ends(n):
+    # the Gram's factor exists on H = 10^-k and 1 - 10^-k up to k = 8.5,
+    # next to the Hurst guard, and reproduces the Gram; only the factor
+    # is computed, nothing is sampled
+    for k in np.arange(0.5, 8.51, 0.5):
+        for h in (10.0**-k, 1.0 - 10.0**-k):
+            g = uniform_gram(n, h, 1.0)
+            lower = _gram_factor(n, h, 1.0)
+            assert np.all(np.diag(lower) > 0.0), (n, h)
+            assert np.abs(lower @ lower.T - g).max() <= 1e-13 * g[0, 0], (n, h)
 
 
 def test_an_overflowing_spectrum_is_a_named_error():
