@@ -8,6 +8,7 @@ here, next to the checks, not in the callers.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -52,21 +53,15 @@ class CheckResult:
     seconds: float
 
 
-# H -> (theorem21_check(H) report, seconds its build took). The three
-# two-window checks take no arguments and are run one at a time (check-all,
-# the benchmark), so the reports they share live here for the process.
-_THM21_REPORTS: dict = {}
-
-
+# the three two-window checks take no arguments and are run one at a time
+# (check-all, the benchmark), so the reports they share live for the process
+@functools.cache
 def _thm21_report(h):
     """theorem21_check(h) at its defaults, built once per H, with the wall
     time of that build; a later hit returns the build's time, not its own."""
-    hit = _THM21_REPORTS.get(h)
-    if hit is None:
-        t0 = time.perf_counter()
-        rep = theorem21_check(h)
-        hit = _THM21_REPORTS[h] = (rep, time.perf_counter() - t0)
-    return hit
+    t0 = time.perf_counter()
+    rep = theorem21_check(h)
+    return rep, time.perf_counter() - t0
 
 
 def check_window_angle_rate():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import fields, is_dataclass
 
@@ -26,18 +27,17 @@ from fbmlocal.experiments import (
     DEFAULT_TRUNCATION,
     ScanRow,
     ScanTable,
-    _check_off_half,
-    _make_row,
-    _scan_schedule,
-    _window,
     adjacency_divergence,
+    check_off_half,
     complement_window_scan,
     fit_exponent,
     levy2d_scan,
     local_independence_scan,
     past_future_report,
+    r_h_dual_gram,
     theorem21_check,
     theorem22_check,
+    window_row,
 )
 from fbmlocal import sampler
 from fbmlocal.acceptance import run_checks
@@ -46,6 +46,12 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes '-1e-3' for a flag, since its negative-number
+        # pattern has no exponent; this one has, so '--t1 -1e-3' is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # the contract reserves exit status 2 for numerical-quality failures,
     # so argparse's own errors must leave with 1
     def error(self, message):
@@ -227,6 +233,26 @@ def _scan_flags(table) -> list:
     return flags
 
 
+# numbers outside their law's regime: a grid bias of the leading constant
+# beyond its 5% tolerance, and MI / (cos^2 / 2) - 1 above 0.1, where MI is
+# not yet in the small-cos limit its rate law describes
+_GRID_BIAS_TOL = 0.05
+_MI_REGIME_TOL = 0.1
+
+
+def _mi_regime_flags(table) -> list:
+    """The MI-regime flag, read on the smallest-eps row that is neither
+    skipped nor ill-conditioned."""
+    clean = [r for r in table.rows if not (r.skipped or r.ill_conditioned)]
+    if not clean or clean[-1].cos == 0.0:
+        return []
+    last = clean[-1]
+    excess = last.mi / (0.5 * last.cos**2) - 1.0
+    if excess <= _MI_REGIME_TOL:
+        return []
+    return [f"MI regime: MI/(cos^2/2) - 1 = {excess:.3f} at eps {last.eps:g} (> {_MI_REGIME_TOL:g})"]
+
+
 def _table_csv(table, extra: dict):
     """The csv of _emit for a scan table: its meta and extra over its rows."""
     return {**table.meta, **extra}, table.rows
@@ -243,16 +269,9 @@ def _cmd_cov(params):
     return {"cov": v}, None, f"cov({params['t1']:g}, {params['t2']:g}) = {_fmt(v)}", []
 
 
-def _window_row(params):
-    # one scan row, never skipped: a single eps reports whatever rank survives
-    h, n = params["H"], params["n"]
-    (eps,) = _scan_schedule(h, (_single_eps(params),), None)
-    row = _make_row(eps, _window(params["t1"], eps, h, n), _window(params["t2"], eps, h, n), h)
-    return row, ["ill-conditioned whitening"] if row.ill_conditioned else []
-
-
 def _cmd_angle(params):
-    row, flags = _window_row(params)
+    row = window_row(params["H"], params["t1"], params["t2"], _single_eps(params), params["n"])
+    flags = ["ill-conditioned whitening"] if row.ill_conditioned else []
     payload = {
         "cos_angle": row.cos,
         "rank_a": row.rank_a,
@@ -264,7 +283,8 @@ def _cmd_angle(params):
 
 
 def _cmd_mi(params):
-    row, flags = _window_row(params)
+    row = window_row(params["H"], params["t1"], params["t2"], _single_eps(params), params["n"])
+    flags = ["ill-conditioned whitening"] if row.ill_conditioned else []
     payload = {
         "mi": row.mi,
         "hs_lower": row.hs_lower,
@@ -278,7 +298,7 @@ def _cmd_scan(params):
     table = local_independence_scan(params["H"], params["t1"], params["t2"], params["eps"], params["n"])
     theory = 2.0 - 2.0 * params["H"]
     try:
-        _check_off_half(params["H"], "rate fit")
+        check_off_half(params["H"], "rate fit")
         fit = fit_exponent(table, "cos", theory=theory, correction_order=min(1.0, theory))
         summary = f"cos slope {fit.slope:.4f} vs theory {theory:.4f} (gap {fit.slope - theory:+.4f}, r2 {fit.r2:.5f})"
         extra = {"fit_cos_slope": fit.slope, "fit_cos_theory": theory, "fit_cos_r2": fit.r2}
@@ -296,9 +316,15 @@ def _cmd_thm21(params):
         f"mi slope {rep.fit_mi.slope:.4f} vs {rep.fit_mi.theory_slope:.4f}, "
         f"r_H extrap {rep.r_h_extrapolated:.4f} vs spectral {rep.r_h_spectral:.4f}"
     )
-    flags = _scan_flags(rep.table)
+    flags = _scan_flags(rep.table) + _mi_regime_flags(rep.table)
     if rep.constant_inconclusive:
         flags.append("constant extrapolation inconclusive (rank loss)")
+    # the scan's constant carries the grid bias of its grid_n - 1 cells,
+    # which the dual-Gram route on as many cells measures
+    cells = params["n"] - 1
+    bias = r_h_dual_gram(params["H"], cells) / rep.r_h_theory - 1.0
+    if abs(bias) > _GRID_BIAS_TOL:
+        flags.append(f"grid bias: dual-Gram r_H on {cells} cells is {bias:+.1%} off the exact r_H (> {_GRID_BIAS_TOL:.0%})")
     extra = {
         "fit_cos_slope": rep.fit_cos.slope,
         "fit_mi_slope": rep.fit_mi.slope,
@@ -317,7 +343,7 @@ def _cmd_thm22(params):
         f"mi slope {rep.fit_mi.slope:.4f} vs {rep.fit_mi.theory_slope:.4f}, "
         f"truncation sensitivity {rep.truncation_sensitivity:.2e}"
     )
-    flags = _scan_flags(rep.table)
+    flags = _scan_flags(rep.table) + _mi_regime_flags(rep.table)
     if rep.truncation_dominated:
         flags.append("truncation-dominated (2T shifts a slope by > 0.02)")
     extra = {

@@ -67,6 +67,8 @@ __all__ = [
     "Levy2dReport",
     "graded_points",
     "grading_depth",
+    "check_off_half",
+    "window_row",
     "local_independence_scan",
     "fit_exponent",
     "r_h_dual_gram",
@@ -275,22 +277,16 @@ def _uniform_factor(h, grid_n):
     """Factor of the Gram every grid_n-point uniform window shares up to
     scale: the unit-spacing Toeplitz matrix T = uniform_gram(grid_n - 1, h).
     A window of spacing dt has Gram dt^(2H) T, so its factor is this one
-    scaled by dt^-H.  Made once per process for each (h, grid_n); its
-    arrays are read-only because every caller shares them."""
-    factor = _pivoted_factor(uniform_gram(grid_n - 1, h))
-    factor.keep.flags.writeable = factor.inv.flags.writeable = False
-    return factor
+    scaled by dt^-H.  Made once per process for each (h, grid_n)."""
+    return _pivoted_factor(uniform_gram(grid_n - 1, h))
 
 
 @functools.lru_cache(maxsize=64)
 def _graded_past_factor(h, n):
     """Factor of the Gram of the unit-T graded past, the n cells of
     _graded_basis(h, ((-1, 0, "b"),), n), which past_future_angle shares
-    between both sides at every T.  Made once per process for each
-    (h, n); its arrays are read-only because every caller shares them."""
-    factor = _pivoted_factor(gram(_graded_basis(h, ((-1.0, 0.0, "b"),), n)[0], h))
-    factor.keep.flags.writeable = factor.inv.flags.writeable = False
-    return factor
+    between both sides at every T; made once per process for each (h, n)."""
+    return _pivoted_factor(gram(_graded_basis(h, ((-1.0, 0.0, "b"),), n)[0], h))
 
 
 def _side(basis: IncrementBasis, h):
@@ -326,7 +322,7 @@ def _graded_scan(h, regions, t: float, eps: tuple, grid_n: int, meta: dict) -> S
     return ScanTable(rows=rows, meta=meta)
 
 
-def _check_off_half(h: float, purpose: str) -> None:
+def check_off_half(h: float, purpose: str) -> None:
     """check_hurst, then refuse |2H-1| < 0.1: the correlations a rate or
     constant is read from vanish at H = 1/2, so near it a fit would see
     only round-off."""
@@ -339,7 +335,7 @@ def _truncation_rerun(report, h, scan, truncation_t: float, fits):
     theory, correction_order) in fits; the largest slope move is the
     truncation sensitivity, flagged above 0.02.  Returns report(fits at T,
     fits at 2T, sensitivity, flag, table, table_2t)."""
-    _check_off_half(h, "rate fit")
+    check_off_half(h, "rate fit")
     tables = scan(truncation_t), scan(2.0 * truncation_t)
     fitted = [[fit_exponent(table, *fit) for fit in fits] for table in tables]
     sens = max(abs(a.slope - b.slope) for a, b in zip(*fitted))
@@ -383,6 +379,15 @@ def local_independence_scan(
         "rtol": RANK_RTOL,
     }
     return ScanTable(rows=rows, meta=meta)
+
+
+def window_row(h: float, t1: float, t2: float, eps: float, grid_n: int) -> ScanRow:
+    """The row of the grid_n-point windows of half-width eps around t1 and
+    t2 at that one eps: never skipped, and the windows may overlap."""
+    (eps,) = _scan_schedule(h, (eps,), None)
+    check_finite("t1", t1)
+    check_finite("t2", t2)
+    return _make_row(eps, _window(t1, eps, h, grid_n), _window(t2, eps, h, grid_n), h)
 
 
 # fit_exponent's column names and the ScanRow attribute each one reads
@@ -474,7 +479,7 @@ def theorem21_check(
     zero-extension diagnostic r_h_spectral ride along.  Also reports
     MI / (0.5 cos^2), which tends to 1 in the small-eps limit.
     """
-    _check_off_half(h, "constant comparison")
+    check_off_half(h, "constant comparison")
     table = local_independence_scan(h, t1, t2, eps, grid_n)
     delta = min(1.0, 2.0 - 2.0 * h)
     fit_cos = fit_exponent(table, "cos", theory=2.0 - 2.0 * h, correction_order=delta)
@@ -630,7 +635,7 @@ def adjacency_divergence(
     and show no plateau (>= 2% per doubling is the acceptance bar), while
     being invariant under eps by self-similarity.
     """
-    _check_off_half(h, "divergence check")
+    check_off_half(h, "divergence check")
     ns = tuple(int(n) for n in n_schedule)
     if len(ns) < 2:
         raise ValueError(f"n schedule needs at least 2 grid sizes, got {len(ns)}")

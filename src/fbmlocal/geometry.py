@@ -115,7 +115,8 @@ def _pivoted_factor(g: np.ndarray) -> _Factor:
     column j of L (rows in original order) and row j of L^-1, by forward
     substitution, with one vector-matrix product over both:
     [L[p, :j] L[:, :j]^T, L[p, :j] (L^-1)[:j, :j]].  cond is the
-    diagonal-based estimate (d_0 / d_last)^2 of the kept factor.
+    diagonal-based estimate (d_0 / d_last)^2 of the kept factor.  keep
+    and inv are read-only, so a cached factor can be shared.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
@@ -149,7 +150,9 @@ def _pivoted_factor(g: np.ndarray) -> _Factor:
     rank = len(keep)
     if rank == 0:
         raise DegenerateCovarianceError("Gram matrix has effective rank 0")
-    return _Factor(keep=np.array(keep), inv=rows[:rank, n : n + rank].copy(), cond=(d[0] / d[-1]) ** 2)
+    keep, inv = np.array(keep), rows[:rank, n : n + rank].copy()
+    keep.flags.writeable = inv.flags.writeable = False
+    return _Factor(keep=keep, inv=inv, cond=(d[0] / d[-1]) ** 2)
 
 
 def _whitened_cross_gram(fa: _Factor, fb: _Factor, c: np.ndarray) -> np.ndarray:

@@ -167,6 +167,12 @@ def gram(basis: IncrementBasis, h: float) -> np.ndarray:
 # the second difference and 1.3e-14 for the fourth; the terms share one sign
 _SERIES_TERMS = 30
 
+# past this lag k^-2 nears the end of the normal float range (2^-1022) and
+# k^p overflows soon after, so the series' lead k^p k^-2 is taken as k^(p-2)
+# = (k^(p/2) / k)^2: p - 2 would round the exponent, an error that k^(p-2)
+# multiplies by ln k
+_FAR_LAG = 2.0**500
+
 
 def _even_difference(k: np.ndarray, p: float, weights: tuple) -> np.ndarray:
     """0.5 sum_i w_i |k + i|^p at lags k >= 0 for the zero-sum symmetric
@@ -177,7 +183,9 @@ def _even_difference(k: np.ndarray, p: float, weights: tuple) -> np.ndarray:
         k^p sum_{m even >= 2} C(p, m) M_m k^-m,  M_m = sum_{i >= 1} w_i i^m,
 
     summed by Horner in k^-2: no O(k^p) terms cancel, so every lag keeps
-    full relative precision. Nearer lags take the direct form.
+    full relative precision. Nearer lags take the direct form; past
+    _FAR_LAG the lead k^p k^-2 is formed as k^(p-2), which stays finite
+    where k^p overflows and k^-2 underflows.
     """
     out = np.empty_like(k)
     near = k < len(weights)
@@ -189,7 +197,10 @@ def _even_difference(k: np.ndarray, p: float, weights: tuple) -> np.ndarray:
     # C(p, m) = C(p, m - 2) (p - m + 2)(p - m + 1) / (m (m - 1)), finite at every p
     c = np.cumprod((p - m + 2.0) * (p - m + 1.0) / (m * (m - 1.0)))
     coef = c * sum(w * float(i) ** m for i, w in pairs)
-    out[~near] = kf**p * y * np.polyval(coef[::-1], y)
+    lead = kf**p * y
+    far = kf > _FAR_LAG
+    lead[far] = (kf[far] ** (0.5 * p) / kf[far]) ** 2
+    out[~near] = lead * np.polyval(coef[::-1], y)
     return out
 
 

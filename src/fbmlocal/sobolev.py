@@ -222,7 +222,7 @@ def _jacobi(n: int, b: float = 0.0):
     weights are the Christoffel numbers 1 / sum_(k < n) p_k^2 at the
     polished nodes (first order in the step).  The recurrence
     coefficients are rounded once from extended precision, which keeps
-    the weights within 5e-14 relative at n <= 64.
+    the weights within 5e-14 relative at n <= 64.  Both are read-only.
     """
     k, bl = np.arange(1, n + 1, dtype=np.longdouble), np.longdouble(b)
     c = 2 * k + bl
@@ -242,7 +242,9 @@ def _jacobi(n: int, b: float = 0.0):
         nxt /= off[j]
     step = -p[n, 0] / p[n, 1]
     vals = p[:n, 0] + step * p[:n, 1]
-    return x + step, 1.0 / np.einsum("kj,kj->j", vals, vals)
+    x, w = x + step, 1.0 / np.einsum("kj,kj->j", vals, vals)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _panel_rule(edges: np.ndarray, n: int):

@@ -13,6 +13,7 @@ constant"). The zero-extension value r_h_spectral is a diagnostic only.
 
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,7 +97,18 @@ def test_criterion_14_sampler_consistency():
 _TWO_WINDOW = ("two-window-angle-rate", "two-window-mi-rate", "leading-constant")
 
 
-def test_two_window_checks_build_each_report_once(monkeypatch):
+@pytest.fixture
+def fresh_reports():
+    # the shared reports start empty and no report built under a test's
+    # patches outlives it
+    from fbmlocal import acceptance
+
+    acceptance._thm21_report.cache_clear()
+    yield acceptance._thm21_report
+    acceptance._thm21_report.cache_clear()
+
+
+def test_two_window_checks_build_each_report_once(monkeypatch, fresh_reports):
     from fbmlocal import acceptance
 
     built = []
@@ -106,14 +118,13 @@ def test_two_window_checks_build_each_report_once(monkeypatch):
         return theorem21_check(h, *args, **kwargs)
 
     monkeypatch.setattr(acceptance, "theorem21_check", counted)
-    monkeypatch.setattr(acceptance, "_THM21_REPORTS", {})
     shared = [CHECKS[name]() for name in CHECKS if name in _TWO_WINDOW]
     assert len(built) == len(set(built)) == 5
     # one fresh build per check, as each check alone would make them: the
     # details agree apart from the (...s) build times
     alone = []
     for name in _TWO_WINDOW:
-        monkeypatch.setattr(acceptance, "_THM21_REPORTS", {})
+        fresh_reports.cache_clear()
         alone.append(CHECKS[name]())
     assert len(built) == 5 + 12
     for (ok_s, detail_s), (ok_a, detail_a) in zip(shared, alone):
@@ -121,20 +132,25 @@ def test_two_window_checks_build_each_report_once(monkeypatch):
         assert re.sub(r"\(\d+\.\ds\)", "(~s)", detail_s) == re.sub(r"\(\d+\.\ds\)", "(~s)", detail_a)
 
 
-def test_angle_rate_clause_reads_the_stored_build_time(monkeypatch):
+def test_angle_rate_clause_reads_the_stored_build_time(monkeypatch, fresh_reports):
     # a shared report keeps its build time: a cache hit cannot pass the
-    # 10 s clause for a build that took longer
+    # 10 s clause for a build that took longer.  The acceptance clock
+    # reads 12 s across the H = 0.7 build and 1 s across every other
     from fbmlocal import acceptance
 
-    monkeypatch.setattr(acceptance, "_THM21_REPORTS", {})
-    passed, _ = CHECKS["two-window-angle-rate"]()
-    assert passed
-    assert all(took > 0.0 for _, took in acceptance._THM21_REPORTS.values())
-    rep, _ = acceptance._THM21_REPORTS[0.7]
-    acceptance._THM21_REPORTS[0.7] = (rep, 12.0)
-    passed, detail = CHECKS["two-window-angle-rate"]()
-    assert not passed
-    assert "H=0.7:" in detail and "(12.0s)" in detail
+    clock = [0.0]
+
+    def timed(h):
+        clock[0] += 12.0 if h == 0.7 else 1.0
+        return theorem21_check(h)
+
+    monkeypatch.setattr(acceptance, "theorem21_check", timed)
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    for _ in range(2):  # the build, then a cache hit
+        passed, detail = CHECKS["two-window-angle-rate"]()
+        assert not passed
+        assert "H=0.7:" in detail and "(12.0s)" in detail and "(1.0s)" in detail
+    assert fresh_reports.cache_info().misses == 5
 
 
 def test_pairing_identity_makes_one_sobolev_pass_per_pair(monkeypatch):

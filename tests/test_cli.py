@@ -96,6 +96,25 @@ def test_window_commands_name_a_bad_eps_or_grid(command, flags, message, capsys)
     assert err == f"fbmlocal: error: {message}\n"
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("cov", ["--H", "0.75"]),
+    ("angle", ["--H", "0.75", "--eps", "0.125"]),
+    ("scan", ["--H", "0.75", "--eps", "0.125,0.0625,0.03125,0.015625"]),
+])
+@pytest.mark.parametrize("t1, t2, decimal", [
+    ("-1e-3", "1", ("-0.001", "1")),
+    ("-2", "-1.5E+1", ("-2", "-15")),
+    ("-1.25e0", "-.5e1", ("-1.25", "-5")),
+], ids=["t1", "t2", "both"])
+def test_time_flags_take_negative_values_in_exponent_form(command, flags, t1, t2, decimal, capsys):
+    # argparse read '-1e-3' as a flag and exited 1 with "expected one
+    # argument"; the value is the same run as its decimal spelling
+    assert main([command, *flags, "--t1", decimal[0], "--t2", decimal[1]]) == 0
+    want = capsys.readouterr()
+    assert main([command, *flags, "--t1", t1, "--t2", t2]) == 0
+    assert capsys.readouterr() == want
+
+
 @pytest.mark.parametrize("command", ["thm22", "complement"])
 def test_truncation_reports_refuse_h_near_one_half(command, capsys):
     # H = 0.5 leaves nothing but round-off to fit a rate to
@@ -170,6 +189,31 @@ def test_strict_escalates_quality_flags(capsys):
     assert "quality flag" in capsys.readouterr().err
     assert main(args + ["--strict"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, h, flag", [
+    ("thm21", "0.02", "fbmlocal: quality flag: grid bias: dual-Gram r_H on 63 cells is -35.0% off the exact r_H (> 5%)\n"),
+    ("thm21", "0.98", "fbmlocal: quality flag: MI regime: MI/(cos^2/2) - 1 = 0.536 at eps 0.00390625 (> 0.1)\n"),
+    ("thm22", "0.98", "fbmlocal: quality flag: MI regime: MI/(cos^2/2) - 1 = 0.806 at eps 0.00390625 (> 0.1)\n"),
+], ids=["thm21-grid-bias", "thm21-mi-regime", "thm22-mi-regime"])
+def test_a_rate_report_outside_its_regime_is_flagged(command, h, flag, capsys):
+    # near H = 0 the 63-cell constant misses r_H by the dual-Gram route's
+    # grid bias, and near H = 1 MI is far from cos^2/2 at every eps; both
+    # printed exit 0 unflagged.  The flag moves no artifact byte
+    assert main([command, "--H", h]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == flag
+    assert main([command, "--H", h, "--strict"]) == 2
+    assert capsys.readouterr() == plain
+
+
+@pytest.mark.parametrize("h", ["0.2", "0.25", "0.7", "0.75", "0.8"])
+@pytest.mark.parametrize("command", ["thm21", "thm22"])
+def test_rate_reports_raise_no_flag_at_the_gate_h(command, h, capsys):
+    # the grid bias is at most 1.48% here and MI/(cos^2/2) - 1 at most
+    # 0.0025 (thm21) and 0.0175 (thm22)
+    assert main([command, "--H", h, "--strict"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_adjacency_command(capsys):

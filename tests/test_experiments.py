@@ -27,6 +27,7 @@ from fbmlocal.experiments import (
     r_h_dual_gram,
     theorem21_check,
     theorem22_check,
+    window_row,
 )
 from fbmlocal.geometry import CanonicalSpectrum, _pivoted_factor
 from fbmlocal.kernels import IncrementBasis, TimeGrid, cross_gram, gram
@@ -517,6 +518,8 @@ def test_complement_window_guards():
     (lambda: local_independence_scan(0.7, math.nan), "t1 must be finite, got nan"),
     (lambda: adjacency_mi_table(0.7, math.inf), "eps must be finite, got inf"),
     (lambda: levy2d_scan(0.7, c2=(1.0, math.nan)), r"c2 must be finite, got \(1.0, nan\)"),
+    (lambda: window_row(0.7, math.inf, 1.0, 0.125, 32), "t1 must be finite, got inf"),
+    (lambda: window_row(0.7, 0.0, -math.inf, 0.125, 32), "t2 must be finite, got -inf"),
 ])
 def test_entry_points_reject_non_finite_inputs(call, message, monkeypatch):
     # the argument is named before any Gram is built
@@ -527,6 +530,17 @@ def test_entry_points_reject_non_finite_inputs(call, message, monkeypatch):
     monkeypatch.setattr(experiments, "cross_gram", no_gram)
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_window_row_is_the_scan_row_never_skipped():
+    # the scan's row at one eps, with no rank floor, and windows that may
+    # overlap: coinciding ones share every increment
+    table = local_independence_scan(0.75, 0.0, 1.0, EPS4, 32)
+    assert window_row(0.75, 0.0, 1.0, EPS4[2], 32) == table.rows[2]
+    same = window_row(0.75, 0.0, 0.0, 0.125, 32)
+    assert (same.cos, same.mi, same.skipped) == (1.0, math.inf, False)
+    with pytest.raises(ValueError, match="^eps values must be positive$"):
+        window_row(0.75, 0.0, 1.0, 0.0, 32)
 
 
 @pytest.mark.parametrize("h", [0.25, 0.75, 0.9])

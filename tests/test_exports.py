@@ -1,7 +1,9 @@
 """Public names: each module's __all__ is its one export list, every
 export resolves and every import is used, so a deletion leaves none
-stale; the package itself imports nothing, and the gate and the sampler
-import no private name."""
+stale; the package itself imports nothing, each numerical module loads
+exactly the modules it is declared to depend on, the gate, the command
+line and the sampler import no private name, and a cached array is
+read-only where it is made."""
 
 import ast
 import importlib
@@ -10,7 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fbmlocal.geometry import _pivoted_factor
+from fbmlocal.sobolev import _jacobi
 
 _MODULES = [f"fbmlocal.{name}" for name in ("acceptance", "cli", "experiments", "geometry", "kernels", "sampler", "sobolev")]
 _NUMERICAL = ("kernels", "geometry", "sobolev", "experiments", "sampler")
@@ -56,23 +62,48 @@ def test_every_public_function_and_class_is_exported(module):
     assert [name for name in public if name not in _exported(tree)] == []
 
 
-@pytest.mark.parametrize("module", ["fbmlocal", "fbmlocal.kernels"])
+# the package and each numerical module, with the fbmlocal modules it
+# depends on
+_LAYERS = {
+    "fbmlocal": (),
+    "fbmlocal.kernels": (),
+    "fbmlocal.geometry": (),
+    "fbmlocal.sobolev": ("kernels",),
+    "fbmlocal.sampler": ("kernels", "geometry"),
+    "fbmlocal.experiments": ("kernels", "geometry", "sobolev"),
+}
+
+
+@pytest.mark.parametrize("module", _LAYERS)
 def test_importing_a_module_loads_no_other_fbmlocal_module(module):
-    # in a fresh interpreter: the package imports no submodule, and kernels
-    # imports none besides itself
+    # in a fresh interpreter: the package imports no submodule, and each
+    # numerical module loads exactly its declared dependencies
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'fbmlocal'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(_SRC.parent), os.environ.get("PYTHONPATH"))))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == repr(sorted({"fbmlocal", module}))
+    assert run.stdout.strip() == repr(sorted({"fbmlocal", module, *(f"fbmlocal.{d}" for d in _LAYERS[module])}))
 
 
-@pytest.mark.parametrize("module", ["acceptance", "sampler"])
+@pytest.mark.parametrize("module", ["acceptance", "cli", "sampler"])
 def test_module_imports_no_private_name(module):
-    # the gate and the sampler reach the other modules through their
-    # public routes only
+    # the gate, the command line and the sampler reach the other modules
+    # through their public routes only
     tree = ast.parse((_SRC / f"{module}.py").read_text())
     private = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fbmlocal"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("made", [
+    lambda: _pivoted_factor(np.eye(3) + 0.5).keep,
+    lambda: _pivoted_factor(np.eye(3) + 0.5).inv,
+    lambda: _jacobi(5)[0],
+    lambda: _jacobi(5, 0.5)[1],
+], ids=["factor-keep", "factor-inv", "jacobi-nodes", "jacobi-weights"])
+def test_a_cached_array_is_read_only_where_it_is_made(made):
+    # factors and Gauss rules are shared through caches; a write would
+    # reach every later caller
+    with pytest.raises(ValueError, match="read-only"):
+        made()[0] = 0.0
