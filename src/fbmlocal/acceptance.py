@@ -154,8 +154,9 @@ def check_mi_route_equivalence():
 
 
 def check_mi_bound_sandwich():
-    """HS lower <= MI <= HS upper on scan rows and random spectra."""
-    table = local_independence_scan(0.7, 0.0, 1.0, DEFAULT_EPS)
+    """HS lower <= MI <= HS upper on scan rows (the H = 0.7 report's
+    local_independence_scan(0.7, 0, 1, DEFAULT_EPS)) and random spectra."""
+    table = _thm21_report(0.7)[0].table
     ok = True
     for r in table.rows:
         ok &= r.hs_lower <= r.mi <= r.hs_upper
@@ -267,9 +268,10 @@ def check_levy2d_rate():
 
 
 def check_invariance_suite():
-    """Stationarity, self-similarity, and MI swap symmetry to 1e-10."""
+    """Stationarity, self-similarity, and MI swap symmetry to 1e-10; the
+    base rows are the H = 0.7 report's scan."""
     lam = 3.0
-    rows_b = local_independence_scan(0.7, 0.0, 1.0, DEFAULT_EPS).rows
+    rows_b = _thm21_report(0.7)[0].table.rows
     rows_sh = local_independence_scan(0.7, math.pi, math.pi + 1.0, DEFAULT_EPS).rows
     rows_sc = local_independence_scan(0.7, 0.0, lam, tuple(lam * e for e in DEFAULT_EPS)).rows
     worst = 0.0

@@ -16,23 +16,27 @@ grids (polynomially finer toward the singular endpoint) and mandatory
 Two families use their structure instead of whitening dense Grams of
 their own.  Adjacent intervals are two halves of one stationary
 sequence, so their MI is a weighted sum of the sequence's partial
-autocorrelations, one Durbin-Levinson pass for a whole n schedule.  The
-graded future is the mirror image of the graded past and the graded
-grid dilates exactly with T, so both past-future sides share one
-factor per (H, n).
+autocorrelations, one Durbin-Levinson pass for a whole n schedule.
+Dilation families share one factor, scaled: the uniform windows of one
+grid_n, the graded pasts of one (H, n) at every T and the lattice balls
+of one (H, grid_per_axis, dimension) at every eps.  The graded future is
+the mirror image of the graded past, so the past-future pair whitens
+with the past's factor alone and reads its angle from the eigenvalues
+of a symmetric matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from fbmlocal.geometry import (
     RANK_RTOL,
     MiResult,
+    _mirror_spectrum,
     _pivoted_factor,
     _whitened_spectrum,
     cos_angle,
@@ -248,10 +252,12 @@ def _make_row(eps, side_a, side_b, h, min_rank=0.0) -> ScanRow:
     )
 
 
-def _scan_schedule(h: float, eps, grid_n: int | None) -> tuple:
+def _scan_schedule(h: float, eps, grid_n: int | None, **centres) -> tuple:
     """Validation every eps scan shares: the Hurst index, the eps rule (a
-    nonempty, strictly decreasing tuple of finite positive floats) and,
-    for window scans, grid_n >= 4. Returns the schedule as floats."""
+    nonempty, strictly decreasing tuple of finite positive floats), for
+    window scans grid_n >= 4, and for each named window centre c that it
+    is finite and that c - eps, c and c + eps are distinct floats at the
+    smallest eps, so no window collapses.  Returns the schedule as floats."""
     check_hurst(h)
     eps = tuple(float(e) for e in eps)
     if len(eps) == 0:
@@ -265,6 +271,13 @@ def _scan_schedule(h: float, eps, grid_n: int | None) -> tuple:
         raise ValueError("eps schedule must be strictly decreasing")
     if grid_n is not None and grid_n < 4:
         raise ValueError("grid_n must be at least 4")
+    for name, c in centres.items():
+        check_finite(name, c)
+        if not c - eps[-1] < c < c + eps[-1]:
+            raise ValueError(
+                f"eps={eps[-1]!r} is below the float resolution at {name}={c!r}: "
+                f"{name} - eps, {name} and {name} + eps must be distinct floats"
+            )
     return eps
 
 
@@ -284,9 +297,17 @@ def _uniform_factor(h, grid_n):
 @functools.lru_cache(maxsize=64)
 def _graded_past_factor(h, n):
     """Factor of the Gram of the unit-T graded past, the n cells of
-    _graded_basis(h, ((-1, 0, "b"),), n), which past_future_angle shares
-    between both sides at every T; made once per process for each (h, n)."""
+    _graded_basis(h, ((-1, 0, "b"),), n), which _graded_past scales to
+    every T; made once per process for each (h, n)."""
     return _pivoted_factor(gram(_graded_basis(h, ((-1.0, 0.0, "b"),), n)[0], h))
+
+
+@functools.lru_cache(maxsize=64)
+def _ball_factor(h, grid_per_axis, dim):
+    """Factor of the Gram of the unit lattice ball, _ball_basis(0, 1,
+    grid_per_axis) in dim dimensions, which levy2d_scan scales to every
+    eps; made once per process for each (h, grid_per_axis, dim)."""
+    return _pivoted_factor(gram(_ball_basis(np.zeros(dim), 1.0, grid_per_axis), h))
 
 
 def _side(basis: IncrementBasis, h):
@@ -311,12 +332,19 @@ def _graded_basis(h, regions, n_cells: int):
     return IncrementBasis(s=np.concatenate([p[:-1] for p in pts]), t=np.concatenate([p[1:] for p in pts])), decades
 
 
-def _graded_scan(h, regions, t: float, eps: tuple, grid_n: int, meta: dict) -> ScanTable:
-    """Rows of the grid_n-point window around t against the regions'
-    _graded_basis (grid_n - 1 cells each), factored once; the meta tail
-    every truncated scan shares follows the given meta."""
-    basis, decades = _graded_basis(h, regions, grid_n - 1)
-    fixed = _side(basis, h)
+def _graded_past(h, truncation_t: float, n: int):
+    """The side of the n-cell graded past (-T, 0) and its grading depth.
+    The graded grid dilates with T, so the past's Gram is T^(2H) times
+    the unit-T one and its factor is _graded_past_factor's scaled by T^-H."""
+    basis, decades = _graded_basis(h, ((-truncation_t, 0.0, "b"),), n)
+    return (basis, _graded_past_factor(h, n).scaled(truncation_t**-h)), decades
+
+
+def _graded_scan(h, fixed, decades: float, t: float, eps: tuple, grid_n: int, meta: dict) -> ScanTable:
+    """Rows of the grid_n-point window around t against the fixed side, a
+    truncated region graded over decades with grid_n - 1 cells per
+    region; the meta tail every truncated scan shares follows the given
+    meta."""
     rows = tuple(_make_row(e, fixed, _window(t, e, h, grid_n), h, grid_n * _MIN_RANK_FRACTION) for e in eps)
     meta = {**meta, "eps": _eps_meta(eps), "grid_n": grid_n, "grading_decades": decades, "rtol": RANK_RTOL}
     return ScanTable(rows=rows, meta=meta)
@@ -358,9 +386,7 @@ def local_independence_scan(
     eps values must be strictly decreasing and the largest one must keep
     the windows disjoint (max eps < |t1 - t2| / 2).
     """
-    eps = _scan_schedule(h, eps, grid_n)
-    check_finite("t1", t1)
-    check_finite("t2", t2)
+    eps = _scan_schedule(h, eps, grid_n, t1=t1, t2=t2)
     if t1 == t2:
         raise ValueError("t1 and t2 must differ")
     if eps[0] >= abs(t2 - t1) / 2.0:
@@ -384,9 +410,7 @@ def local_independence_scan(
 def window_row(h: float, t1: float, t2: float, eps: float, grid_n: int) -> ScanRow:
     """The row of the grid_n-point windows of half-width eps around t1 and
     t2 at that one eps: never skipped, and the windows may overlap."""
-    (eps,) = _scan_schedule(h, (eps,), None)
-    check_finite("t1", t1)
-    check_finite("t2", t2)
+    (eps,) = _scan_schedule(h, (eps,), None, t1=t1, t2=t2)
     return _make_row(eps, _window(t1, eps, h, grid_n), _window(t2, eps, h, grid_n), h)
 
 
@@ -525,10 +549,9 @@ def past_window_scan(
 
     The past is discretized on a geometrically graded grid, finest toward
     0 where the cross kernel varies fastest, spanning grading_depth
-    decades.
+    decades; its factor is _graded_past's, so every T shares one.
     """
-    eps = _scan_schedule(h, eps, grid_n)
-    check_finite("t", t)
+    eps = _scan_schedule(h, eps, grid_n, t=t)
     check_finite("truncation_t", truncation_t)
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -537,7 +560,8 @@ def past_window_scan(
     if truncation_t < 16.0 * t:
         raise ValueError("truncation must satisfy T >= 16 t")
     meta = {"experiment": "past-window", "H": h, "t": t, "T": truncation_t}
-    return _graded_scan(h, ((-truncation_t, 0.0, "b"),), t, eps, grid_n, meta)
+    fixed, decades = _graded_past(h, truncation_t, grid_n - 1)
+    return _graded_scan(h, fixed, decades, t, eps, grid_n, meta)
 
 
 @dataclass(frozen=True)
@@ -672,11 +696,10 @@ def past_future_angle(
 
     The grading depth does not depend on T, so the grid dilates exactly
     when T changes and by self-similarity the value depends on T only
-    through rounding; n is the real refinement knob.  Both sides take
-    _graded_past_factor(h, n): the past's Gram at T is T^(2H) times the
-    unit-T one, so its factor is that one scaled by T^-H, and the
-    reflection t -> -t maps past cell n-1-k onto future cell k, so the
-    future's factor is the past's with its pivots k -> n-1-k.
+    through rounding; n is the real refinement knob.  The past's factor
+    is _graded_past's, and the reflection t -> -t maps past cell n-1-k
+    onto future cell k, so the two are a mirror pair: _mirror_spectrum
+    whitens both with the past's factor.
     """
     check_hurst(h)
     check_finite("truncation_t", truncation_t)
@@ -685,11 +708,9 @@ def past_future_angle(
     if n < 2:
         raise ValueError("n must be at least 2")
     n = int(n)
-    past, _ = _graded_basis(h, ((-truncation_t, 0.0, "b"),), n)
+    (past, factor), _ = _graded_past(h, truncation_t, n)
     future, _ = _graded_basis(h, ((0.0, truncation_t, "a"),), n)
-    factor = _graded_past_factor(h, n).scaled(truncation_t**-h)
-    mirrored = replace(factor, keep=n - 1 - factor.keep)
-    return _make_row(truncation_t, (past, factor), (future, mirrored), h).cos
+    return cos_angle(_mirror_spectrum(factor, cross_gram(past, future, h)))
 
 
 @dataclass(frozen=True)
@@ -712,9 +733,9 @@ def past_future_report(
     The angle must stay bounded away from zero (cos below 1); the margin
     is reported, no universal constant is asserted. Drifts are relative
     except near zero (the Brownian case), where that would divide noise
-    by noise.  Two factors are made, one per n (past_future_angle shares
-    each between the past and its mirror image, the future).  The 2T
-    rerun reuses the T factor scaled: the grid dilates exactly, so
+    by noise.  Two factors are made, one per n (past_future_angle
+    whitens the past and its mirror image, the future, with one).  The
+    2T rerun reuses the T factor scaled: the grid dilates exactly, so
     drift_t reads round-off and cannot fail the 1% drift bar.
     """
     v = past_future_angle(h, truncation_t, n)
@@ -761,8 +782,8 @@ def complement_window_scan(
     rate 1-H that the two-sided estimate yields, with a 2T sensitivity
     rerun.
     """
-    eps = _scan_schedule(h, eps, grid_n)
-    for name, value in (("t1", t1), ("t", t), ("t2", t2), ("truncation_t", truncation_t)):
+    eps = _scan_schedule(h, eps, grid_n, t=t)
+    for name, value in (("t1", t1), ("t2", t2), ("truncation_t", truncation_t)):
         check_finite(name, value)
     if not t1 < t < t2:
         raise ValueError("need t1 < t < t2")
@@ -773,7 +794,8 @@ def complement_window_scan(
 
     def scan(big_t):
         meta = {"experiment": "complement-window", "H": h, "t1": t1, "t": t, "t2": t2, "T": big_t}
-        return _graded_scan(h, ((t1 - big_t, t1, "b"), (t2, t2 + big_t, "a")), t, eps, grid_n, meta)
+        basis, decades = _graded_basis(h, ((t1 - big_t, t1, "b"), (t2, t2 + big_t, "a")), grid_n - 1)
+        return _graded_scan(h, _side(basis, h), decades, t, eps, grid_n, meta)
 
     return _truncation_rerun(ComplementReport, h, scan, truncation_t, (("hs", 1.0 - h, math.nan),))
 
@@ -791,15 +813,18 @@ class Levy2dReport:
 def _ball_basis(center: np.ndarray, eps: float, grid_per_axis: int) -> IncrementBasis:
     """Increments from center to the cubic-lattice points inside the
     closed ball B(center, eps), center excluded, in as many dimensions
-    as center has."""
-    offs = np.linspace(-eps, eps, grid_per_axis)
+    as center has: center plus eps times the unit ball's lattice
+    offsets, point for point.  The offsets are (2i - (g - 1)) / (g - 1),
+    exact integers over g - 1, so the centre's offset is exactly 0 and
+    is left out at every eps."""
+    offs = (2.0 * np.arange(grid_per_axis) - (grid_per_axis - 1)) / max(grid_per_axis - 1, 1)
     pts = np.column_stack([ax.ravel() for ax in np.meshgrid(*[offs] * len(center), indexing="ij")])
-    inside = np.einsum("ij,ij->i", pts, pts) <= eps * eps * (1.0 + 1e-12)
+    inside = np.einsum("ij,ij->i", pts, pts) <= 1.0 + 1e-12
     nonzero = np.any(pts != 0.0, axis=1)
     pts = pts[inside & nonzero]
     if pts.shape[0] < 8:
         raise ValueError("lattice too coarse: fewer than 8 points fall inside the ball")
-    return IncrementBasis(s=np.tile(center, (len(pts), 1)), t=center[None, :] + pts)
+    return IncrementBasis(s=np.tile(center, (len(pts), 1)), t=center[None, :] + eps * pts)
 
 
 def levy2d_scan(
@@ -812,7 +837,10 @@ def levy2d_scan(
     """Ball-to-ball angle decay for the isotropic two-parameter field.
 
     Increments are differences X(p) - X(center) over lattice points p in
-    each ball; the fitted cos slope is compared against 2-2H.
+    each ball; the fitted cos slope is compared against 2-2H.  The
+    field's increments are translation-invariant and the ball of radius
+    eps is eps times the unit ball, so both balls at every eps whiten
+    with _ball_factor scaled by eps^-H.
     """
     # too few lattice points per axis shows as too few points in a ball
     eps = _scan_schedule(h, eps, None)
@@ -824,12 +852,11 @@ def levy2d_scan(
     if eps[0] >= dist / 2.0:
         raise ValueError("balls must be disjoint at the largest eps")
 
+    unit = _ball_factor(h, grid_per_axis, 2)
     rows = []
     for e in eps:
-        # the field's increments are translation-invariant: both balls
-        # have one Gram, factored once
-        a, f = _side(_ball_basis(c1, e, grid_per_axis), h)
-        b = _ball_basis(c2, e, grid_per_axis)
+        f = unit.scaled(e**-h)
+        a, b = _ball_basis(c1, e, grid_per_axis), _ball_basis(c2, e, grid_per_axis)
         rows.append(_make_row(e, (a, f), (b, f), h, len(a) * _MIN_RANK_FRACTION))
     meta = {
         "experiment": "levy2d",

@@ -16,9 +16,12 @@ a pivoted Cholesky that builds the inverse factor as it goes) is made
 once per side, so a scan that keeps one side fixed, or whose windows
 share a Gram up to scale, factors it once for all its rows.  Each row is
 then M = La^-1 C[keep_a, keep_b] Lb^-T by two matrix products and one
-SVD.  Everything runs on numpy alone.  The determinant oracle is an
-independent algorithm on the same build: unpivoted Cholesky factors of
-the joint covariance and of GB, no whitening at all.
+SVD.  A mirror pair, whose second side is the first reflected by
+t -> -t, has one factor for both sides and a symmetric M, so its
+correlations are the |eigenvalues| of M (_mirror_spectrum).  Everything
+runs on numpy alone.  The determinant oracle is an independent
+algorithm on the same build: unpivoted Cholesky factors of the joint
+covariance and of GB, no whitening at all.
 """
 
 from __future__ import annotations
@@ -162,14 +165,10 @@ def _whitened_cross_gram(fa: _Factor, fb: _Factor, c: np.ndarray) -> np.ndarray:
     return m @ fb.inv.T
 
 
-def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpectrum:
-    """Canonical correlations from two side factors and the full cross-Gram
-    C: the singular values of the whitened cross-Gram, clamped to [0, 1],
-    in the descending order LAPACK returns them.
-    ill_conditioned is set when a singular value lands above 1 + 1e-8
-    before clamping.
-    """
-    sigmas = np.linalg.svd(_whitened_cross_gram(fa, fb, c), compute_uv=False)
+def _spectrum(sigmas: np.ndarray, fa: _Factor, fb: _Factor) -> CanonicalSpectrum:
+    """The spectrum of correlations sigmas (descending) on two side
+    factors: clamped to [0, 1], ill_conditioned when one lands above
+    1 + 1e-8 before clamping."""
     return CanonicalSpectrum(
         sigmas=np.clip(sigmas, 0.0, 1.0),
         rank_a=len(fa.keep),
@@ -177,6 +176,33 @@ def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpec
         cond=max(fa.cond, fb.cond),
         ill_conditioned=float(np.max(sigmas, initial=0.0)) - 1.0 > CLAMP_TOL,
     )
+
+
+def _whitened_spectrum(fa: _Factor, fb: _Factor, c: np.ndarray) -> CanonicalSpectrum:
+    """Canonical correlations from two side factors and the full cross-Gram
+    C: the singular values of the whitened cross-Gram, in the descending
+    order LAPACK returns them, as _spectrum clamps and flags them.
+    """
+    return _spectrum(np.linalg.svd(_whitened_cross_gram(fa, fb, c), compute_uv=False), fa, fb)
+
+
+def _mirror_spectrum(f: _Factor, c: np.ndarray) -> CanonicalSpectrum:
+    """Canonical correlations of a mirror pair: cell k of the second side
+    is cell n-1-k of the first reflected by t -> -t, f is the first side's
+    factor and C the full cross-Gram, second side in its own order.
+
+    Time reversal makes B = C[:, ::-1] symmetric and gives the reflected
+    side, read in that order, the first side's Gram, so both sides whiten
+    with f and M = L^-1 B[keep, keep] L^-T is symmetric: its singular
+    values are its |eigenvalues|, sorted descending and clamped and
+    flagged by _spectrum.  B is read as its symmetric part (B + B^T) / 2:
+    the cross-Gram's rounding leaves B off symmetric, and the singular
+    values of the M of the raw B, the SVD route's, equal the |eigenvalues|
+    of that part's M up to second order in the offset.
+    """
+    b = c[:, ::-1]
+    eigs = np.abs(np.linalg.eigvalsh(_whitened_cross_gram(f, f, 0.5 * (b + b.T))))
+    return _spectrum(np.sort(eigs)[::-1], f, f)
 
 
 def canonical_correlations(
@@ -223,11 +249,12 @@ def mutual_information_gy(spec: CanonicalSpectrum) -> MiResult:
 
     value and upper being inf once sigma_1 reaches 1.
     """
-    lower = 0.5 * float(np.sum(spec.sigmas**2))
+    squares = spec.sigmas**2
+    lower = 0.5 * float(squares.sum())
     m = cos_angle(spec)
     if m >= 1.0 - SIGMA_ONE_TOL:
         return MiResult(value=math.inf, lower=lower, upper=math.inf)
-    value = -0.5 * float(np.sum(np.log1p(-spec.sigmas**2)))
+    value = -0.5 * float(np.log1p(-squares).sum())
     return MiResult(value=value, lower=lower, upper=lower * (1.0 + m / (2.0 * (1.0 - m))))
 
 
@@ -243,10 +270,12 @@ def mutual_information_det(ga: np.ndarray, gb: np.ndarray, c: np.ndarray) -> flo
     ga = np.asarray(ga, dtype=float)
     gb = np.asarray(gb, dtype=float)
     c = np.atleast_2d(np.asarray(c, dtype=float))
-    joint = np.block([[ga, c], [c.T, gb]])
+    na = ga.shape[0]
+    joint = np.empty((na + gb.shape[0],) * 2)
+    joint[:na, :na], joint[:na, na:], joint[na:, :na], joint[na:, na:] = ga, c, c.T, gb
     try:
         lj = np.linalg.cholesky(joint)
         lb = np.linalg.cholesky(gb)
     except np.linalg.LinAlgError as exc:
         raise DegenerateCovarianceError("joint covariance is not positive definite") from exc
-    return float(np.sum(np.log(lb.diagonal())) - np.sum(np.log(lj.diagonal()[ga.shape[0] :])))
+    return float(np.log(lb.diagonal()).sum() - np.log(lj.diagonal()[na:]).sum())

@@ -285,6 +285,20 @@ def test_an_overflowing_spacing_is_a_named_error(argv, message, tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["angle", "--H", "0.75", "--t1", "0", "--t2", "1e300"], "eps=0.125 is below the float resolution at t2=1e+300"),
+    (["scan", "--H", "0.75", "--t1", "-1e300", "--t2", "1e300"],
+     "eps=0.00390625 is below the float resolution at t1=-1e+300"),
+], ids=["angle", "scan"])
+def test_a_window_below_float_resolution_names_eps_and_its_centre(argv, message, capsys):
+    # the window collapsed, and the error named the grid, not the flags
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"fbmlocal: error: {message}: ")
+    assert "Traceback" not in err
+
+
 def test_rank_tolerance_is_fixed(capsys):
     # no flag sets it (see angle-rtol below); the output still records it
     assert main(["angle", "--H", "0.8", "--eps", "0.0625", "--n", "64"]) == 0

@@ -1,6 +1,7 @@
 """Scan harness: grids, fits, reports."""
 
 import math
+import re
 import warnings
 from dataclasses import fields
 from types import SimpleNamespace
@@ -466,6 +467,48 @@ def test_levy_field_in_three_dimensions_has_a_degenerate_transverse_pair(h):
     assert abs(sigmas[2] / sigmas[0] - abs(2.0 * h - 1.0)) <= 1e-3
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("grid_per_axis", [5, 9, 15])
+def test_ball_basis_is_the_unit_ball_dilated(grid_per_axis, dim):
+    # the ball of radius eps is c + eps times the unit ball's offsets, point
+    # for point, so one factor per (H, grid_per_axis, dim) serves every eps
+    unit = experiments._ball_basis(np.zeros(dim), 1.0, grid_per_axis).t
+    center = np.array([0.3, -1.7, 2.9][:dim])
+    for eps in (0.125, 0.07, 0.03, 2.0**-9):
+        ball = experiments._ball_basis(center, eps, grid_per_axis)
+        assert np.array_equal(ball.t, center + eps * unit)
+        assert np.array_equal(ball.s, np.tile(center, (len(unit), 1)))
+
+
+@pytest.mark.parametrize("grid_per_axis", [15, 99])
+def test_ball_basis_leaves_out_the_centre_at_every_eps(grid_per_axis):
+    # linspace(-eps, eps, 15) put the middle offset at 3.5e-18 for eps =
+    # 0.03, so the centre itself became an increment of length 4.9e-18
+    spacing = 2.0 / (grid_per_axis - 1)
+    for eps in (0.3, 0.07, 0.03, 0.011):
+        b = experiments._ball_basis(np.zeros(2), eps, grid_per_axis)
+        assert np.min(np.linalg.norm(b.t - b.s, axis=1)) >= eps * spacing * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("h, grid_per_axis, eps", [
+    (0.25, 9, experiments.DEFAULT_EPS),
+    (0.5, 9, experiments.DEFAULT_EPS),
+    (0.75, 9, experiments.DEFAULT_EPS),
+    (0.75, 15, (0.3, 0.1, 0.07, 0.03, 0.011)),
+])
+def test_levy2d_shared_factor_matches_per_eps_factors(h, grid_per_axis, eps):
+    # every row on the unit ball's factor scaled by eps^-H against the row
+    # whose factor is made from that eps's own Gram
+    for row in levy2d_scan(h, eps=eps, grid_per_axis=grid_per_axis).table.rows:
+        a = experiments._side(experiments._ball_basis(np.array([0.0, 0.0]), row.eps, grid_per_axis), h)
+        b = experiments._ball_basis(np.array([1.0, 0.0]), row.eps, grid_per_axis)
+        want = experiments._make_row(row.eps, a, (b, a[1]), h, len(a[0]) * 0.5)
+        assert (row.rank_a, row.rank_b, row.skipped, row.ill_conditioned) == (
+            want.rank_a, want.rank_b, want.skipped, want.ill_conditioned)
+        for field in ("cos", "mi", "cond"):
+            assert getattr(row, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0)
+
+
 def test_levy2d_angle_at_h_half_settles_at_rate_one():
     # the planar Levy Brownian field is not white: sigma_1 / eps settles
     # at a positive constant, each step at least 10x below the last
@@ -529,6 +572,33 @@ def test_entry_points_reject_non_finite_inputs(call, message, monkeypatch):
     monkeypatch.setattr(experiments, "gram", no_gram)
     monkeypatch.setattr(experiments, "cross_gram", no_gram)
     with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def _below_resolution(eps, name, centre):
+    return (f"eps={eps!r} is below the float resolution at {name}={centre!r}: "
+            f"{name} - eps, {name} and {name} + eps must be distinct floats")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: window_row(0.75, 0.0, 1e300, 0.125, 64), _below_resolution(0.125, "t2", 1e300)),
+    (lambda: window_row(0.75, 1.0, 0.0, 2.0**-54, 64), _below_resolution(2.0**-54, "t1", 1.0)),
+    (lambda: local_independence_scan(0.75, -1e300, 1e300), _below_resolution(2.0**-8, "t1", -1e300)),
+    # at 2^46 the largest eps, 2^-3, still makes three floats; the smallest does not
+    (lambda: local_independence_scan(0.75, 0.0, 2.0**46), _below_resolution(2.0**-8, "t2", 2.0**46)),
+    (lambda: past_window_scan(0.75, 1e300, truncation_t=1e302), _below_resolution(2.0**-8, "t", 1e300)),
+    (lambda: complement_window_scan(0.75, 0.0, 1e300, 2e300), _below_resolution(2.0**-8, "t", 1e300)),
+], ids=["window_row", "window_row-ulp", "scan", "scan-smallest-eps", "past-window", "complement"])
+def test_window_centres_below_float_resolution_are_refused(call, message, monkeypatch):
+    # a centre where c - eps, c and c + eps are not three floats would give
+    # a collapsed window; refused, naming eps and the centre, before any
+    # Gram is built
+    def no_gram(*args):
+        raise AssertionError("a Gram was built")
+
+    monkeypatch.setattr(experiments, "gram", no_gram)
+    monkeypatch.setattr(experiments, "cross_gram", no_gram)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

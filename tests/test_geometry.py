@@ -239,22 +239,27 @@ def _solve_route(ga, gb, c):
 
 def _row_spectra(monkeypatch, run):
     """[a, b, h, spectrum] for every row run() builds: the bases of the
-    sides _make_row received and the spectrum its whitening step returned."""
+    cross-Gram each whitening step received (the SVD step of _make_row or
+    the mirror pair's eigenvalue step) and the spectrum it returned."""
     rows = []
-    make_row, whiten = experiments._make_row, experiments._whitened_spectrum
+    cross, whiten, mirror = experiments.cross_gram, experiments._whitened_spectrum, experiments._mirror_spectrum
 
-    def recording_make_row(eps, side_a, side_b, h, *args):
-        rows.append([side_a[0], side_b[0], h])
-        return make_row(eps, side_a, side_b, h, *args)
+    def recording_cross(a, b, h):
+        rows.append([a, b, h])
+        return cross(a, b, h)
 
-    def recording_whiten(fa, fb, c):
-        spec = whiten(fa, fb, c)
-        rows[-1].append(spec)
-        return spec
+    def recording(step):
+        def whitening(*args):
+            spec = step(*args)
+            rows[-1].append(spec)
+            return spec
+        return whitening
 
-    monkeypatch.setattr(experiments, "_make_row", recording_make_row)
-    monkeypatch.setattr(experiments, "_whitened_spectrum", recording_whiten)
+    monkeypatch.setattr(experiments, "cross_gram", recording_cross)
+    monkeypatch.setattr(experiments, "_whitened_spectrum", recording(whiten))
+    monkeypatch.setattr(experiments, "_mirror_spectrum", recording(mirror))
     run()
+    assert all(len(row) == 4 for row in rows)
     return rows
 
 
@@ -283,6 +288,45 @@ def test_product_route_matches_triangular_solves(case, monkeypatch):
         np.testing.assert_allclose(got.sigmas[:k], want.sigmas[:k], rtol=1e-10, atol=0.0)
         mi_got, mi_want = mutual_information_gy(got).value, mutual_information_gy(want).value
         assert mi_got == pytest.approx(mi_want, rel=1e-10, abs=0.0)
+
+
+def _mirror_pair(h, n):
+    # past_future_angle's pair at T = 16: the graded past's scaled factor
+    # and the cross-Gram against the graded future in its own order
+    (past, factor), _ = experiments._graded_past(h, 16.0, n)
+    future, _ = experiments._graded_basis(h, ((0.0, 16.0, "a"),), n)
+    return factor, cross_gram(past, future, h)
+
+
+@pytest.mark.parametrize("n", [32, 128, 256])
+@pytest.mark.parametrize("h", [0.2, 0.8])
+def test_mirror_pair_cross_gram_and_whitened_matrix_are_symmetric(h, n):
+    # time reversal: the cross-Gram read against the future in mirrored
+    # order is symmetric up to its rounding, and so is the matrix the
+    # mirror step whitens it to with the one side factor
+    from fbmlocal.geometry import _whitened_cross_gram
+
+    f, c = _mirror_pair(h, n)
+    b = c[:, ::-1]
+    m = _whitened_cross_gram(f, f, 0.5 * (b + b.T))
+    for x in (b, m):
+        assert np.max(np.abs(x - x.T)) <= 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("n", [32, 128, 256])
+@pytest.mark.parametrize("h", [0.2, 0.8])
+def test_mirror_step_matches_the_svd_route(h, n):
+    # the eigenvalue step against the SVD of the same pair whitened with
+    # the future's own pivots, the past's mirrored k -> n-1-k: equal ranks,
+    # cond and flag, and the top two sigmas within 1e-13
+    from dataclasses import replace
+
+    f, c = _mirror_pair(h, n)
+    got = geometry._mirror_spectrum(f, c)
+    want = geometry._whitened_spectrum(f, replace(f, keep=n - 1 - f.keep), c)
+    assert (got.rank_a, got.rank_b, got.cond, got.ill_conditioned) == (
+        want.rank_a, want.rank_b, want.cond, want.ill_conditioned)
+    np.testing.assert_allclose(got.sigmas[:2], want.sigmas[:2], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("h", [0.2, 0.8])
@@ -336,13 +380,15 @@ def test_whitening_matches_50_digit_oracle(h, grid_n):
     ("past-window", 2),  # the past once, the window once
     ("complement", 3),  # each table its complement, one uniform window factor for both
     ("adjacency", 0),  # partial autocorrelations, no Gram
-    ("levy2d", 6),  # one per row, shared by both balls
+    ("levy2d", 1),  # the unit ball once, scaled to every eps and shared by both balls
     ("past-future", 1),  # the past once; the future is its mirror image
     ("past-future-report", 2),  # one per n; the 2T rerun reuses the T factor
+    ("thm22", 2),  # the past once for T and 2T, the window once
 ])
 def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
     experiments._uniform_factor.cache_clear()
     experiments._graded_past_factor.cache_clear()
+    experiments._ball_factor.cache_clear()
     calls = []
     factor = experiments._pivoted_factor
 
@@ -359,6 +405,7 @@ def test_each_scan_side_is_factored_once(family, factors, monkeypatch):
         "levy2d": lambda: experiments.levy2d_scan(0.75),
         "past-future": lambda: experiments.past_future_angle(0.2, n=32),
         "past-future-report": lambda: experiments.past_future_report(0.2, n=32),
+        "thm22": lambda: experiments.theorem22_check(0.75),
     }[family]
     run()
     assert len(calls) == factors
@@ -434,16 +481,18 @@ def test_factor_cond_stays_below_inverse_rank_rtol(family, h):
 @pytest.fixture(scope="module")
 def gate_run():
     """One run of the 14 checks, with no report reused from an earlier
-    test: their results, the cond of every spectrum they whiten (scan rows
-    and direct canonical_correlations calls alike) and every
+    test: their results, the cond of every spectrum they whiten (scan rows,
+    mirror pairs and direct canonical_correlations calls alike) and every
     mutual_information_gy result they compute."""
     conds, mis = [], []
-    whiten, gy = geometry._whitened_spectrum, geometry.mutual_information_gy
+    gy = geometry.mutual_information_gy
 
-    def recording_whiten(fa, fb, c):
-        spec = whiten(fa, fb, c)
-        conds.append(spec.cond)
-        return spec
+    def recording(step):
+        def whitening(*args):
+            spec = step(*args)
+            conds.append(spec.cond)
+            return spec
+        return whitening
 
     def recording_gy(spec):
         mi = gy(spec)
@@ -451,8 +500,10 @@ def gate_run():
         return mi
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (geometry, experiments):
-            mp.setattr(module, "_whitened_spectrum", recording_whiten)
+        for name in ("_whitened_spectrum", "_mirror_spectrum"):
+            whiten = recording(getattr(geometry, name))
+            for module in (geometry, experiments):
+                mp.setattr(module, name, whiten)
         for module in (experiments, acceptance):
             mp.setattr(module, "mutual_information_gy", recording_gy)
         acceptance._thm21_report.cache_clear()
