@@ -58,14 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
-    # argparse hands a subcommand's unknown flags up to the top-level
-    # parser, whose usage does not name them; reject them where they occur
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
-
 
 def finite_float(text: str) -> float:
     """A float flag value; argparse names this function in its error."""
@@ -500,27 +492,32 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="fbmlocal", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (text, defaults, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text, description=text)
-        for key, default in defaults.items():
-            if key not in _FLAGS:
-                continue
+def _command_parser(name: str) -> _Parser:
+    """The parser of one command: a flag for each of its defaults in _FLAGS."""
+    text, defaults, _ = _COMMANDS[name]
+    parser = _Parser(prog=f"fbmlocal {name}", description=text)
+    for key, default in defaults.items():
+        if key in _FLAGS:
             cast, flag_help = _FLAGS[key]
             kind = {"action": "store_true"} if cast is None else {"type": cast}
-            p.add_argument(f"--{key}", default=default, help=flag_help, **kind)
+            parser.add_argument(f"--{key}", default=default, help=flag_help, **kind)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        # no command named: the command list, with no flags, which prints
+        # help or rejects what stands first
+        parser = _Parser(prog="fbmlocal", description=__doc__.splitlines()[0])
+        sub = parser.add_subparsers(metavar="command")
+        for name, (text, _, _) in _COMMANDS.items():
+            sub.add_parser(name, help=text)
+        parser.parse_args(argv)
         parser.print_help()
         return 1
-    _, defaults, handler = _COMMANDS[args.command]
+    _, defaults, handler = _COMMANDS[argv[0]]
+    args = _command_parser(argv[0]).parse_args(argv[1:])
     # a default with no flag (rtol) is fixed
     params = {key: getattr(args, key, default) for key, default in defaults.items()}
     try:

@@ -257,7 +257,9 @@ def _scan_schedule(h: float, eps, grid_n: int | None, **centres) -> tuple:
     nonempty, strictly decreasing tuple of finite positive floats), for
     window scans grid_n >= 4, and for each named window centre c that it
     is finite and that c - eps, c and c + eps are distinct floats at the
-    smallest eps, so no window collapses.  Returns the schedule as floats."""
+    smallest eps, and for window scans that each window's grid_n points
+    are distinct there (_check_windows), so no window collapses.  Returns
+    the schedule as floats."""
     check_hurst(h)
     eps = tuple(float(e) for e in eps)
     if len(eps) == 0:
@@ -278,7 +280,21 @@ def _scan_schedule(h: float, eps, grid_n: int | None, **centres) -> tuple:
                 f"eps={eps[-1]!r} is below the float resolution at {name}={c!r}: "
                 f"{name} - eps, {name} and {name} + eps must be distinct floats"
             )
+    if grid_n is not None:
+        _check_windows(eps[-1], grid_n, **centres)
     return eps
+
+
+def _check_windows(eps: float, grid_n: int, **centres) -> None:
+    """Refuse a collapsed window: the grid_n points of the window of
+    half-width eps around each named centre, built as _window builds
+    them, must be strictly increasing floats."""
+    for name, c in centres.items():
+        if not np.all(np.diff(TimeGrid(c - eps, c + eps, grid_n).points()) > 0.0):
+            raise ValueError(
+                f"eps={eps!r} is below the float resolution at {name}={c!r} for n={grid_n}: "
+                f"the window's n points must be strictly increasing floats"
+            )
 
 
 def _eps_meta(eps: tuple) -> str:
@@ -411,6 +427,7 @@ def window_row(h: float, t1: float, t2: float, eps: float, grid_n: int) -> ScanR
     """The row of the grid_n-point windows of half-width eps around t1 and
     t2 at that one eps: never skipped, and the windows may overlap."""
     (eps,) = _scan_schedule(h, (eps,), None, t1=t1, t2=t2)
+    _check_windows(eps, grid_n, t1=t1, t2=t2)
     return _make_row(eps, _window(t1, eps, h, grid_n), _window(t2, eps, h, grid_n), h)
 
 
@@ -810,20 +827,25 @@ class Levy2dReport:
     table: ScanTable
 
 
-def _ball_basis(center: np.ndarray, eps: float, grid_per_axis: int) -> IncrementBasis:
-    """Increments from center to the cubic-lattice points inside the
-    closed ball B(center, eps), center excluded, in as many dimensions
-    as center has: center plus eps times the unit ball's lattice
-    offsets, point for point.  The offsets are (2i - (g - 1)) / (g - 1),
-    exact integers over g - 1, so the centre's offset is exactly 0 and
-    is left out at every eps."""
+def _ball_offsets(grid_per_axis: int, dim: int) -> np.ndarray:
+    """The cubic-lattice points inside the closed unit ball in dim
+    dimensions, centre excluded.  The offsets are (2i - (g - 1)) / (g - 1),
+    exact integers over g - 1, so the centre's offset is exactly 0."""
     offs = (2.0 * np.arange(grid_per_axis) - (grid_per_axis - 1)) / max(grid_per_axis - 1, 1)
-    pts = np.column_stack([ax.ravel() for ax in np.meshgrid(*[offs] * len(center), indexing="ij")])
+    pts = np.column_stack([ax.ravel() for ax in np.meshgrid(*[offs] * dim, indexing="ij")])
     inside = np.einsum("ij,ij->i", pts, pts) <= 1.0 + 1e-12
     nonzero = np.any(pts != 0.0, axis=1)
     pts = pts[inside & nonzero]
     if pts.shape[0] < 8:
         raise ValueError("lattice too coarse: fewer than 8 points fall inside the ball")
+    return pts
+
+
+def _ball_basis(center: np.ndarray, eps: float, grid_per_axis: int) -> IncrementBasis:
+    """Increments from center to the cubic-lattice points inside the
+    closed ball B(center, eps), center excluded, in as many dimensions
+    as center has: center plus eps times _ball_offsets, point for point."""
+    pts = _ball_offsets(grid_per_axis, len(center))
     return IncrementBasis(s=np.tile(center, (len(pts), 1)), t=center[None, :] + eps * pts)
 
 
@@ -851,6 +873,14 @@ def levy2d_scan(
     dist = float(np.linalg.norm(c2 - c1))
     if eps[0] >= dist / 2.0:
         raise ValueError("balls must be disjoint at the largest eps")
+    # a collapsed ball: at the smallest eps a lattice point rounds to its centre
+    offsets = _ball_offsets(grid_per_axis, 2)
+    for name, c in (("c1", c1), ("c2", c2)):
+        if np.any(np.all(c + eps[-1] * offsets == c, axis=1)):
+            raise ValueError(
+                f"eps={eps[-1]!r} is below the float resolution at {name}={tuple(map(float, c))} "
+                f"for n={grid_per_axis}: a point of the ball's n-per-axis lattice equals its centre"
+            )
 
     unit = _ball_factor(h, grid_per_axis, 2)
     rows = []

@@ -219,9 +219,12 @@ def increment_autocov(k, h: float, dt: float = 1.0) -> np.ndarray:
         raise ValueError("dt must be positive")
     k = np.abs(np.asarray(check_finite("k", k), dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        col = np.float64(dt) ** p * _even_difference(k, p, (-2.0, 1.0))
+        scale = np.float64(dt) ** p
+        col = scale * _even_difference(k, p, (-2.0, 1.0))
     if not np.all(np.isfinite(col)):
         raise ValueError(f"increment autocovariance overflows float64: dt = {dt:g} or a lag k to the power 2H = {p:g}")
+    if scale < np.finfo(float).tiny:
+        raise ValueError(f"increment autocovariance underflows float64: dt = {dt:g} to the power 2H = {p:g}")
     return col
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import fbmlocal
 from fbmlocal import cli
-from fbmlocal.cli import _build_parser, main, parse_eps
+from fbmlocal.cli import _command_parser, main, parse_eps
 from fbmlocal.acceptance import CHECKS, FAMILIES
 from fbmlocal.experiments import ExponentFit, Levy2dReport, ScanRow, ScanTable, local_independence_scan
 from fbmlocal.sampler import load_samples
@@ -274,7 +274,17 @@ def test_sample_rejects_empty_grid_with_horizon(n, tmp_path, capsys):
     # a finite increment column whose circulant transform overflows
     (["sample", "--H", "0.99", "--n", "4096", "--m", "4", "--dt", "1e155", "--out", "{tmp}/x.bin"],
      "circulant spectrum overflows float64 at n=4096, H=0.99, dt=1e+155\n"),
-], ids=["sample", "adjacency", "sample-spectrum"])
+    # dt^2H underflowed to 0: the circulant route wrote all-zero paths with
+    # exit 0, the Cholesky route raised RuntimeError, and adjacency named
+    # the Durbin-Levinson recursion
+    (["sample", "--H", "0.9", "--n", "128", "--m", "2", "--dt", "1e-200", "--out", "{tmp}/x.bin"],
+     "increment autocovariance underflows float64: dt = 1e-200 to the power 2H = 1.8\n"),
+    (["sample", "--H", "0.9", "--n", "8", "--m", "2", "--dt", "1e-200", "--out", "{tmp}/x.bin"],
+     "increment autocovariance underflows float64: dt = 1e-200 to the power 2H = 1.8\n"),
+    (["adjacency", "--H", "0.8", "--eps", "1e-300", "--out", "{tmp}/x.csv"],
+     "increment autocovariance underflows float64: dt = "),
+], ids=["sample", "adjacency", "sample-spectrum", "sample-underflow", "sample-cholesky-underflow",
+        "adjacency-underflow"])
 def test_an_overflowing_spacing_is_a_named_error(argv, message, tmp_path, capsys):
     # dt^2H overflowed as a Python float and ended in a traceback
     assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
@@ -289,14 +299,26 @@ def test_an_overflowing_spacing_is_a_named_error(argv, message, tmp_path, capsys
     (["angle", "--H", "0.75", "--t1", "0", "--t2", "1e300"], "eps=0.125 is below the float resolution at t2=1e+300"),
     (["scan", "--H", "0.75", "--t1", "-1e300", "--t2", "1e300"],
      "eps=0.00390625 is below the float resolution at t1=-1e+300"),
-], ids=["angle", "scan"])
+    # c - eps, c and c + eps are three floats, but the n window points or
+    # a ball's lattice point and its centre are not distinct
+    (["angle", "--H", "0.75", "--t1", "0", "--t2", "1", "--eps", "4e-16", "--n", "64"],
+     "eps=4e-16 is below the float resolution at t2=1.0 for n=64"),
+    (["scan", "--H", "0.75", "--t1", "0", "--t2", "1", "--eps", "4e-16", "--n", "64"],
+     "eps=4e-16 is below the float resolution at t2=1.0 for n=64"),
+    (["thm22", "--H", "0.75", "--t1", "1", "--eps", "4e-16,3e-16,2e-16,1.5e-16", "--n", "64"],
+     "eps=1.5e-16 is below the float resolution at t=1.0 for n=64"),
+    (["complement", "--H", "0.75", "--eps", "4e-16,3e-16,2e-16,1.5e-16"],
+     "eps=1.5e-16 is below the float resolution at t=0.5 for n=64"),
+    (["levy2d", "--H", "0.75", "--eps", "1e-17"], "eps=1e-17 is below the float resolution at c2=(1.0, 0.0) for n=9"),
+], ids=["angle", "scan", "angle-points", "scan-points", "thm22-points", "complement-points", "levy2d-lattice"])
 def test_a_window_below_float_resolution_names_eps_and_its_centre(argv, message, capsys):
-    # the window collapsed, and the error named the grid, not the flags
+    # the window collapsed, and the error named the grid ("degenerate
+    # increment"), not the flags
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"fbmlocal: error: {message}: ")
-    assert "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_rank_tolerance_is_fixed(capsys):
@@ -389,11 +411,26 @@ def test_only_aliases_cover_known_checks():
 
 
 def test_no_command_and_unknown_command(capsys):
+    # bare: the command list on stdout, exit 1; -h: the same, exit 0; an
+    # unknown command or a flag before the command: usage and "invalid
+    # choice" on stderr, exit 1
+    usage = "usage: fbmlocal [-h] command ...\n"
     assert main([]) == 1
+    listing, err = capsys.readouterr()
+    assert listing.startswith(usage) and err == ""
+    for name, (text, _, _) in cli._COMMANDS.items():
+        assert f"\n    {name}" in listing and text in listing
     with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 1
-    capsys.readouterr()
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (listing, "")
+    choices = ", ".join(map(repr, cli._COMMANDS))
+    for argv in (["frobnicate"], ["--H", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr() == (
+            "", f"{usage}fbmlocal: error: argument command: invalid choice: {argv[-1]!r} (choose from {choices})\n")
 
 
 _FIT_KEYS = ["slope", "intercept", "r2", "theory_slope", "theory_gap", "correction_order", "eps_lo", "eps_hi", "n_used"]
@@ -601,14 +638,31 @@ def _readme_flag_table():
 
 
 def test_readme_flag_table_matches_the_parser():
-    # each row lists exactly the flags the command's subparser accepts, in
+    # each row lists exactly the flags the command's parser accepts, in
     # its order, --help aside
-    (sub,) = (a for a in _build_parser()._actions if a.dest == "command")
     accepted = {
-        name: [a.option_strings[0] for a in p._actions if a.option_strings[0] != "-h"]
-        for name, p in sub.choices.items()
+        name: [a.option_strings[0] for a in _command_parser(name)._actions if a.option_strings[0] != "-h"]
+        for name in cli._COMMANDS
     }
     assert _readme_flag_table() == accepted
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_a_command_run_builds_only_its_own_parser(name, monkeypatch, capsys):
+    # the run built the top-level parser and all thirteen subparsers
+    built = []
+
+    class Recording(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Recording)
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-h"])
+    assert exc.value.code == 0
+    assert built == [f"fbmlocal {name}"]
+    assert capsys.readouterr().out.startswith(f"usage: fbmlocal {name} ")
 
 
 def _load_bench_workloads():

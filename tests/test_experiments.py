@@ -580,6 +580,14 @@ def _below_resolution(eps, name, centre):
             f"{name} - eps, {name} and {name} + eps must be distinct floats")
 
 
+def _collapsed_window(eps, name, centre):
+    return (f"eps={eps!r} is below the float resolution at {name}={centre!r} for n=64: "
+            f"the window's n points must be strictly increasing floats")
+
+
+_TINY_EPS = (4e-16, 3e-16, 2e-16, 1.5e-16)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: window_row(0.75, 0.0, 1e300, 0.125, 64), _below_resolution(0.125, "t2", 1e300)),
     (lambda: window_row(0.75, 1.0, 0.0, 2.0**-54, 64), _below_resolution(2.0**-54, "t1", 1.0)),
@@ -588,11 +596,22 @@ def _below_resolution(eps, name, centre):
     (lambda: local_independence_scan(0.75, 0.0, 2.0**46), _below_resolution(2.0**-8, "t2", 2.0**46)),
     (lambda: past_window_scan(0.75, 1e300, truncation_t=1e302), _below_resolution(2.0**-8, "t", 1e300)),
     (lambda: complement_window_scan(0.75, 0.0, 1e300, 2e300), _below_resolution(2.0**-8, "t", 1e300)),
-], ids=["window_row", "window_row-ulp", "scan", "scan-smallest-eps", "past-window", "complement"])
+    # three floats, but the n window points or a ball's lattice point and
+    # its centre are not distinct
+    (lambda: window_row(0.75, 0.0, 1.0, 4e-16, 64), _collapsed_window(4e-16, "t2", 1.0)),
+    (lambda: local_independence_scan(0.75, 0.0, 1.0, _TINY_EPS, 64), _collapsed_window(1.5e-16, "t2", 1.0)),
+    (lambda: past_window_scan(0.75, 1.0, eps=_TINY_EPS), _collapsed_window(1.5e-16, "t", 1.0)),
+    (lambda: complement_window_scan(0.75, eps=_TINY_EPS), _collapsed_window(1.5e-16, "t", 0.5)),
+    (lambda: levy2d_scan(0.75, eps=(1e-17,)),
+     "eps=1e-17 is below the float resolution at c2=(1.0, 0.0) for n=9: "
+     "a point of the ball's n-per-axis lattice equals its centre"),
+], ids=["window_row", "window_row-ulp", "scan", "scan-smallest-eps", "past-window", "complement",
+        "window_row-points", "scan-points", "past-window-points", "complement-points", "levy2d-lattice"])
 def test_window_centres_below_float_resolution_are_refused(call, message, monkeypatch):
-    # a centre where c - eps, c and c + eps are not three floats would give
-    # a collapsed window; refused, naming eps and the centre, before any
-    # Gram is built
+    # a centre where c - eps, c and c + eps are not three floats, or a
+    # window whose n points are not all distinct, would give a collapsed
+    # window; refused, naming eps (and n) and the centre, before any Gram
+    # is built
     def no_gram(*args):
         raise AssertionError("a Gram was built")
 

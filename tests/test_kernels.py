@@ -279,11 +279,14 @@ def test_kernels_reject_non_finite_inputs(call, name):
         call()
 
 
-@pytest.mark.parametrize("k, h, dt", [(np.arange(4), 0.7, 1e300), (np.arange(4), 0.99, 1e160)],
-                         ids=["dt-1e300", "dt-1e160"])
-def test_increment_autocov_refuses_overflow(k, h, dt):
-    # dt^2H raised OverflowError
-    with pytest.raises(ValueError, match="^increment autocovariance overflows float64"):
+@pytest.mark.parametrize("k, h, dt, message", [
+    (np.arange(4), 0.7, 1e300, "overflows float64"),
+    (np.arange(4), 0.99, 1e160, "overflows float64"),
+    (np.arange(3), 0.9, 1e-200, r"underflows float64: dt = 1e-200 to the power 2H = 1\.8$"),
+], ids=["dt-1e300", "dt-1e160", "dt-1e-200"])
+def test_increment_autocov_refuses_overflow(k, h, dt, message):
+    # dt^2H raised OverflowError, and an underflowed dt^2H gave all zeros
+    with pytest.raises(ValueError, match=f"^increment autocovariance {message}"):
         increment_autocov(k, h, dt)
 
 
