@@ -331,12 +331,26 @@ def _side(basis: IncrementBasis, h):
     return basis, _pivoted_factor(gram(basis, h))
 
 
+def _dilation(name: str, value: float, h) -> float:
+    """value^-H, the scale a dilation family puts on its unit factor for
+    the spacing, horizon or radius value, whose Gram carries value^(2H).
+    Raises ValueError, naming the quantity, when value^(2H) is not a
+    normal float."""
+    p = 2.0 * h
+    with np.errstate(over="ignore", under="ignore"):
+        power = np.float64(value) ** p
+    if not np.finfo(float).tiny <= power < math.inf:
+        kind = "overflows" if power == math.inf else "underflows"
+        raise ValueError(f"Gram scale {kind} float64: {name} = {value:g} to the power 2H = {p:g}")
+    return value**-h
+
+
 def _window(center: float, eps: float, h, grid_n: int):
     """The side of the grid_n-point uniform window of half-width eps around
     center.  Its Gram is dt^(2H) times the shared unit-spacing one, so its
     factor is _uniform_factor's scaled by dt^-H."""
     basis = IncrementBasis.from_grid(TimeGrid(center - eps, center + eps, grid_n))
-    return basis, _uniform_factor(h, grid_n).scaled((2.0 * eps / (grid_n - 1)) ** -h)
+    return basis, _uniform_factor(h, grid_n).scaled(_dilation("dt", 2.0 * eps / (grid_n - 1), h))
 
 
 def _graded_basis(h, regions, n_cells: int):
@@ -353,7 +367,7 @@ def _graded_past(h, truncation_t: float, n: int):
     The graded grid dilates with T, so the past's Gram is T^(2H) times
     the unit-T one and its factor is _graded_past_factor's scaled by T^-H."""
     basis, decades = _graded_basis(h, ((-truncation_t, 0.0, "b"),), n)
-    return (basis, _graded_past_factor(h, n).scaled(truncation_t**-h)), decades
+    return (basis, _graded_past_factor(h, n).scaled(_dilation("T", truncation_t, h))), decades
 
 
 def _graded_scan(h, fixed, decades: float, t: float, eps: tuple, grid_n: int, meta: dict) -> ScanTable:
@@ -885,7 +899,7 @@ def levy2d_scan(
     unit = _ball_factor(h, grid_per_axis, 2)
     rows = []
     for e in eps:
-        f = unit.scaled(e**-h)
+        f = unit.scaled(_dilation("eps", e, h))
         a, b = _ball_basis(c1, e, grid_per_axis), _ball_basis(c2, e, grid_per_axis)
         rows.append(_make_row(e, (a, f), (b, f), h, len(a) * _MIN_RANK_FRACTION))
     meta = {

@@ -145,14 +145,19 @@ def _second_difference(sa, ta, sb, tb, power: float) -> np.ndarray:
 
     At p = 2H this is E[(X_ta - X_sa)(X_tb - X_sb)]: the bilinear expansion
     of R_H, whose single-endpoint terms cancel. Endpoints are times (m,)
-    or points (m, d); the distance is then the Euclidean norm.
+    or points (m, d); the distance is then the Euclidean norm. Raises
+    ValueError when a distance to the power p overflows float64.
     """
     point_ndim = np.ndim(sa) - 1
 
     def dist(x, y):
         return _norm(x[:, None] - y[None, :], point_ndim) ** power
 
-    return 0.5 * (dist(ta, sb) + dist(sa, tb) - dist(ta, tb) - dist(sa, sb))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 0.5 * (dist(ta, sb) + dist(sa, tb) - dist(ta, tb) - dist(sa, sb))
+    if not np.isfinite(c).all():
+        raise ValueError(f"covariance overflows float64: a distance between endpoints to the power {power:g}")
+    return c
 
 
 def gram(basis: IncrementBasis, h: float) -> np.ndarray:

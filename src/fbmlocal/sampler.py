@@ -24,9 +24,9 @@ dominate. Neither route falls back to the other. The m paths are cut into
 blocks of 2 * max(1, _FFT_ELEMENTS // 2n) paths, one FFT call each on
 the circulant route. Block b draws from the b-th SFC64 stream spawned
 from the seed, so the seed alone fixes the output, whatever the core
-count. Each worker owns one buffer for a block's white normals, made
-before the thread pool starts, so peak memory does not depend on thread
-scheduling.
+count. The thread pool runs one task per block on min(_WORKERS, blocks)
+workers, and each draw makes its own normals, so at most
+min(_WORKERS, blocks) blocks' normals are alive at once.
 """
 
 from __future__ import annotations
@@ -123,42 +123,31 @@ def _block_paths(n: int) -> int:
     return 2 * max(1, _FFT_ELEMENTS // (2 * n))
 
 
-def _block_buffer(n: int, m: int, method: str) -> np.ndarray:
-    """One worker's buffer for the white normals of one block, or of all m
-    paths if fewer: p x n reals on the Cholesky route, ceil(p/2) complex
-    rows of the size-2n embedding on the circulant one."""
-    paths = min(_block_paths(n), m)
-    if method == "cholesky":
-        return np.empty((paths, n))
-    return np.empty(((paths + 1) // 2, 2 * n), complex)
-
-
-def _draw_cholesky(upper, rng, out, z):
+def _draw_cholesky(upper, rng, out):
     """Fill out (p x n) with exact samples from one stream: p rows of white
     normals times upper = L', in products small enough to stay serial."""
-    zb = z[: len(out)]
-    rng.standard_normal(out=zb)
+    z = rng.standard_normal(out.shape)
     rows = max(1, _SERIAL_PRODUCT // upper.size)
     for i in range(0, len(out), rows):
-        np.matmul(zb[i : i + rows], upper, out=out[i : i + rows])
+        np.matmul(z[i : i + rows], upper, out=out[i : i + rows])
 
 
-def _draw_circulant(scale, rng, out, z):
+def _draw_circulant(scale, rng, out):
     """Fill out (p x n) with exact samples from one stream and one FFT call.
 
-    rng fills the real and imaginary parts of the first ceil(p/2) rows
-    of z with white normals, interleaved; scale (sqrt(lambda / size),
-    each entry twice) colours them, and after the transform the real and
-    imaginary parts of row i become paths 2i and 2i + 1.
+    rng draws ceil(p/2) rows of 2 * size white normals, read as the
+    interleaved real and imaginary parts of ceil(p/2) complex rows; scale
+    (sqrt(lambda / size), each entry twice) colours them, and after the
+    transform the real and imaginary parts of row i become paths 2i and
+    2i + 1.
     """
     paths, n = out.shape
-    zb = z[: (paths + 1) // 2]
-    white = zb.view(float)
-    rng.standard_normal(out=white)
+    white = rng.standard_normal(((paths + 1) // 2, scale.size))
     white *= scale
-    np.fft.fft(zb, out=zb)
-    out[0::2] = zb.real[:, :n]
-    out[1::2] = zb.imag[: paths // 2, :n]
+    z = white.view(complex)
+    np.fft.fft(z, out=z)
+    out[0::2] = z.real[:, :n]
+    out[1::2] = z.imag[: paths // 2, :n]
 
 
 def sample_fbm_increments(
@@ -175,6 +164,8 @@ def sample_fbm_increments(
     check_finite("dt", dt)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
     if n <= _CHOLESKY_MAX_N:
         method, draw = "cholesky", functools.partial(_draw_cholesky, _gram_factor(n, h, dt).T)
@@ -185,17 +176,8 @@ def sample_fbm_increments(
     blocks = -(-m // per)
     streams = [np.random.Generator(np.random.SFC64(s)) for s in np.random.SeedSequence(seed).spawn(blocks)]
     data = np.empty((m, n))
-    # worker k fills blocks k, k + workers, ... through its own buffer, all
-    # made here, so memory in use does not depend on thread scheduling
-    workers = min(_WORKERS, blocks)
-    bufs = [_block_buffer(n, m, method) for _ in range(workers)]
-
-    def run(k):
-        for b in range(k, blocks, workers):
-            draw(streams[b], data[b * per : (b + 1) * per], bufs[k])
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(workers)))
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, blocks)) as pool:
+        list(pool.map(draw, streams, (data[i : i + per] for i in range(0, m, per))))
     return SamplePaths(m=m, n=n, dt=float(dt), h=h, seed=int(seed), method=method, data=data)
 
 

@@ -295,6 +295,31 @@ def test_an_overflowing_spacing_is_a_named_error(argv, message, tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    (["pastfuture", "--H", "0.8", "--T", "1e-300"], "Gram scale underflows float64: T = 1e-300 to the power 2H = 1.6"),
+    (["pastfuture", "--H", "0.8", "--T", "1e300"], "Gram scale overflows float64: T = 1e+300 to the power 2H = 1.6"),
+    (["thm22", "--H", "0.75", "--t1", "1", "--T", "1e300"],
+     "Gram scale overflows float64: T = 1e+300 to the power 2H = 1.5"),
+    (["complement", "--H", "0.75", "--T", "1e300"],
+     "covariance overflows float64: a distance between endpoints to the power 1.5"),
+    (["mi", "--H", "0.75", "--t1", "0", "--t2", "1e-300", "--eps", "1e-301", "--n", "8"],
+     "Gram scale underflows float64: dt = 2.85714e-302 to the power 2H = 1.5"),
+    (["angle", "--H", "0.75", "--t1", "0", "--t2", "1e300", "--eps", "1e299", "--n", "8"],
+     "Gram scale overflows float64: dt = 2.85714e+298 to the power 2H = 1.5"),
+    (["sample", "--H", "0.7", "--n", "8", "--m", "3", "--seed", "-1", "--out", "{tmp}/p.bin"],
+     "seed must be non-negative, got -1"),
+], ids=["pastfuture-tiny-T", "pastfuture-huge-T", "thm22", "complement", "mi", "angle", "sample-seed"])
+def test_an_extreme_horizon_or_seed_is_one_named_error(argv, message, tmp_path, capsys):
+    # LAPACK's "did not converge" or numpy's "expected non-negative
+    # integer", after RuntimeWarnings on stderr
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"fbmlocal: error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["angle", "--H", "0.75", "--t1", "0", "--t2", "1e300"], "eps=0.125 is below the float resolution at t2=1e+300"),
     (["scan", "--H", "0.75", "--t1", "-1e300", "--t2", "1e300"],

@@ -621,6 +621,30 @@ def test_window_centres_below_float_resolution_are_refused(call, message, monkey
         call()
 
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: past_future_angle(0.8, 1e-300), "Gram scale underflows float64: T = 1e-300 to the power 2H = 1.6"),
+    (lambda: past_future_angle(0.8, 1e300), "Gram scale overflows float64: T = 1e+300 to the power 2H = 1.6"),
+    (lambda: theorem22_check(0.75, 1.0, 1e300), "Gram scale overflows float64: T = 1e+300 to the power 2H = 1.5"),
+    (lambda: window_row(0.75, 0.0, 1e-300, 1e-301, 8),
+     "Gram scale underflows float64: dt = 2.85714e-302 to the power 2H = 1.5"),
+    (lambda: window_row(0.75, 0.0, 1e300, 1e299, 8),
+     "Gram scale overflows float64: dt = 2.85714e+298 to the power 2H = 1.5"),
+    (lambda: levy2d_scan(0.99, c2=(1e-150, 0.0), eps=(1e-157,)),
+     "Gram scale underflows float64: eps = 1e-157 to the power 2H = 1.98"),
+    # the two-sided complement is factored whole, not scaled from a unit
+    # one, so its Gram names the overflowing distance
+    (lambda: complement_window_scan(0.75, truncation_t=1e300),
+     "covariance overflows float64: a distance between endpoints to the power 1.5"),
+], ids=["past-future-tiny-T", "past-future-huge-T", "thm22-huge-T", "window-tiny-dt", "window-huge-dt",
+        "levy2d-tiny-eps", "complement-huge-T"])
+def test_a_scale_past_the_float_range_is_a_named_error(call, message):
+    # the unit factor's scale T^-H, dt^-H or eps^-H, or a Gram entry, left
+    # the float range: LAPACK failed on nan entries after a RuntimeWarning
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_window_row_is_the_scan_row_never_skipped():
     # the scan's row at one eps, with no rank floor, and windows that may
     # overlap: coinciding ones share every increment

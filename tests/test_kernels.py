@@ -312,6 +312,18 @@ def test_fbm_cov_refuses_overflow(u, v, h):
         fbm_cov(u, v, h)
 
 
+
+@pytest.mark.parametrize("make", [
+    lambda: gram(IncrementBasis.from_points([0.0, 1e300]), 0.75),
+    lambda: cross_gram(IncrementBasis.from_points([0.0, 1.0]), IncrementBasis.from_points([1e300, 2e300]), 0.75),
+], ids=["gram", "cross_gram"])
+def test_an_overflowing_distance_is_a_named_error(make):
+    # |x|^2H overflowed: the entries became inf - inf = nan, with a
+    # RuntimeWarning, and LAPACK failed on them downstream
+    with pytest.raises(ValueError, match=r"^covariance overflows float64: a distance between endpoints to the power 1\.5$"):
+        make()
+
+
 def _disjoint_kernel(u, v, h):
     # cross-covariance density H(2H-1)|u-v|^{2H-2} of increments on disjoint cells
     return h * (2.0 * h - 1.0) * abs(u - v) ** (2.0 * h - 2.0)

@@ -14,7 +14,7 @@ from fbmlocal.sampler import (
     SamplePaths,
     _CHOLESKY_MAX_N,
     _FFT_ELEMENTS,
-    _block_buffer,
+    _block_paths,
     _embedding_spectrum,
     _gram_factor,
     empirical_mi_check,
@@ -75,8 +75,8 @@ def _block_streams(n, m, seed):
 
 
 def test_buffered_blocks_match_whole_block_transform(monkeypatch):
-    # each block is drawn from its own stream into a reused worker buffer
-    # and must equal one colouring of the whole block. On the Cholesky
+    # each block is drawn from its own stream by its own pool task and
+    # must equal one colouring of the whole block. On the Cholesky
     # route (n <= _CHOLESKY_MAX_N) that is the block's p x n normals times
     # L', L the Gram's lower Cholesky factor: three blocks at n = 8 (the
     # last an odd 37 paths) and at n = 64, where a block takes 16 serial
@@ -113,44 +113,37 @@ def test_buffered_blocks_match_whole_block_transform(monkeypatch):
 
 
 def test_worker_buffers_stay_within_budget(monkeypatch):
-    events = []
-
-    def record(n, m, method):
-        buf = _block_buffer(n, m, method)
-        events.append((method, buf.shape, buf.nbytes))
-        return buf
-
-    class Pool(sampler.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            events.append(("pool", max_workers))
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(sampler, "_block_buffer", record)
-    monkeypatch.setattr(sampler, "ThreadPoolExecutor", Pool)
-
-    def per_worker(n, m, blocks):
-        events.clear()
-        sample_fbm_increments(n, 1.0, 0.7, m, seed=0)
-        # one buffer per worker, all made before the pool starts
-        *made, (pool, workers) = events
-        assert pool == "pool" and workers == min(sampler._WORKERS, blocks) == len(made)
-        assert len(set(made)) == 1
-        return made[0]
-
-    for cores in (1, 2, 3, 6):
-        monkeypatch.setattr(sampler, "_WORKERS", cores)
-        # each buffer holds one block's white normals: on the circulant
-        # route one FFT call, _FFT_ELEMENTS complex entries or one row when
-        # the embedding alone is larger; on the Cholesky route the block's
-        # paths x n reals, half that
-        for n, m, blocks in ((8, 100_000, 13), (4096, 256, 16), (40000, 6, 3)):
-            method, shape, nbytes = per_worker(n, m, blocks)
-            assert shape[1] == (n if method == "cholesky" else 2 * n)
-            assert nbytes <= 16 * max(_FFT_ELEMENTS, 2 * n)
-        assert per_worker(8, 100_000, 13) == ("cholesky", (8192, 8), 8 * _FFT_ELEMENTS)
-        assert per_worker(4096, 256, 16) == ("circulant", (8, 8192), 16 * _FFT_ELEMENTS)
-        # a 2-path warm-up draws two rows of 16 reals: a few hundred bytes
-        assert per_worker(16, 2, 1) == ("cholesky", (2, 16), 8 * 32)
+    # one pool task per block, each making its own white normals: the
+    # traced peak above the m x n output stays within min(_WORKERS, blocks)
+    # blocks' normals (p x n reals on the Cholesky route, ceil(p/2) rows
+    # of 4n reals on the circulant one), plus the colouring's own arrays
+    # (the Gram and its factor, 4 x 8n^2 bytes, or the embedding's
+    # column, spectrum and scale, 6 x 16n), the m x n bytes of
+    # SamplePaths' finite mask and 64 KiB for streams, pool and futures.
+    # Least margin under the budget over _WORKERS = 1, 2, 3, 6 and five
+    # runs on 2 vCPUs: 0.57 MB at (8, 100000), 0.28 MB at (64, 2085),
+    # 1.25 MB at (4096, 256), 2.20 MB at (40000, 6) and 61 kB at (16, 2).
+    # Per-worker buffers made before the pool started left 0.04, 0.15,
+    # 0.23, 1.97 MB and 61 kB
+    for n, m in ((8, 100_000), (64, 2085), (4096, 256), (40000, 6), (16, 2)):
+        per = _block_paths(n)
+        blocks = -(-m // per)
+        p = min(per, m)
+        if n <= _CHOLESKY_MAX_N:
+            normals, colouring = 8 * p * n, 4 * 8 * n * n
+        else:
+            normals, colouring = 8 * ((p + 1) // 2) * 4 * n, 6 * 16 * n
+        for workers in (1, 2, 3, 6):
+            monkeypatch.setattr(sampler, "_WORKERS", workers)
+            sample_fbm_increments(n, 1.0, 0.7, m, seed=0)
+            tracemalloc.start()
+            try:
+                sample_fbm_increments(n, 1.0, 0.7, m, seed=0)
+                above = tracemalloc.get_traced_memory()[1] - 8 * m * n
+            finally:
+                tracemalloc.stop()
+            budget = min(workers, blocks) * normals + colouring + m * n + (64 << 10)
+            assert above <= budget, (n, m, workers, above, budget)
 
 
 def test_sampled_covariance_matches_gram():
@@ -267,6 +260,14 @@ def test_sample_validation():
     for dt in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"dt must be finite, got {dt}"):
             sample_fbm_increments(4096, dt, 0.5, 4, seed=0)
+
+
+
+def test_a_negative_seed_is_named():
+    # numpy's SeedSequence refused it as "expected non-negative integer"
+    for n in (8, 4096):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            sample_fbm_increments(n, 1.0, 0.7, 3, seed=-1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 2000, 32768, 65536])

@@ -43,6 +43,17 @@ def cases() -> list:
     session = {name: [a.format(seed=1, tmp=".") for a in argv] for name, argv in readme.items()}
     out = [(f"readme {name}", argv) for name, argv in session.items()]
     out.append(("readme sample seed 2", [a.format(seed=2, tmp=".") for a in readme["sample"]]))
+    # the README samples take the circulant route at n = 4096; these add the
+    # Cholesky route, with two full 8192-path blocks and an odd 37, and with
+    # 16 serial products per block, and a circulant run ending in an odd
+    # 7-path block
+    out += [
+        ("sample cholesky n=8", ["sample", "--H", "0.75", "--n", "8", "--m", "16421", "--seed", "9", "--out", "p.bin"]),
+        ("sample cholesky n=64",
+         ["sample", "--H", "0.3", "--n", "64", "--m", "2085", "--dt", "0.5", "--seed", "4", "--out", "p.bin"]),
+        ("sample circulant n=5000",
+         ["sample", "--H", "0.3", "--n", "5000", "--m", "67", "--dt", "0.5", "--seed", "42", "--out", "p.bin"]),
+    ]
     for name, argv in session.items():
         if name == "sample":
             continue
